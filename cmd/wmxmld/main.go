@@ -14,7 +14,7 @@
 //	       [--health-interval 10s] [--watchdog-interval 10s]
 //	       [--capture-dir DIR] [--capture-max 8] [--capture-cooldown 5m]
 //	       [--capture-cpu 5s] [--drain-delay 0s]
-//	       [--registry-backend file|sharded|kv|remote|memory]
+//	       [--registry-backend file|sharded|remote|memory]
 //	       [--registry-shards 8] [--registry-url URL]
 //	       [--registry-cache-ttl 0s] [--cluster-key KEY]
 //	       [--fleet-nodes URL,URL,...] [--fleet-self URL]
@@ -80,7 +80,8 @@
 //
 // Without --registry all state is in memory and lost on exit; with it,
 // owners and receipts live in a crash-safe JSONL log that survives
-// restarts.
+// restarts. --registry-backend sharded makes --registry a directory of
+// such logs, one per shard; remote keeps no local state at all.
 package main
 
 import (
@@ -134,7 +135,7 @@ func main() {
 	captureCooldown := fs.Duration("capture-cooldown", 0, "min time between bundles for one firing rule (0 = 5m)")
 	captureCPU := fs.Duration("capture-cpu", 0, "CPU profile length recorded into each bundle (0 = 5s, negative = skip)")
 	drainDelay := fs.Duration("drain-delay", 0, "how long /readyz answers 503 before listeners close on shutdown (0 = immediate)")
-	regBackend := fs.String("registry-backend", "", "registry backend: file|sharded|kv|remote|memory (empty: file when --registry is set, else memory)")
+	regBackend := fs.String("registry-backend", "", "registry backend: file|sharded|remote|memory (empty: file when --registry is set, else memory)")
 	regShards := fs.Int("registry-shards", 8, "shard count for --registry-backend sharded (fixed at creation)")
 	regURL := fs.String("registry-url", "", "base URL of the registry-holding node for --registry-backend remote")
 	regCacheTTL := fs.Duration("registry-cache-ttl", 0, "remote-registry read cache TTL (0 = revalidate every read)")
@@ -186,12 +187,6 @@ func main() {
 			os.Exit(2)
 		}
 		store, err = registry.OpenSharded(*regPath, *regShards, fopts)
-	case "kv":
-		if *regPath == "" {
-			logger.Error("--registry-backend kv requires --registry PATH")
-			os.Exit(2)
-		}
-		store, err = registry.OpenKV(*regPath, fopts)
 	case "remote":
 		if *regURL == "" || *clusterKey == "" {
 			logger.Error("--registry-backend remote requires --registry-url and --cluster-key")

@@ -20,10 +20,10 @@ type conformanceBackend struct {
 	reopen func(t *testing.T, st Store) Store
 }
 
-// conformanceBackends builds the full matrix: the two seed-era stores,
-// the two new embedded backends, and a Remote wired through a real
-// HTTP round trip (httptest holder over a Memory store, TTL zero so
-// every read revalidates — the strictest coherence setting).
+// conformanceBackends builds the full matrix: Memory, File, Sharded
+// (File logs per shard), and a Remote wired through a real HTTP round
+// trip (httptest holder over a Memory store, TTL zero so every read
+// revalidates — the strictest coherence setting).
 func conformanceBackends(t *testing.T) []conformanceBackend {
 	t.Helper()
 	return []conformanceBackend{
@@ -67,27 +67,6 @@ func conformanceBackends(t *testing.T) []conformanceBackend {
 					t.Fatal(err)
 				}
 				re, err := OpenSharded(dir, 3, FileOptions{NoSync: true})
-				if err != nil {
-					t.Fatal(err)
-				}
-				return re
-			},
-		},
-		{
-			name: "kv",
-			open: func(t *testing.T) Store {
-				st, err := OpenKV(filepath.Join(t.TempDir(), "reg.kv"), FileOptions{NoSync: true})
-				if err != nil {
-					t.Fatal(err)
-				}
-				return st
-			},
-			reopen: func(t *testing.T, st Store) Store {
-				path := st.(*KV).path
-				if err := st.Close(); err != nil {
-					t.Fatal(err)
-				}
-				re, err := OpenKV(path, FileOptions{NoSync: true})
 				if err != nil {
 					t.Fatal(err)
 				}

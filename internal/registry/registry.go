@@ -9,9 +9,12 @@
 // safeguarded query set plus capacity figures, so later detections
 // resolve their queries server-side instead of shipping q.json around.
 //
-// Two implementations share the Store interface: Memory (tests,
-// ephemeral deployments) and File (one JSONL log per deployment with
-// crash-safe appends and offline compaction).
+// Four implementations share the Store interface: Memory (tests,
+// ephemeral deployments), File (one JSONL log with crash-safe appends
+// and non-stalling compaction), Sharded (owners hashed over N File
+// logs in one directory) and Remote (another node's store over HTTP).
+// File is the only on-disk format: Sharded reuses it per shard, so
+// there is one replay and crash-recovery path.
 package registry
 
 import (
@@ -197,8 +200,8 @@ func (p PlanRecord) Validate() error {
 	return nil
 }
 
-// Store is the registry contract shared by the memory and file
-// implementations. Implementations are safe for concurrent use.
+// Store is the registry contract shared by Memory, File, Sharded and
+// Remote. Implementations are safe for concurrent use.
 type Store interface {
 	// PutOwner registers or replaces an owner.
 	PutOwner(o Owner) error

@@ -91,10 +91,12 @@ func OpenSharded(dir string, n int, opts FileOptions) (*Sharded, error) {
 
 // shardFor maps an owner id to its shard. FNV-1a over the id: stable
 // across processes and builds, which is what makes the layout durable.
+// The modulus is taken in uint32 so that a 32-bit int never sees a
+// negative hash and every platform picks the same shard.
 func (s *Sharded) shardFor(owner string) *File {
 	h := fnv.New32a()
 	h.Write([]byte(owner))
-	return s.shards[int(h.Sum32())%len(s.shards)]
+	return s.shards[h.Sum32()%uint32(len(s.shards))]
 }
 
 // PutOwner registers or replaces an owner on its shard.

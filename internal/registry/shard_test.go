@@ -40,6 +40,24 @@ func TestShardedLayout(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// The placement is part of the on-disk format: existing directories
+	// must keep finding their owners on every platform. tenant-00..02
+	// hash to 2^31 or more, which is negative as a 32-bit int.
+	for owner, shard := range map[string]int{
+		"tenant-00": 0, "tenant-01": 3, "tenant-02": 2, "tenant-03": 1, "tenant-31": 0,
+	} {
+		fs, err := OpenFile(filepath.Join(dir, fmt.Sprintf("shard-%03d.jsonl", shard)), FileOptions{NoSync: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := fs.GetOwner(owner); err != nil {
+			t.Errorf("%s not on shard %d: %v", owner, shard, err)
+		}
+		if err := fs.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+
 	if _, err := OpenSharded(dir, 8, FileOptions{NoSync: true}); err == nil || !strings.Contains(err.Error(), "resharding") {
 		t.Fatalf("reopen with wrong shard count = %v, want resharding error", err)
 	}

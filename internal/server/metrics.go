@@ -336,9 +336,12 @@ func (m *metrics) render(w io.Writer) {
 				cum += s.h.counts[i].Load()
 				fmt.Fprintf(w, "%s_bucket{%s=%q,le=%q} %d\n", name, label, s.label, formatLE(ub), cum)
 			}
-			fmt.Fprintf(w, "%s_bucket{%s=%q,le=\"+Inf\"} %d\n", name, label, s.label, s.h.count.Load())
+			// One count read per series: a second read could see a
+			// request that finished in between and tear +Inf from _count.
+			n := s.h.count.Load()
+			fmt.Fprintf(w, "%s_bucket{%s=%q,le=\"+Inf\"} %d\n", name, label, s.label, n)
 			fmt.Fprintf(w, "%s_sum{%s=%q} %g\n", name, label, s.label, float64(s.h.sumNs.Load())/1e9)
-			fmt.Fprintf(w, "%s_count{%s=%q} %d\n", name, label, s.label, s.h.count.Load())
+			fmt.Fprintf(w, "%s_count{%s=%q} %d\n", name, label, s.label, n)
 		}
 	}
 	renderHistograms("wmxmld_request_seconds", "Request latency by route.", "route", lats)

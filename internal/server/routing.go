@@ -116,7 +116,7 @@ func (s *Server) buildFleet() error {
 		if n == s.opts.FleetSelf {
 			continue
 		}
-		p, err := newFleetProxy(n, s.opts.FleetSelf)
+		p, err := s.newFleetProxy(n)
 		if err != nil {
 			return err
 		}
@@ -128,8 +128,9 @@ func (s *Server) buildFleet() error {
 // newFleetProxy builds the reverse proxy for one peer. FlushInterval -1
 // keeps the streaming endpoints (mode=stream) streaming through the
 // hop; the hop header is stamped on the outbound clone, never on the
-// caller's request.
-func newFleetProxy(node, self string) (*httputil.ReverseProxy, error) {
+// caller's request. A dead peer answers 502 in the standard error
+// envelope: the peer's address and dial error go to the log only.
+func (s *Server) newFleetProxy(node string) (*httputil.ReverseProxy, error) {
 	u, err := url.Parse(node)
 	if err != nil || (u.Scheme != "http" && u.Scheme != "https") || u.Host == "" {
 		return nil, fmt.Errorf("server: fleet node %q is not an http(s) URL", node)
@@ -138,15 +139,11 @@ func newFleetProxy(node, self string) (*httputil.ReverseProxy, error) {
 		Rewrite: func(pr *httputil.ProxyRequest) {
 			pr.SetURL(u)
 			pr.Out.Host = u.Host
-			pr.Out.Header.Set(fleetHopHeader, self)
+			pr.Out.Header.Set(fleetHopHeader, s.opts.FleetSelf)
 		},
 		FlushInterval: -1,
 		ErrorHandler: func(w http.ResponseWriter, r *http.Request, err error) {
-			w.Header().Set("Content-Type", "application/json")
-			w.WriteHeader(http.StatusBadGateway)
-			json.NewEncoder(w).Encode(map[string]string{
-				"error": fmt.Sprintf("fleet peer %s unreachable: %v", node, err),
-			})
+			s.writeErr(w, r, errf(http.StatusBadGateway, "fleet peer %s unreachable: %w", node, err))
 		},
 	}, nil
 }

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -174,15 +175,25 @@ func TestFleetPeerDown(t *testing.T) {
 	live.Config.Handler = s.Handler()
 
 	downOwner := ownerHomedOn(t, []string{live.URL, deadURL}, deadURL)
-	code, body, _ := doAs(t, "k", "GET", live.URL+"/v1/owners/"+downOwner+"/receipts", nil)
+	code, body, hdr := doAs(t, "k", "GET", live.URL+"/v1/owners/"+downOwner+"/receipts", nil)
 	if code != http.StatusBadGateway {
 		t.Fatalf("request homed on a dead peer = %d %s, want 502", code, body)
 	}
 	var e struct {
-		Error string `json:"error"`
+		Error     string `json:"error"`
+		RequestID string `json:"request_id"`
 	}
 	if err := json.Unmarshal(body, &e); err != nil || e.Error == "" {
 		t.Errorf("502 body is not the JSON error envelope: %s", body)
+	}
+	if e.RequestID == "" || e.RequestID != hdr.Get("X-Request-Id") {
+		t.Errorf("502 request_id %q, X-Request-Id header %q: want equal and set", e.RequestID, hdr.Get("X-Request-Id"))
+	}
+	// The peer's address and dial error are for the log, not the client.
+	for _, leak := range []string{"127.0.0.1:1", "connection refused"} {
+		if bytes.Contains(body, []byte(leak)) {
+			t.Errorf("502 body leaks %q: %s", leak, body)
+		}
 	}
 }
 

@@ -57,14 +57,6 @@ func OpenShardedRegistry(dir string, shards int) (ReceiptStore, error) {
 	return registry.OpenSharded(dir, shards, registry.FileOptions{})
 }
 
-// OpenKVRegistry opens (or creates) an embedded-KV registry: the same
-// append-only crash-safe log, indexed by an in-memory key directory
-// that holds offsets instead of records, so resident memory stays flat
-// as plan payloads grow — values are read from disk on demand.
-func OpenKVRegistry(path string) (ReceiptStore, error) {
-	return registry.OpenKV(path, registry.FileOptions{})
-}
-
 // OpenRemoteRegistry connects to another wmxmld node's registry over
 // its fleet API (`/internal/registry/` on the node holding the
 // authoritative store), authenticated by the shared cluster key. With
