@@ -21,7 +21,7 @@ func TestParseTraceparent(t *testing.T) {
 		{valid + "-extradata", "4bf92f3577b34da6a3ce929d0e0e4736", true}, // future version with extra fields
 		{"", "", false},
 		{"garbage", "", false},
-		{"00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7", "", false},  // missing flags
+		{"00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7", "", false},    // missing flags
 		{"ff-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01", "", false}, // forbidden version
 		{"00-00000000000000000000000000000000-00f067aa0ba902b7-01", "", false}, // all-zero trace id
 		{"00-4bf92f3577b34da6a3ce929d0e0e4736-0000000000000000-01", "", false}, // all-zero span id

@@ -37,6 +37,12 @@ type Remote struct {
 
 	mu    sync.Mutex
 	cache map[string]*remoteEntry
+	// gen counts invalidations. A read stores what it fetched only if
+	// gen has not moved since the read started: a write through this
+	// client that lands while the fetch is on the wire may have made
+	// the fetched value stale, and caching it would serve the pre-write
+	// record for a full TTL.
+	gen uint64
 }
 
 type remoteEntry struct {
@@ -158,8 +164,10 @@ func (rm *Remote) fetch(path, etag string) (data []byte, newTag string, notModif
 func remoteGet[T any](rm *Remote, path string, cacheable bool) (T, error) {
 	var zero T
 	var etag string
+	var gen uint64
 	if cacheable {
 		rm.mu.Lock()
+		gen = rm.gen
 		if e, ok := rm.cache[path]; ok {
 			if time.Now().Before(e.expires) {
 				v := e.decoded.(T)
@@ -193,10 +201,12 @@ func remoteGet[T any](rm *Remote, path string, cacheable bool) (T, error) {
 	}
 	if cacheable && tag != "" {
 		rm.mu.Lock()
-		if len(rm.cache) >= remoteCacheMax {
-			rm.cache = make(map[string]*remoteEntry)
+		if rm.gen == gen {
+			if len(rm.cache) >= remoteCacheMax {
+				rm.cache = make(map[string]*remoteEntry)
+			}
+			rm.cache[path] = &remoteEntry{etag: tag, decoded: v, expires: time.Now().Add(rm.ttl)}
 		}
-		rm.cache[path] = &remoteEntry{etag: tag, decoded: v, expires: time.Now().Add(rm.ttl)}
 		rm.mu.Unlock()
 	}
 	return v, nil
@@ -235,10 +245,12 @@ func (rm *Remote) write(method, path, owner string, v any) error {
 	return nil
 }
 
-// invalidate drops every cached path under an owner.
+// invalidate drops every cached path under an owner and bumps the
+// generation, so reads already on the wire do not store their result.
 func (rm *Remote) invalidate(owner string) {
 	prefix := "/owners/" + url.PathEscape(owner)
 	rm.mu.Lock()
+	rm.gen++
 	for k := range rm.cache {
 		if strings.HasPrefix(k, prefix) && (len(k) == len(prefix) || k[len(prefix)] == '/') {
 			delete(rm.cache, k)

@@ -138,6 +138,66 @@ func TestRemoteWriteInvalidation(t *testing.T) {
 	}
 }
 
+// TestRemoteReadRacingOwnWrite: a read that is on the wire while a
+// write through the same client lands must not cache what it fetched.
+// The holder computes one GET's answer before the write and delays it
+// until the write has completed; the next read must see the write, not
+// the pre-write record for a full TTL (a rotated key refused, the old
+// one accepted).
+func TestRemoteReadRacingOwnWrite(t *testing.T) {
+	inner := NewHTTPHandler(NewMemory(), "k")
+	var hold atomic.Bool
+	fetched, release := make(chan struct{}), make(chan struct{})
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method != http.MethodGet || !hold.CompareAndSwap(true, false) {
+			inner.ServeHTTP(w, r)
+			return
+		}
+		rec := httptest.NewRecorder()
+		inner.ServeHTTP(rec, r)
+		close(fetched)
+		<-release
+		for k, vs := range rec.Header() {
+			w.Header()[k] = vs
+		}
+		w.WriteHeader(rec.Code)
+		w.Write(rec.Body.Bytes())
+	}))
+	t.Cleanup(srv.Close)
+	rm, err := OpenRemote(srv.URL, RemoteOptions{Key: "k", CacheTTL: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rm.Close()
+	if err := rm.PutOwner(testOwner("acme")); err != nil {
+		t.Fatal(err)
+	}
+
+	hold.Store(true)
+	held := make(chan Owner, 1)
+	go func() {
+		o, err := rm.GetOwner("acme")
+		if err != nil {
+			t.Error(err)
+		}
+		held <- o
+	}()
+	<-fetched
+	upd := testOwner("acme")
+	upd.Gamma = 42
+	putErr := rm.PutOwner(upd)
+	close(release)
+	if o := <-held; o.Gamma != 5 {
+		t.Fatalf("held read returned gamma %d, want the pre-write 5", o.Gamma)
+	}
+	if putErr != nil {
+		t.Fatal(putErr)
+	}
+	if o, err := rm.GetOwner("acme"); err != nil || o.Gamma != 42 {
+		t.Fatalf("read after own write = %+v, %v; want gamma 42", o, err)
+	}
+}
+
 // TestRemoteCrossClientTTL: a second client sees another writer's
 // update after its TTL expires (revalidation catches the new ETag).
 func TestRemoteCrossClientTTL(t *testing.T) {

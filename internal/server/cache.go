@@ -1,21 +1,33 @@
 package server
 
-// The suspect-document cache. Query-preserving watermarking assumes
+// The server's in-memory caches. Query-preserving watermarking assumes
 // detection is re-run many times against the same suspect data
-// (arXiv:1909.11369's setting, and any dispute that escalates); parsing
-// a large XML body and building its DocumentIndex dominates the cost of
-// an indexed detection, so the server keys both on the SHA-256 of the
-// raw request body and serves repeats from memory. Entries are
-// strictly read-only: detection and verification never mutate the tree,
-// and embedding (which does) bypasses the cache entirely.
+// (arXiv:1909.11369's setting, and any dispute that escalates), so the
+// server keeps what repeat requests would otherwise rebuild. One LRU
+// type backs all three caches:
 //
-// Eviction is bounded two ways: an entry-count cap and a total-bytes
-// cap, weighted by each entry's source body length (a stable proxy for
-// the parsed tree + index footprint, which scale linearly with it). The
-// entry cap alone proved insufficient: 128 cached 40 MB suspects is
-// 5 GB of trees, while 128 one-record documents is nothing. An entry
-// whose weight alone exceeds the byte cap is served but never cached —
-// one oversized suspect must not flush every tenant's working set.
+//   - the suspect-document cache (docCache, below): parsing a large XML
+//     body and building its DocumentIndex dominates the cost of an
+//     indexed detection, so parses are keyed on the SHA-256 of the raw
+//     request body;
+//   - the decode-plan cache (decodeplans.go): compiled receipt query
+//     sets, keyed (owner, receipt, kind);
+//   - the delivery-plan cache (deliver.go): bound splice plans, keyed
+//     (owner, digest).
+//
+// Cached values are strictly read-only and shared across requests:
+// detection and verification never mutate a tree, and embedding (which
+// does) bypasses the document cache entirely.
+//
+// The document cache is bounded two ways: an entry-count cap and a
+// total-bytes cap, weighted by each entry's source body length (a
+// stable proxy for the parsed tree + index footprint, which scale
+// linearly with it). The entry cap alone proved insufficient: 128
+// cached 40 MB suspects is 5 GB of trees, while 128 one-record
+// documents is nothing. An entry whose weight alone exceeds the byte
+// cap is served but never cached — one oversized suspect must not
+// flush every tenant's working set. The plan caches are bounded by
+// entry count only.
 
 import (
 	"container/list"
@@ -26,28 +38,108 @@ import (
 	"wmxml/internal/xmltree"
 )
 
+// lru is a least-recently-used map bounded by an entry count and,
+// optionally, a total weight. Safe for concurrent use.
+type lru[K comparable, V any] struct {
+	mu         sync.Mutex
+	maxEntries int   // 0 disables the cache
+	maxWeight  int64 // 0 = unlimited
+	weight     int64 // current total weight
+	entries    map[K]*list.Element
+	order      *list.List // front = most recent; values are *lruEntry[K, V]
+}
+
+type lruEntry[K comparable, V any] struct {
+	key    K
+	val    V
+	weight int64
+}
+
+// newLRU builds a cache of at most maxEntries entries and, when
+// maxWeight > 0, at most maxWeight total weight. Negative bounds count
+// as zero.
+func newLRU[K comparable, V any](maxEntries int, maxWeight int64) *lru[K, V] {
+	return &lru[K, V]{
+		maxEntries: max(maxEntries, 0),
+		maxWeight:  max(maxWeight, 0),
+		entries:    make(map[K]*list.Element),
+		order:      list.New(),
+	}
+}
+
+// Get returns the cached value for key, refreshing its recency.
+func (c *lru[K, V]) Get(key K) (V, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	el, ok := c.entries[key]
+	if !ok {
+		var zero V
+		return zero, false
+	}
+	c.order.MoveToFront(el)
+	return el.Value.(*lruEntry[K, V]).val, true
+}
+
+// Put inserts or replaces key's value, evicting least-recently-used
+// entries while either bound is exceeded, and returns how many were
+// evicted. A value heavier than the weight bound is not stored at all.
+func (c *lru[K, V]) Put(key K, val V, weight int64) (evicted int) {
+	weight = max(weight, 0)
+	if c.maxEntries == 0 || (c.maxWeight > 0 && weight > c.maxWeight) {
+		return 0
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if el, ok := c.entries[key]; ok {
+		c.order.MoveToFront(el)
+		en := el.Value.(*lruEntry[K, V])
+		c.weight += weight - en.weight
+		en.val, en.weight = val, weight
+	} else {
+		c.entries[key] = c.order.PushFront(&lruEntry[K, V]{key: key, val: val, weight: weight})
+		c.weight += weight
+	}
+	for c.order.Len() > c.maxEntries || (c.maxWeight > 0 && c.weight > c.maxWeight) {
+		en := c.order.Remove(c.order.Back()).(*lruEntry[K, V])
+		delete(c.entries, en.key)
+		c.weight -= en.weight
+		evicted++
+	}
+	return evicted
+}
+
+// Len reports the current entry count.
+func (c *lru[K, V]) Len() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.order.Len()
+}
+
+// Weight reports the current total weight.
+func (c *lru[K, V]) Weight() int64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.weight
+}
+
 // cachedDoc is one parsed suspect: the immutable tree and its index.
 type cachedDoc struct {
 	doc *xmltree.Node
 	ix  *index.Index
 }
 
-// docCache is a content-hash-keyed LRU of parsed documents. Safe for
-// concurrent use; the cached values are shared across requests, which
-// is sound because readers never mutate them (the index's lazy
-// key-value tables lock internally).
+// docCache is the content-hash-keyed LRU of parsed documents, weighted
+// by source body length, plus a singleflight over its misses: the one
+// cache whose fills are expensive enough to coalesce. The index's lazy
+// key-value tables lock internally, so sharing a cached index across
+// concurrent readers is sound.
 type docCache struct {
-	mu       sync.Mutex
-	cap      int   // max entries; 0 disables the cache
-	capBytes int64 // max total weight; 0 = unlimited
-	bytes    int64 // current total weight
-	entries  map[[sha256.Size]byte]*list.Element
-	order    *list.List // front = most recent; values are *docEntry
+	*lru[[sha256.Size]byte, cachedDoc]
 
 	// Singleflight over cache fills: concurrent cold requests for the
 	// same body hash share one parse+index instead of each doing the
-	// full work (the miss-stampede bug ISSUE 10 fixes). Guarded by its
-	// own mutex so a slow parse never blocks cache hits for other keys.
+	// full work (the miss stampede). Guarded by its own mutex so a
+	// flight's bookkeeping never contends with cache hits.
 	flightMu sync.Mutex
 	flights  map[[sha256.Size]byte]*flightCall
 }
@@ -61,25 +153,10 @@ type flightCall struct {
 	err error
 }
 
-type docEntry struct {
-	key    [sha256.Size]byte
-	val    cachedDoc
-	weight int64 // source body length, the eviction weight
-}
-
-func newDocCache(capacity int, capBytes int64) *docCache {
-	if capacity < 0 {
-		capacity = 0
-	}
-	if capBytes < 0 {
-		capBytes = 0
-	}
+func newDocCache(maxEntries int, maxBytes int64) *docCache {
 	return &docCache{
-		cap:      capacity,
-		capBytes: capBytes,
-		entries:  make(map[[sha256.Size]byte]*list.Element),
-		order:    list.New(),
-		flights:  make(map[[sha256.Size]byte]*flightCall),
+		lru:     newLRU[[sha256.Size]byte, cachedDoc](maxEntries, maxBytes),
+		flights: make(map[[sha256.Size]byte]*flightCall),
 	}
 }
 
@@ -109,71 +186,4 @@ func (c *docCache) complete(key [sha256.Size]byte, f *flightCall, cd cachedDoc, 
 	delete(c.flights, key)
 	c.flightMu.Unlock()
 	f.wg.Done()
-}
-
-// get returns the cached parse for a body hash, refreshing recency.
-func (c *docCache) get(key [sha256.Size]byte) (cachedDoc, bool) {
-	if c.cap == 0 {
-		return cachedDoc{}, false
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.entries[key]
-	if !ok {
-		return cachedDoc{}, false
-	}
-	c.order.MoveToFront(el)
-	return el.Value.(*docEntry).val, true
-}
-
-// put inserts a parsed document weighted by its source body length,
-// evicting least-recently-used entries while either bound is exceeded,
-// and returns how many were evicted. An entry too large to ever fit the
-// byte cap is not cached at all. A concurrent insert of the same key
-// wins quietly (both values are equivalent parses of the same bytes).
-func (c *docCache) put(key [sha256.Size]byte, val cachedDoc, weight int64) (evicted int) {
-	if c.cap == 0 {
-		return 0
-	}
-	if weight < 0 {
-		weight = 0
-	}
-	if c.capBytes > 0 && weight > c.capBytes {
-		return 0
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.entries[key]; ok {
-		c.order.MoveToFront(el)
-		en := el.Value.(*docEntry)
-		c.bytes += weight - en.weight
-		en.val = val
-		en.weight = weight
-	} else {
-		c.entries[key] = c.order.PushFront(&docEntry{key: key, val: val, weight: weight})
-		c.bytes += weight
-	}
-	for c.order.Len() > c.cap || (c.capBytes > 0 && c.bytes > c.capBytes && c.order.Len() > 1) {
-		last := c.order.Back()
-		c.order.Remove(last)
-		en := last.Value.(*docEntry)
-		delete(c.entries, en.key)
-		c.bytes -= en.weight
-		evicted++
-	}
-	return evicted
-}
-
-// len reports the current entry count.
-func (c *docCache) len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.order.Len()
-}
-
-// weight reports the current total byte weight.
-func (c *docCache) weight() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.bytes
 }

@@ -14,6 +14,149 @@ import (
 	"wmxml/internal/xmltree"
 )
 
+// TestLRU covers the one cache type behind the document, decode-plan
+// and delivery-plan caches. Each step is a Put (with the eviction count
+// it must return) or a Get (with whether it must hit); the case then
+// pins which keys survive and their total weight.
+func TestLRU(t *testing.T) {
+	type step struct {
+		get     bool
+		key     string
+		weight  int64
+		evicted int  // Put: evictions it must return
+		hit     bool // Get: whether it must hit
+	}
+	put := func(k string, w int64, evicted int) step { return step{key: k, weight: w, evicted: evicted} }
+	get := func(k string, hit bool) step { return step{get: true, key: k, hit: hit} }
+	for _, tc := range []struct {
+		name       string
+		maxEntries int
+		maxWeight  int64
+		steps      []step
+		keep       []string
+		weight     int64
+	}{
+		{"count bound evicts the least recent", 2, 0,
+			[]step{put("a", 0, 0), put("b", 0, 0), put("c", 0, 1), get("a", false)},
+			[]string{"b", "c"}, 0},
+		{"weight bound evicts until the total fits", 10, 10,
+			[]step{put("a", 4, 0), put("b", 4, 0), put("c", 6, 1), get("a", false)},
+			[]string{"b", "c"}, 10},
+		{"over-weight value is not stored", 10, 10,
+			[]step{put("a", 4, 0), put("big", 11, 0), get("big", false)},
+			[]string{"a"}, 4},
+		{"get refreshes recency", 2, 0,
+			[]step{put("a", 0, 0), put("b", 0, 0), get("a", true), put("c", 0, 1), get("b", false)},
+			[]string{"a", "c"}, 0},
+		{"replacement updates the total weight", 10, 10,
+			[]step{put("a", 4, 0), put("b", 3, 0), put("a", 6, 0), put("c", 2, 1), get("b", false)},
+			[]string{"a", "c"}, 8},
+		{"one put reports every eviction", 10, 10,
+			[]step{put("a", 3, 0), put("b", 3, 0), put("c", 3, 0), put("d", 10, 3)},
+			[]string{"d"}, 10},
+		{"zero entries disables the cache", 0, 0,
+			[]step{put("a", 1, 0), get("a", false)},
+			nil, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := newLRU[string, int](tc.maxEntries, tc.maxWeight)
+			for i, st := range tc.steps {
+				if st.get {
+					if _, ok := c.Get(st.key); ok != st.hit {
+						t.Fatalf("step %d: Get(%q) hit=%v, want %v", i, st.key, ok, st.hit)
+					}
+				} else if n := c.Put(st.key, i, st.weight); n != st.evicted {
+					t.Fatalf("step %d: Put(%q, weight %d) evicted %d, want %d", i, st.key, st.weight, n, st.evicted)
+				}
+			}
+			if c.Len() != len(tc.keep) || c.Weight() != tc.weight {
+				t.Fatalf("Len=%d Weight=%d, want %d and %d", c.Len(), c.Weight(), len(tc.keep), tc.weight)
+			}
+			for _, k := range tc.keep {
+				if _, ok := c.Get(k); !ok {
+					t.Errorf("%q was evicted", k)
+				}
+			}
+		})
+	}
+}
+
+// detectAs posts a detect and decodes the verdict.
+func detectAs(t *testing.T, key, url string, body []byte) detectResponse {
+	t.Helper()
+	code, out, _ := doAs(t, key, "POST", url, body)
+	if code != http.StatusOK {
+		t.Fatalf("detect: %d %s", code, out)
+	}
+	var det detectResponse
+	if err := json.Unmarshal(out, &det); err != nil {
+		t.Fatal(err)
+	}
+	return det
+}
+
+// TestDecodePlanStaleAfterRotation: a decode plan compiled under a
+// superseded owner runtime is a miss. After a key rotation, detecting
+// with the old receipt must recompile under the new key and return
+// what a server with a cold plan cache returns — not the old plan's
+// verdict.
+func TestDecodePlanStaleAfterRotation(t *testing.T) {
+	reg := registry.NewMemory()
+	s, ts := newTestServer(t, Options{Registry: reg})
+	registerOwner(t, ts.URL, "acme")
+	code, marked, hdr := doAs(t, "key-acme", "POST", ts.URL+"/v1/embed?owner=acme", pubsXML(t, 120, 5))
+	if code != http.StatusOK {
+		t.Fatalf("embed: %d %s", code, marked)
+	}
+	url := ts.URL + "/v1/detect?owner=acme&receipt=" + hdr.Get("X-Wmxml-Receipt")
+	if det := detectAs(t, "key-acme", url, marked); !det.Detected {
+		t.Fatalf("detect before rotation: %+v", det)
+	}
+
+	rotated := `{"id":"acme","key":"rotated-key","mark":"(C) acme","dataset":"pubs","gamma":3}`
+	if code, body, _ := doAs(t, "key-acme", "POST", ts.URL+"/v1/owners", []byte(rotated)); code != http.StatusOK {
+		t.Fatalf("rotate: %d %s", code, body)
+	}
+	hits, misses, _ := s.PlanCacheStats()
+	got := detectAs(t, "rotated-key", url, marked)
+	if h, m, _ := s.PlanCacheStats(); h != hits || m != misses+1 {
+		t.Errorf("detect after rotation: %d hits, %d misses, want 0 and 1", h-hits, m-misses)
+	}
+
+	_, fresh := newTestServer(t, Options{Registry: reg})
+	want := detectAs(t, "rotated-key", fresh.URL+"/v1/detect?owner=acme&receipt="+hdr.Get("X-Wmxml-Receipt"), marked)
+	if got.Detected != want.Detected || got.MatchFraction != want.MatchFraction {
+		t.Errorf("after rotation: detected=%v match=%.3f, a fresh compile gives detected=%v match=%.3f",
+			got.Detected, got.MatchFraction, want.Detected, want.MatchFraction)
+	}
+}
+
+// TestDetectCompilesOnlyTriedReceipts: the receipt sweep stops at the
+// first detected verdict, so it must compile (or look up) the decode
+// plan only of the receipts it tries. With 5 receipts and the newest
+// copy, one detect is one miss and the next is one hit.
+func TestDetectCompilesOnlyTriedReceipts(t *testing.T) {
+	s, ts := newTestServer(t, Options{})
+	registerOwner(t, ts.URL, "acme")
+	var marked []byte
+	for seed := int64(1); seed <= 5; seed++ {
+		code, body, _ := doAs(t, "key-acme", "POST", ts.URL+"/v1/embed?owner=acme", pubsXML(t, 120, seed))
+		if code != http.StatusOK {
+			t.Fatalf("embed %d: %d %s", seed, code, body)
+		}
+		marked = body
+	}
+	for i, want := range [][2]uint64{{0, 1}, {1, 1}} {
+		det := detectAs(t, "key-acme", ts.URL+"/v1/detect?owner=acme", marked)
+		if !det.Detected || det.ReceiptsTried != 1 {
+			t.Fatalf("detect %d: detected=%v after %d receipts, want the first", i, det.Detected, det.ReceiptsTried)
+		}
+		if hits, misses, _ := s.PlanCacheStats(); hits != want[0] || misses != want[1] {
+			t.Errorf("after detect %d: plan cache %d hits, %d misses, want %d and %d", i, hits, misses, want[0], want[1])
+		}
+	}
+}
+
 // TestDetectMissSingleflight is the thundering-herd regression test:
 // 16 concurrent cold detects of the same body must trigger exactly one
 // parse+index — one leader misses, the other 15 coalesce onto its

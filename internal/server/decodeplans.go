@@ -1,26 +1,27 @@
 package server
 
 // The decode-plan cache: the detect-side twin of deliver.go's patch
-// plans. Compiling a receipt's query set (xpath parsing + two HMACs per
-// record) costs more than executing it against a cached, indexed
-// document, so repeat detections and traces of one owner's receipts
-// should pay compilation once. Plans are keyed by (owner, receipt,
-// kind) — receipt ids are content-derived, so the pair pins the exact
-// record set — and each entry remembers the *ownerRuntime it was
-// compiled under: runtimeFor rebuilds the runtime object whenever the
-// registered owner changes, so pointer inequality is a complete
-// staleness test and no explicit invalidation hook is needed. The kind
-// discriminates detect plans (compiled under the owner's mark) from
-// trace plans (compiled under the fingerprint system's zeroed payload
-// geometry — a different mark length).
+// plans, and an instance of cache.go's LRU. Compiling a receipt's query
+// set (xpath parsing + two HMACs per record) costs more than executing
+// it against a cached, indexed document, so repeat detections and
+// traces of one owner's receipts should pay compilation once. Plans are
+// keyed by (owner, receipt, kind) — receipt ids are content-derived, so
+// the pair pins the exact record set — and each entry remembers the
+// *ownerRuntime it was compiled under: runtimeFor rebuilds the runtime
+// object whenever the registered owner changes, so pointer inequality
+// is a complete staleness test and no explicit invalidation hook is
+// needed. The kind discriminates detect plans (compiled under the
+// owner's mark) from trace plans (compiled under the fingerprint
+// system's zeroed payload geometry — a different mark length).
 
 import (
-	"container/list"
-	"sync"
-
 	"wmxml/internal/core"
 	"wmxml/internal/obs"
 )
+
+// decodePlanEntries bounds the decode-plan cache shared by /v1/detect
+// and /v1/trace.
+const decodePlanEntries = 512
 
 type planKind string
 
@@ -36,119 +37,26 @@ type dplanKey struct {
 }
 
 type planEntry struct {
-	key  dplanKey
 	rt   *ownerRuntime // runtime identity the plan was compiled under
 	plan *core.DecodePlan
 }
 
-// planCache is an LRU of compiled decode plans. Safe for concurrent
-// use; the cached plans are immutable and shared across requests.
-type planCache struct {
-	mu      sync.Mutex
-	cap     int
-	entries map[dplanKey]*list.Element
-	order   *list.List // front = most recent; values are *planEntry
-}
-
-func newPlanCache(capacity int) *planCache {
-	if capacity < 1 {
-		capacity = 1
+// planFor returns the compiled decode plan for one receipt, compiling
+// its records under cfg on a miss or when the cached plan was compiled
+// under another runtime. A compile failure returns nil — the caller's
+// uncached path recompiles and surfaces the identical error.
+func (s *Server) planFor(key dplanKey, rt *ownerRuntime, cfg core.Config, records []core.QueryRecord, tr *obs.Trace) *core.DecodePlan {
+	if en, ok := s.dplan.Get(key); ok && en.rt == rt {
+		s.met.decodePlanHits.Inc()
+		return en.plan
 	}
-	return &planCache{
-		cap:     capacity,
-		entries: make(map[dplanKey]*list.Element),
-		order:   list.New(),
-	}
-}
-
-// get returns the cached plan when one exists for this key AND it was
-// compiled under the same runtime instance (an owner re-registration
-// produces a new *ownerRuntime, silently expiring its plans).
-func (c *planCache) get(key dplanKey, rt *ownerRuntime) (*core.DecodePlan, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.entries[key]
-	if !ok {
-		return nil, false
-	}
-	en := el.Value.(*planEntry)
-	if en.rt != rt {
-		// Stale: compiled under a superseded runtime. Drop it rather
-		// than serve a plan for the old key/spec.
-		c.order.Remove(el)
-		delete(c.entries, key)
-		return nil, false
-	}
-	c.order.MoveToFront(el)
-	return en.plan, true
-}
-
-// put inserts a compiled plan, evicting the least recently used entries
-// past capacity.
-func (c *planCache) put(key dplanKey, rt *ownerRuntime, plan *core.DecodePlan) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.entries[key]; ok {
-		c.order.MoveToFront(el)
-		en := el.Value.(*planEntry)
-		en.rt = rt
-		en.plan = plan
-		return
-	}
-	c.entries[key] = c.order.PushFront(&planEntry{key: key, rt: rt, plan: plan})
-	for c.order.Len() > c.cap {
-		last := c.order.Back()
-		c.order.Remove(last)
-		delete(c.entries, last.Value.(*planEntry).key)
-	}
-}
-
-// len reports the current entry count.
-func (c *planCache) len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.order.Len()
-}
-
-// detectPlanFor returns the compiled decode plan for one receipt under
-// the owner's detection config, through the plan cache. A compile
-// failure returns nil — the caller's uncached path recompiles and
-// surfaces the identical error, so bad receipts behave exactly as
-// before this cache existed.
-func (s *Server) detectPlanFor(rt *ownerRuntime, owner, receipt string, records []core.QueryRecord, tr *obs.Trace) *core.DecodePlan {
-	key := dplanKey{owner: owner, receipt: receipt, kind: planDetect}
-	if pl, ok := s.dplan.get(key, rt); ok {
-		s.met.planCacheHits.Inc()
-		return pl
-	}
-	s.met.planCacheMiss.Inc()
+	s.met.decodePlanMiss.Inc()
 	sp := tr.StartSpan("plan_compile")
-	pl, err := core.CompileDecodePlan(rt.cfg, records, nil)
+	pl, err := core.CompileDecodePlan(cfg, records, nil)
 	sp.End()
 	if err != nil {
 		return nil
 	}
-	s.dplan.put(key, rt, pl)
-	return pl
-}
-
-// tracePlanFor is detectPlanFor for /v1/trace: the plan compiles under
-// the fingerprint system's zeroed-payload geometry (PlanConfig), whose
-// mark length differs from the owner's detection mark — hence the
-// separate cache kind.
-func (s *Server) tracePlanFor(rt *ownerRuntime, owner, receipt string, records []core.QueryRecord, tr *obs.Trace) *core.DecodePlan {
-	key := dplanKey{owner: owner, receipt: receipt, kind: planTrace}
-	if pl, ok := s.dplan.get(key, rt); ok {
-		s.met.planCacheHits.Inc()
-		return pl
-	}
-	s.met.planCacheMiss.Inc()
-	sp := tr.StartSpan("plan_compile")
-	pl, err := core.CompileDecodePlan(rt.fp.PlanConfig(), records, nil)
-	sp.End()
-	if err != nil {
-		return nil
-	}
-	s.dplan.put(key, rt, pl)
+	s.dplan.Put(key, planEntry{rt: rt, plan: pl}, 0)
 	return pl
 }

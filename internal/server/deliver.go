@@ -36,7 +36,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"sync"
 	"time"
 
 	"crypto/sha256"
@@ -55,40 +54,11 @@ import (
 // fingerprint of the same body.
 var canonSerializeOpts = xmltree.SerializeOptions{Indent: "  "}
 
-// boundPlans caches Bind results — plan JSON decoded and offsets
-// verified against the canonical bytes — so the per-delivery work is
-// only the splice. Bounded; eviction is arbitrary (any entry is one
-// registry fetch away).
-type boundPlans struct {
-	mu  sync.Mutex
-	m   map[string]*deliver.Bound
-	cap int
-}
-
-func newBoundPlans(cap int) *boundPlans {
-	return &boundPlans{m: make(map[string]*deliver.Bound), cap: cap}
-}
-
-func planKey(owner, digest string) string { return owner + "\x1f" + digest }
-
-func (c *boundPlans) get(owner, digest string) (*deliver.Bound, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	b, ok := c.m[planKey(owner, digest)]
-	return b, ok
-}
-
-func (c *boundPlans) put(owner, digest string, b *deliver.Bound) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if len(c.m) >= c.cap {
-		for k := range c.m {
-			delete(c.m, k)
-			break
-		}
-	}
-	c.m[planKey(owner, digest)] = b
-}
+// boundKey addresses the server's bound-plan cache: Bind results
+// (plan JSON decoded and offsets verified against the canonical bytes),
+// so the per-delivery work is only the splice. Any evicted entry is one
+// registry fetch away.
+type boundKey struct{ owner, digest string }
 
 // planResponse acknowledges a plan compile.
 type planResponse struct {
@@ -163,7 +133,7 @@ func (s *Server) handleDeliverPlan(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if b, berr := plan.Bind(canonical); berr == nil {
-		s.plans.put(ownerID, plan.Digest, b)
+		s.bound.Put(boundKey{ownerID, plan.Digest}, b, 0)
 	}
 	s.met.planCompiles.Inc()
 	carriers := 0
@@ -187,7 +157,7 @@ func (s *Server) handleDeliverPlan(w http.ResponseWriter, r *http.Request) {
 // boundFor resolves (owner, digest) to a bound plan: cache first, then
 // the registry record (validated and bound on the way in).
 func (s *Server) boundFor(ownerID, digest string) (*deliver.Bound, error) {
-	if b, ok := s.plans.get(ownerID, digest); ok {
+	if b, ok := s.bound.Get(boundKey{ownerID, digest}); ok {
 		return b, nil
 	}
 	rec, err := s.reg.GetPlan(ownerID, digest)
@@ -208,7 +178,7 @@ func (s *Server) boundFor(ownerID, digest string) (*deliver.Bound, error) {
 	if err != nil {
 		return nil, errf(http.StatusInternalServerError, "stored plan: %v", err)
 	}
-	s.plans.put(ownerID, digest, b)
+	s.bound.Put(boundKey{ownerID, digest}, b, 0)
 	return b, nil
 }
 
@@ -309,7 +279,7 @@ func (s *Server) handleDeliver(w http.ResponseWriter, r *http.Request) {
 				s.writeErr(w, r, errf(http.StatusInternalServerError, "bind plan: %v", err))
 				return
 			}
-			s.plans.put(ownerID, plan.Digest, b)
+			s.bound.Put(boundKey{ownerID, plan.Digest}, b, 0)
 			s.met.planCompiles.Inc()
 		}
 		s.release()

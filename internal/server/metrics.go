@@ -159,8 +159,8 @@ type metrics struct {
 	cacheSize      gauge
 	cacheBytes     gauge
 	fleetProxied   counter // requests routed to their owner's home node
-	planCacheHits  counter
-	planCacheMiss  counter
+	decodePlanHits counter
+	decodePlanMiss counter
 	embeds         counter
 	detects        counter
 	detected       counter
@@ -359,8 +359,8 @@ func (m *metrics) render(w io.Writer) {
 		{"wmxmld_doc_cache_peer_fills_total", "Cache misses satisfied by the peer-fill hook instead of a local parse.", m.cacheFill.Value()},
 		{"wmxmld_doc_cache_evictions_total", "Suspect-document cache evictions.", m.cacheEvict.Value()},
 		{"wmxmld_fleet_proxied_total", "Requests proxied to the owner's home node by consistent-hash routing.", m.fleetProxied.Value()},
-		{"wmxmld_plan_cache_hits_total", "Decode-plan cache hits (query compilation skipped).", m.planCacheHits.Value()},
-		{"wmxmld_plan_cache_misses_total", "Decode-plan cache misses (plan compiled).", m.planCacheMiss.Value()},
+		{"wmxmld_plan_cache_hits_total", "Decode-plan cache hits (query compilation skipped).", m.decodePlanHits.Value()},
+		{"wmxmld_plan_cache_misses_total", "Decode-plan cache misses (plan compiled).", m.decodePlanMiss.Value()},
 		{"wmxmld_embeds_total", "Successful embed operations.", m.embeds.Value()},
 		{"wmxmld_detects_total", "Completed detect operations.", m.detects.Value()},
 		{"wmxmld_detects_detected_total", "Detect operations that found the watermark.", m.detected.Value()},

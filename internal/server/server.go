@@ -58,6 +58,7 @@ import (
 	"wmxml/internal/config"
 	"wmxml/internal/core"
 	"wmxml/internal/datagen"
+	"wmxml/internal/deliver"
 	"wmxml/internal/fingerprint"
 	"wmxml/internal/identity"
 	"wmxml/internal/index"
@@ -100,13 +101,6 @@ type Options struct {
 	// count still applies). A body larger than the cap is served but
 	// never cached.
 	CacheBytes int64
-	// PlanCacheEntries sizes the compiled decode-plan LRU shared by
-	// /v1/detect and /v1/trace (0 = 512).
-	PlanCacheEntries int
-	// Concurrency is the per-document core concurrency (0/1 =
-	// sequential; server throughput usually comes from Workers, not
-	// from splitting single documents).
-	Concurrency int
 	// AllowUnauthenticated serves owner-scoped endpoints without the
 	// Bearer-key check. Only for deployments where every network peer
 	// is already trusted with every tenant's key and query sets.
@@ -203,9 +197,6 @@ func (o Options) withDefaults() Options {
 	if o.CacheBytes < 0 {
 		o.CacheBytes = 0
 	}
-	if o.PlanCacheEntries <= 0 {
-		o.PlanCacheEntries = 512
-	}
 	if o.Version == "" {
 		o.Version = "dev"
 	}
@@ -233,8 +224,8 @@ type Server struct {
 	reg   registry.Store
 	slots chan struct{}
 	cache *docCache
-	plans *boundPlans
-	dplan *planCache
+	bound *lru[boundKey, *deliver.Bound]
+	dplan *lru[dplanKey, planEntry]
 	met   *metrics
 	log   *obs.Logger
 	ring  *obs.TraceRing
@@ -281,8 +272,8 @@ func New(opts Options) (*Server, error) {
 		reg:      opts.Registry,
 		slots:    make(chan struct{}, opts.Workers),
 		cache:    newDocCache(opts.CacheEntries, opts.CacheBytes),
-		plans:    newBoundPlans(64),
-		dplan:    newPlanCache(opts.PlanCacheEntries),
+		bound:    newLRU[boundKey, *deliver.Bound](64, 0),
+		dplan:    newLRU[dplanKey, planEntry](decodePlanEntries, 0),
 		met:      newMetrics(opts.Version),
 		log:      opts.Logger,
 		ring:     obs.NewTraceRing(opts.TraceRing),
@@ -402,7 +393,7 @@ func (s *Server) TraceRing() *obs.TraceRing { return s.ring }
 // (hits, misses, evictions, entries) — tests read these without
 // scraping /metrics.
 func (s *Server) CacheStats() (hits, misses, evicts uint64, size int) {
-	return s.met.cacheHits.Value(), s.met.cacheMiss.Value(), s.met.cacheEvict.Value(), s.cache.len()
+	return s.met.cacheHits.Value(), s.met.cacheMiss.Value(), s.met.cacheEvict.Value(), s.cache.Len()
 }
 
 // CacheFlightStats reports the miss-singleflight counters: how many
@@ -419,7 +410,7 @@ func (s *Server) FleetStats() (proxied uint64) { return s.met.fleetProxied.Value
 // PlanCacheStats reports the decode-plan cache counters (hits, misses,
 // entries) for tests and diagnostics.
 func (s *Server) PlanCacheStats() (hits, misses uint64, size int) {
-	return s.met.planCacheHits.Value(), s.met.planCacheMiss.Value(), s.dplan.len()
+	return s.met.decodePlanHits.Value(), s.met.decodePlanMiss.Value(), s.dplan.Len()
 }
 
 func (s *Server) routes() {
@@ -755,21 +746,19 @@ func (s *Server) buildRuntime(o registry.Owner) (*ownerRuntime, error) {
 		targets = spec.Targets
 	}
 	cfg := core.Config{
-		Key:         []byte(o.Key),
-		Mark:        wmark.FromText(o.Mark),
-		Gamma:       o.Gamma,
-		Schema:      sch,
-		Catalog:     cat,
-		Identity:    identity.Options{Targets: targets},
-		Concurrency: s.opts.Concurrency,
+		Key:      []byte(o.Key),
+		Mark:     wmark.FromText(o.Mark),
+		Gamma:    o.Gamma,
+		Schema:   sch,
+		Catalog:  cat,
+		Identity: identity.Options{Targets: targets},
 	}
 	fp, err := fingerprint.New(fingerprint.Options{
-		Key:         []byte(o.Key),
-		Schema:      sch,
-		Catalog:     cat,
-		Targets:     targets,
-		Gamma:       o.Gamma,
-		Concurrency: s.opts.Concurrency,
+		Key:     []byte(o.Key),
+		Schema:  sch,
+		Catalog: cat,
+		Targets: targets,
+		Gamma:   o.Gamma,
 	})
 	if err != nil {
 		return nil, errf(http.StatusBadRequest, "owner %q: %v", o.ID, err)
@@ -1053,7 +1042,7 @@ type detectResponse struct {
 func (s *Server) suspectDoc(body []byte, tr *obs.Trace) (cachedDoc, bool, error) {
 	sum := sha256.Sum256(body)
 	csp := tr.StartSpan("cache")
-	cd, ok := s.cache.get(sum)
+	cd, ok := s.cache.Get(sum)
 	if ok {
 		csp.EndNote("hit")
 		tr.SetCacheHit(true)
@@ -1078,7 +1067,7 @@ func (s *Server) suspectDoc(body []byte, tr *obs.Trace) (cachedDoc, bool, error)
 	}
 	// Leader double-check: between our miss and winning the flight, a
 	// previous leader may have completed and populated the cache.
-	if cd, ok := s.cache.get(sum); ok {
+	if cd, ok := s.cache.Get(sum); ok {
 		s.cache.complete(sum, call, cd, nil)
 		csp.EndNote("hit")
 		tr.SetCacheHit(true)
@@ -1119,11 +1108,11 @@ func (s *Server) fillDoc(sum [sha256.Size]byte, body []byte, tr *obs.Trace) (cac
 
 // cachePut inserts a parsed document and keeps the cache gauges honest.
 func (s *Server) cachePut(sum [sha256.Size]byte, cd cachedDoc, weight int64) {
-	if ev := s.cache.put(sum, cd, weight); ev > 0 {
+	if ev := s.cache.Put(sum, cd, weight); ev > 0 {
 		s.met.cacheEvict.Add(uint64(ev))
 	}
-	s.met.cacheSize.Set(int64(s.cache.len()))
-	s.met.cacheBytes.Set(s.cache.weight())
+	s.met.cacheSize.Set(int64(s.cache.Len()))
+	s.met.cacheBytes.Set(s.cache.Weight())
 }
 
 // handleDetect runs detection of the suspect XML body against the
@@ -1199,15 +1188,11 @@ func (s *Server) handleDetect(w http.ResponseWriter, r *http.Request) {
 		}
 		rsp.End()
 		// Newest first: the latest embedding is the likeliest source.
-		// Each job carries its receipt's compiled decode plan from the
-		// plan cache; a nil plan (compile error) falls back to the
-		// uncached path so the error surfaces exactly as before.
 		for i := len(recs) - 1; i >= 0; i-- {
 			jobs = append(jobs, pipeline.DetectJob{
 				Job:     pipeline.Job{ID: recs[i].ID, Doc: cd.doc},
 				Records: recs[i].Records,
 				Index:   cd.ix,
-				Plan:    s.detectPlanFor(rt, ownerID, recs[i].ID, recs[i].Records, tr),
 			})
 			ids = append(ids, recs[i].ID)
 		}
@@ -1221,6 +1206,13 @@ func (s *Server) handleDetect(w http.ResponseWriter, r *http.Request) {
 	var bestRes *core.DetectResult
 	var lastErr error
 	for i, job := range jobs {
+		// The sweep stops at the first detected verdict, so each
+		// receipt's decode plan is looked up only when it is tried. A
+		// nil plan (compile error) sends the job down the uncached
+		// path, which reports the compile error.
+		if !blind {
+			job.Plan = s.planFor(dplanKey{ownerID, ids[i], planDetect}, rt, rt.cfg, job.Records, tr)
+		}
 		outs, err := rt.eng.DetectAll(r.Context(), []pipeline.DetectJob{job})
 		if err != nil {
 			s.writeErr(w, r, errf(499, "cancelled: %v", err))
@@ -1542,7 +1534,7 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		topts.Records = rec.Records
-		topts.Plan = s.tracePlanFor(rt, ownerID, wantReceipt, rec.Records, tr)
+		topts.Plan = s.planFor(dplanKey{ownerID, wantReceipt, planTrace}, rt, rt.fp.PlanConfig(), rec.Records, tr)
 		mode = "receipt"
 	}
 	var res *fingerprint.TraceResult
@@ -1643,7 +1635,7 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	s.met.cacheSize.Set(int64(s.cache.len()))
+	s.met.cacheSize.Set(int64(s.cache.Len()))
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	s.met.render(w)
 }

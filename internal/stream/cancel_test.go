@@ -60,9 +60,9 @@ func testWorkload(t *testing.T, records int) ([]byte, core.Config) {
 
 // slowWriter blocks every write until release is closed, then errors.
 type slowWriter struct {
-	wrote  chan struct{} // closed on first write attempt
-	block  chan struct{}
-	once   bool
+	wrote chan struct{} // closed on first write attempt
+	block chan struct{}
+	once  bool
 }
 
 func (w *slowWriter) Write(p []byte) (int, error) {

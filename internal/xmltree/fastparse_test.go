@@ -73,12 +73,12 @@ func TestParseFastEquivalenceAndCoverage(t *testing.T) {
 
 func TestParseFastBailsOutsideSubset(t *testing.T) {
 	for _, src := range []string{
-		`<a xmlns:n="urn:x"><n:b/></a>`,     // namespaces
-		`<a xmlns="urn:y"><b/></a>`,         // default namespace
-		`<a>&#65;</a>`,                      // numeric char ref
-		`<a><?pi body?></a>`,                // processing instruction
-		`<!DOCTYPE a><a/>`,                  // directive
-		"<a>caf\xc3\xa9</a>",                // non-ASCII
+		`<a xmlns:n="urn:x"><n:b/></a>`,                   // namespaces
+		`<a xmlns="urn:y"><b/></a>`,                       // default namespace
+		`<a>&#65;</a>`,                                    // numeric char ref
+		`<a><?pi body?></a>`,                              // processing instruction
+		`<!DOCTYPE a><a/>`,                                // directive
+		"<a>caf\xc3\xa9</a>",                              // non-ASCII
 		`<?xml version="1.0" encoding="ISO-8859-1"?><a/>`, // foreign encoding
 	} {
 		if _, ok := parseFast([]byte(src), ParseOptions{}); ok {

@@ -25,7 +25,7 @@ func FuzzParsePath(f *testing.F) {
 		"db/publisher/author[book='DB Design']/@name",
 		"//book[year>1995][position()=1]/title",
 		"db/book[title and not(editor)]/year/text()",
-		"/db/book[@id=\"x'y\"]/.." ,
+		"/db/book[@id=\"x'y\"]/..",
 		"*[2]/../.",
 		"a[count(b[c='1'])>2 or starts-with(d,'e')]",
 		"a[substring(concat(b,'x'),1,2)='bx']",
