@@ -581,9 +581,28 @@ func (s *Server) release() {
 	s.met.inflight.Add(-1)
 }
 
-// readBody drains the (size-capped) request body.
+// limitBody caps r's body at n bytes. MaxBytesReader gets the
+// connection's own writer from under the middleware's wrappers, so an
+// over-cap body also closes the connection after the reply, as net/http
+// intends, rather than leaving its unread rest in the connection (which,
+// on a full-duplex stream route, panics net/http's next-request read).
+func limitBody(w http.ResponseWriter, r *http.Request, n int64) io.ReadCloser {
+	for {
+		u, ok := w.(interface{ Unwrap() http.ResponseWriter })
+		if !ok {
+			return http.MaxBytesReader(w, r.Body, n)
+		}
+		w = u.Unwrap()
+	}
+}
+
+// readBody drains the (size-capped) request body. The read is a stage
+// of its own: it waits on the client, and left unspanned it is the
+// largest stretch of a request no stage accounts for.
 func (s *Server) readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes))
+	sp := obs.FromContext(r.Context()).StartSpan("body_read")
+	body, err := io.ReadAll(limitBody(w, r, s.opts.MaxBodyBytes))
+	sp.End()
 	if err != nil {
 		var mbe *http.MaxBytesError
 		if errors.As(err, &mbe) {
@@ -598,9 +617,8 @@ func (s *Server) readBody(w http.ResponseWriter, r *http.Request) ([]byte, error
 	return body, nil
 }
 
-// parseDoc parses an XML body under the depth guard, through the
-// byte-slice fast path (interned names, slab nodes) with strict-parser
-// fallback.
+// parseDoc parses an XML body under the depth guard, through the byte
+// tokenizer (interned names, slab nodes) and its encoding/xml hand-off.
 func (s *Server) parseDoc(body []byte) (*xmltree.Node, error) {
 	doc, err := xmltree.ParseBytes(body, xmltree.ParseOptions{MaxDepth: s.opts.MaxDepth})
 	if err != nil {

@@ -67,12 +67,19 @@ func (lw *latchWriter) Write(p []byte) (int, error) {
 }
 
 // streamHTTPErr maps a streaming failure to a status: parse problems in
-// the request body are the client's (400), everything else is 422.
-func streamHTTPErr(err error) *httpError {
-	if strings.Contains(err.Error(), "xmltree: parse") {
-		return errf(http.StatusBadRequest, "parse document: %v", err)
+// the request body are the client's (400), everything else is 422. The
+// cause stays in the chain, so a body over MaxStreamBytes still reaches
+// writeErr as *http.MaxBytesError (413); it is counted here, on both
+// stream routes, whether or not output has started.
+func (s *Server) streamHTTPErr(err error) *httpError {
+	var mbe *http.MaxBytesError
+	if errors.As(err, &mbe) {
+		s.met.tooLarge.Inc()
 	}
-	return errf(http.StatusUnprocessableEntity, "stream: %v", err)
+	if strings.Contains(err.Error(), "xmltree: parse") {
+		return errf(http.StatusBadRequest, "parse document: %w", err)
+	}
+	return errf(http.StatusUnprocessableEntity, "stream: %w", err)
 }
 
 // handleEmbedStream watermarks an arbitrarily large XML body chunk by
@@ -106,7 +113,7 @@ func (s *Server) handleEmbedStream(w http.ResponseWriter, r *http.Request, rt *o
 	_ = http.NewResponseController(w).EnableFullDuplex()
 
 	digest := sha256.New()
-	body := io.TeeReader(http.MaxBytesReader(w, r.Body, s.opts.MaxStreamBytes), digest)
+	body := io.TeeReader(limitBody(w, r, s.opts.MaxStreamBytes), digest)
 
 	h := w.Header()
 	h.Set("Content-Type", "application/xml")
@@ -120,8 +127,9 @@ func (s *Server) handleEmbedStream(w http.ResponseWriter, r *http.Request, rt *o
 		Options: s.streamOptions(),
 	})
 	if out.Err != nil {
+		herr := s.streamHTTPErr(out.Err)
 		if !lw.wrote {
-			s.writeErr(w, r, streamHTTPErr(out.Err))
+			s.writeErr(w, r, herr)
 			return
 		}
 		// Output already started: the status is spoken for. Truncate and
@@ -239,7 +247,7 @@ func (s *Server) handleDetectStream(w http.ResponseWriter, r *http.Request, rt *
 	}
 
 	digest := sha256.New()
-	body := io.TeeReader(http.MaxBytesReader(w, r.Body, s.opts.MaxStreamBytes), digest)
+	body := io.TeeReader(limitBody(w, r, s.opts.MaxStreamBytes), digest)
 
 	job := pipeline.StreamDetectJob{ID: "stream-detect", In: body, Options: s.streamOptions()}
 	if !blind {
@@ -248,7 +256,7 @@ func (s *Server) handleDetectStream(w http.ResponseWriter, r *http.Request, rt *
 	}
 	out := rt.eng.DetectReader(r.Context(), job)
 	if out.Err != nil {
-		s.writeErr(w, r, streamHTTPErr(out.Err))
+		s.writeErr(w, r, s.streamHTTPErr(out.Err))
 		return
 	}
 	resp.ReceiptsTried = len(records)

@@ -271,3 +271,48 @@ func TestStreamRefusesNonChunkableSpec(t *testing.T) {
 		t.Fatalf("buffered embed for flat spec: %d", code)
 	}
 }
+
+// TestStreamBodyOverCap: a body over MaxStreamBytes is the client's
+// error, answered 413 like the buffered routes and counted in
+// wmxmld_body_too_large_total on both stream routes. Once streamed
+// output has started the status is spoken for, so embed reports the
+// cap in its error trailer instead, and still counts it.
+func TestStreamBodyOverCap(t *testing.T) {
+	doc := pubsXML(t, 60, 3)
+	for _, tc := range []struct {
+		name, route string
+		cap         int64
+		started     bool // embed output begins before the cap is hit
+	}{
+		{"detect", "/v1/detect?owner=cap&mode=stream-blind", 4096, false},
+		{"embed-before-output", "/v1/embed?owner=cap&mode=stream", 32, false},
+		{"embed-after-output", "/v1/embed?owner=cap&mode=stream", 4096, true},
+	} {
+		s, ts := newTestServer(t, Options{MaxStreamBytes: tc.cap})
+		registerOwner(t, ts.URL, "cap")
+		req, err := http.NewRequest("POST", ts.URL+tc.route, bytes.NewReader(doc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set("Authorization", "Bearer key-cap")
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tc.started {
+			if resp.StatusCode != http.StatusOK || !strings.Contains(resp.Trailer.Get("X-Wmxml-Stream-Error"), "request body too large") {
+				t.Errorf("%s: %d, error trailer %q", tc.name, resp.StatusCode, resp.Trailer.Get("X-Wmxml-Stream-Error"))
+			}
+		} else if resp.StatusCode != http.StatusRequestEntityTooLarge || !strings.Contains(string(body), "request body too large") {
+			t.Errorf("%s: %d %s", tc.name, resp.StatusCode, body)
+		}
+		if n := s.met.tooLarge.Value(); n != 1 {
+			t.Errorf("%s: wmxmld_body_too_large_total = %d, want 1", tc.name, n)
+		}
+	}
+}

@@ -1,6 +1,6 @@
 // Package stream is WmXML's constant-memory processing layer: it
 // watermarks and detects documents too large to materialize, by
-// scanning the input with the xmltree token reader, splitting it at the
+// scanning the input with xmltree's byte tokenizer, splitting it at the
 // top-level record elements the embedding spec addresses, and feeding
 // bounded batches of record subtrees through the existing core
 // encoder/decoder with shard-parallel workers.
@@ -20,10 +20,12 @@
 // re-sorts them into enumeration order, so even the receipt bytes match
 // the in-memory embed.
 //
-// Peak memory is bounded by chunk_size × (workers + queue), never by
-// document size; the output is produced incrementally through
-// xmltree.StreamSerializer, whose bytes are identical to the batch
-// serializer's.
+// Peak memory is bounded by chunk_size × (workers + 2) — a chunk per
+// worker, the one being scanned and the one being emitted, as the
+// hand-offs between them are unbuffered — plus chunks finished ahead of
+// a slower predecessor, never by document size. The output is produced
+// incrementally through xmltree.StreamSerializer, whose bytes are
+// identical to the batch serializer's.
 //
 // Inputs the chunked path cannot reproduce exactly fall back to the
 // in-memory path (correct, just not constant-memory): positional
@@ -196,8 +198,10 @@ func runChunked(parent context.Context, sp *xmltree.StreamParser, recordNames ma
 	defer cancel()
 
 	stats := &Stats{Streamed: true}
-	workCh := make(chan *chunk, opts.Workers)
-	doneCh := make(chan *chunk, opts.Workers)
+	// Unbuffered: a queued chunk is one more chunk alive, and once the
+	// tokenizer outpaces the workers the queues only fill.
+	workCh := make(chan *chunk)
+	doneCh := make(chan *chunk)
 
 	var scanErr error
 	var wg sync.WaitGroup

@@ -154,7 +154,7 @@ func (n *Node) StripWhitespaceText() {
 	}
 }
 
-func isAllXMLSpace(s string) bool {
+func isAllXMLSpace[T ~string | ~[]byte](s T) bool {
 	for i := 0; i < len(s); i++ {
 		switch s[i] {
 		case ' ', '\t', '\n', '\r':

@@ -4,7 +4,8 @@
 // struct (un)marshalling, but no mutable tree. WmXML needs to parse a
 // document, address individual elements, perturb their values, restructure
 // the tree, and serialize it back — so this package supplies a small DOM:
-// parsing (on top of encoding/xml's tokenizer), serialization, deep
+// parsing (a byte tokenizer for the ASCII data-centric subset, handing
+// anything else to encoding/xml mid-document), serialization, deep
 // cloning, mutation, traversal, canonicalization and structural
 // comparison.
 //

@@ -34,11 +34,12 @@ type ParseOptions struct {
 // keeping recursive tree passes comfortably inside the stack.
 const DefaultMaxDepth = 10000
 
-// tokenBuilder folds xml tokens into the DOM. It is the single place the
+// tokenBuilder folds tokens into the DOM. It is the single place the
 // parsing semantics live — whitespace dropping, adjacent-text merging,
-// namespace prefix restoration, depth capping, well-formedness checks —
-// shared by the whole-document Parse and the record-chunked StreamParser,
-// so the two can never diverge.
+// namespace prefix restoration, depth capping, well-formedness checks.
+// The byte tokenizer (fastparse.go) and its encoding/xml fallback both
+// feed it, behind Parse, ParseBytes and StreamParser alike, so the
+// entry points can never diverge.
 type tokenBuilder struct {
 	opts     ParseOptions
 	maxDepth int
@@ -46,32 +47,136 @@ type tokenBuilder struct {
 	cur      *Node
 	depth    int
 	sawElem  bool
+	// slab hands out nodes in bulk; nextSlab is the size of the next
+	// one, 0 when nodes are allocated one at a time (see node).
+	slab     []Node
+	nextSlab int
 }
 
-func newTokenBuilder(opts ParseOptions) *tokenBuilder {
+// Node slabs start small and double up to maxSlab, so a short document
+// or an early hand-off wastes little.
+const (
+	firstSlab = 64
+	maxSlab   = 1024
+)
+
+// newTokenBuilder starts an empty document. Whole-document parses pass
+// slabs; the stream parser must not (see node).
+func newTokenBuilder(opts ParseOptions, slabs bool) *tokenBuilder {
 	maxDepth := opts.MaxDepth
 	if maxDepth <= 0 {
 		maxDepth = DefaultMaxDepth
 	}
 	doc := NewDocument()
-	return &tokenBuilder{opts: opts, maxDepth: maxDepth, doc: doc, cur: doc}
+	b := &tokenBuilder{opts: opts, maxDepth: maxDepth, doc: doc, cur: doc}
+	if slabs {
+		b.nextSlab = firstSlab
+	}
+	return b
+}
+
+// node returns a zeroed node. A whole-document parse keeps every node
+// anyway, so it takes them from slabs. The stream parser must not: a
+// slab shared by two chunks keeps the older chunk reachable from the
+// newer, and through the older one's Parent links every chunk before.
+func (b *tokenBuilder) node() *Node {
+	if len(b.slab) == 0 {
+		if b.nextSlab == 0 {
+			return new(Node)
+		}
+		b.slab = make([]Node, b.nextSlab)
+		b.nextSlab = min(2*b.nextSlab, maxSlab)
+	}
+	n := &b.slab[0]
+	b.slab = b.slab[1:]
+	return n
+}
+
+// attach appends a fresh node to the cursor's children.
+func (b *tokenBuilder) attach(n *Node) {
+	n.Parent = b.cur
+	b.cur.Children = append(b.cur.Children, n)
+}
+
+// open attaches element el under the cursor, enforcing the depth cap.
+func (b *tokenBuilder) open(el *Node) error {
+	b.depth++
+	if b.depth > b.maxDepth {
+		return fmt.Errorf("xmltree: parse: element nesting exceeds %d", b.maxDepth)
+	}
+	b.attach(el)
+	return nil
+}
+
+// enter moves the cursor into el, just attached by open, enforcing the
+// single-root rule.
+func (b *tokenBuilder) enter(el *Node) error {
+	b.cur = el
+	if el.Parent == b.doc {
+		if b.sawElem {
+			return fmt.Errorf("xmltree: parse: multiple document elements")
+		}
+		b.sawElem = true
+	}
+	return nil
+}
+
+// end closes the element under the cursor.
+func (b *tokenBuilder) end() {
+	b.depth--
+	b.cur = b.cur.Parent
+}
+
+// text folds one character-data token. The whitespace drop applies per
+// token, before merging with a preceding text sibling, so parsing
+// always yields normalized trees.
+func (b *tokenBuilder) text(data []byte) error {
+	if !b.opts.KeepWhitespaceText && isAllXMLSpace(data) {
+		return nil
+	}
+	if b.cur == b.doc {
+		// Character data outside the document element is only legal if
+		// it is whitespace.
+		if isAllXMLSpace(data) {
+			return nil
+		}
+		return fmt.Errorf("xmltree: parse: character data outside document element")
+	}
+	if k := len(b.cur.Children); k > 0 && b.cur.Children[k-1].Kind == TextNode {
+		b.cur.Children[k-1].Value += string(data)
+		return nil
+	}
+	t := b.node()
+	t.Kind = TextNode
+	t.Value = string(data)
+	b.attach(t)
+	return nil
+}
+
+// comment folds one comment token.
+func (b *tokenBuilder) comment(data []byte) {
+	if b.opts.KeepComments {
+		c := b.node()
+		c.Kind = CommentNode
+		c.Value = string(data)
+		b.attach(c)
+	}
 }
 
 // token folds one decoder token into the tree.
 func (b *tokenBuilder) token(tok xml.Token) error {
 	switch t := tok.(type) {
 	case xml.StartElement:
-		b.depth++
-		if b.depth > b.maxDepth {
-			return fmt.Errorf("xmltree: parse: element nesting exceeds %d", b.maxDepth)
+		el := b.node()
+		el.Kind = ElementNode
+		if err := b.open(el); err != nil {
+			return err
 		}
-		el := NewElement("")
 		for _, a := range t.Attr {
 			// Namespace declarations are preserved verbatim as
 			// attributes so that serialization round-trips.
 			el.Attrs = append(el.Attrs, Attr{Name: Intern(flatName(a.Name)), Value: a.Value})
 		}
-		b.cur.AppendChild(el)
 		// Resolve namespaced names once the element's own xmlns
 		// declarations and its ancestors' are reachable. The decoder
 		// hands us resolved URLs; serializing those verbatim
@@ -97,49 +202,26 @@ func (b *tokenBuilder) token(tok xml.Token) error {
 				}
 			}
 		}
-		b.cur = el
-		if b.cur.Parent == b.doc {
-			if b.sawElem {
-				return fmt.Errorf("xmltree: parse: multiple document elements")
-			}
-			b.sawElem = true
-		}
+		return b.enter(el)
 	case xml.EndElement:
 		if b.cur == b.doc {
 			return fmt.Errorf("xmltree: parse: unbalanced end element %q", flatName(t.Name))
 		}
-		b.depth--
-		b.cur = b.cur.Parent
+		b.end()
 	case xml.CharData:
-		s := string(t)
-		if !b.opts.KeepWhitespaceText && isAllXMLSpace(s) {
-			return nil
-		}
-		if b.cur == b.doc {
-			// Character data outside the document element is only
-			// legal if it is whitespace.
-			if isAllXMLSpace(s) {
-				return nil
-			}
-			return fmt.Errorf("xmltree: parse: character data outside document element")
-		}
-		// Merge with a preceding text sibling so parsing always yields
-		// normalized trees.
-		if k := len(b.cur.Children); k > 0 && b.cur.Children[k-1].Kind == TextNode {
-			b.cur.Children[k-1].Value += s
-			return nil
-		}
-		b.cur.AppendChild(NewText(s))
+		return b.text(t)
 	case xml.Comment:
-		if b.opts.KeepComments {
-			b.cur.AppendChild(NewComment(string(t)))
-		}
+		b.comment(t)
 	case xml.ProcInst:
 		if t.Target == "xml" {
 			return nil
 		}
 		if b.opts.KeepProcInsts {
-			b.cur.AppendChild(NewProcInst(t.Target, string(t.Inst)))
+			pi := b.node()
+			pi.Kind = ProcInstNode
+			pi.Name = t.Target
+			pi.Value = string(t.Inst)
+			b.attach(pi)
 		}
 	case xml.Directive:
 		// DTD internal subsets and the like are not modelled.
@@ -187,7 +269,8 @@ func parseError(decErr error, tr *errTrackReader) error {
 	return fmt.Errorf("xmltree: parse: %w", decErr)
 }
 
-// newDecoder builds the strict XML tokenizer all parse paths share.
+// newDecoder builds the strict encoding/xml tokenizer the byte
+// tokenizer hands exotic input to.
 func newDecoder(r io.Reader) *xml.Decoder {
 	dec := xml.NewDecoder(r)
 	// The documents this system handles are data files, not hypertext;
@@ -199,22 +282,7 @@ func newDecoder(r io.Reader) *xml.Decoder {
 // Parse reads an XML document from r and builds its DOM. The returned node
 // has Kind == DocumentNode.
 func Parse(r io.Reader, opts ParseOptions) (*Node, error) {
-	tr := &errTrackReader{r: r}
-	dec := newDecoder(tr)
-	b := newTokenBuilder(opts)
-	for {
-		tok, err := dec.Token()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, parseError(err, tr)
-		}
-		if err := b.token(tok); err != nil {
-			return nil, err
-		}
-	}
-	return b.finish()
+	return newScanner(r, newTokenBuilder(opts, true)).parse()
 }
 
 // ParseString is Parse over a string with default options.

@@ -1,19 +1,17 @@
 package xmltree
 
-// Record-chunked streaming: StreamParser walks a document with the
-// tokenizer and hands out each completed top-level subtree (a child of
-// the document element) as soon as its end tag arrives, so a caller can
-// process a multi-gigabyte export without ever materializing more than
-// one record at a time. The parser drives the exact same tokenBuilder as
-// Parse — whitespace dropping, text merging, namespace restoration,
-// depth caps and well-formedness checks are shared code, which is what
+// Record-chunked streaming: StreamParser walks a document with the byte
+// tokenizer (fastparse.go) and hands out each completed top-level
+// subtree (a child of the document element) as soon as its end tag
+// arrives, so a caller can process a multi-gigabyte export without ever
+// materializing more than one record at a time. The parser drives the
+// exact same tokenizer and tokenBuilder as Parse — whitespace dropping,
+// text merging, namespace restoration, depth caps, well-formedness
+// checks and the encoding/xml hand-off are shared code, which is what
 // makes chunked processing semantically identical to whole-document
 // parsing.
 
-import (
-	"encoding/xml"
-	"io"
-)
+import "io"
 
 // StreamEventKind discriminates StreamParser events.
 type StreamEventKind uint8
@@ -60,9 +58,7 @@ const (
 // top-level subtrees instead of one big tree. Memory is bounded by the
 // largest single top-level child, not the document.
 type StreamParser struct {
-	dec    *xml.Decoder
-	b      *tokenBuilder
-	tr     *errTrackReader
+	s      *scanner
 	root   *Node
 	state  streamState
 	eof    bool
@@ -73,12 +69,7 @@ type StreamParser struct {
 // NewStreamParser builds a streaming parser over r with the same
 // options — and the same semantics — as Parse.
 func NewStreamParser(r io.Reader, opts ParseOptions) *StreamParser {
-	tr := &errTrackReader{r: r}
-	return &StreamParser{
-		dec: newDecoder(tr),
-		b:   newTokenBuilder(opts),
-		tr:  tr,
-	}
+	return &StreamParser{s: newScanner(r, newTokenBuilder(opts, false))}
 }
 
 // Root returns the document element node once EventRootOpen has been
@@ -103,10 +94,10 @@ func (p *StreamParser) Next() (StreamEvent, error) {
 		if p.eof {
 			return StreamEvent{}, io.EOF
 		}
-		tok, err := p.dec.Token()
+		err := p.s.next()
 		if err == io.EOF {
 			p.eof = true
-			if _, ferr := p.b.finish(); ferr != nil {
+			if _, ferr := p.s.b.finish(); ferr != nil {
 				p.finErr = p.finishError(ferr)
 				return StreamEvent{}, p.finErr
 			}
@@ -114,12 +105,8 @@ func (p *StreamParser) Next() (StreamEvent, error) {
 			continue
 		}
 		if err != nil {
-			p.finErr = parseError(err, p.tr)
-			return StreamEvent{}, p.finErr
-		}
-		if terr := p.b.token(tok); terr != nil {
-			p.finErr = terr
-			return StreamEvent{}, terr
+			p.finErr = err
+			return StreamEvent{}, err
 		}
 		p.harvest()
 	}
@@ -128,8 +115,8 @@ func (p *StreamParser) Next() (StreamEvent, error) {
 // finishError maps a well-formedness failure at EOF: when the reader
 // itself failed, that failure is the root cause of the truncation.
 func (p *StreamParser) finishError(ferr error) error {
-	if p.tr.err != nil {
-		return parseError(ferr, p.tr)
+	if p.s.tr.err != nil {
+		return parseError(ferr, p.s.tr)
 	}
 	return ferr
 }
@@ -139,7 +126,7 @@ func (p *StreamParser) finishError(ferr error) error {
 // parent can still be growing — an element until the cursor leaves it,
 // a text node until a non-text token arrives.
 func (p *StreamParser) harvest() {
-	doc := p.b.doc
+	doc := p.s.b.doc
 	// Document-level children. Whitespace text never survives at this
 	// level and non-whitespace text is a builder error, so every
 	// non-element child (kept comment / procinst) is complete the token
@@ -163,7 +150,7 @@ func (p *StreamParser) harvest() {
 	if p.state != inRoot {
 		return
 	}
-	rootClosed := p.b.cur == doc
+	rootClosed := p.s.b.cur == doc
 	p.emitRootChildren(rootClosed)
 	if rootClosed {
 		p.queue = append(p.queue, StreamEvent{Kind: EventRootClose})
@@ -194,7 +181,7 @@ func (p *StreamParser) emitRootChildren(rootClosed bool) {
 	complete := n
 	if !rootClosed {
 		last := root.Children[n-1]
-		cursorInsideLast := p.b.cur != root // cursor is below the root, i.e. inside the open last child
+		cursorInsideLast := p.s.b.cur != root // cursor is below the root, i.e. inside the open last child
 		if cursorInsideLast || last.Kind == TextNode {
 			complete = n - 1
 		}

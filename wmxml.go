@@ -99,11 +99,11 @@ func ParseXMLString(s string) (*Document, error) {
 	return xmltree.ParseString(s)
 }
 
-// ParseXMLBytes parses an XML document from an in-memory byte slice
-// through the fast byte tokenizer (interned names, slab-allocated
-// nodes), falling back to the strict reader-based parser for anything
-// outside its subset. The tree is identical to ParseXMLWithOptions on
-// the same bytes and never aliases data.
+// ParseXMLBytes parses an XML document from an in-memory byte slice. It
+// runs the same byte tokenizer (interned names, slab-allocated nodes)
+// and encoding/xml hand-off as ParseXMLWithOptions, without copying the
+// input into a read window, so the tree and any error are identical to
+// ParseXMLWithOptions on the same bytes. The tree never aliases data.
 func ParseXMLBytes(data []byte, opts ParseOptions) (*Document, error) {
 	return xmltree.ParseBytes(data, opts)
 }
