@@ -62,6 +62,37 @@ func TestDetectIndexedPublicAPI(t *testing.T) {
 	}
 }
 
+// TestDetectionPlanWarmAllocs pins the public warm detect (compiled
+// plan, cached index, 1000 records) at the same 16-allocation ceiling
+// as the core plan: the verdict conversion must not eat the budget.
+func TestDetectionPlanWarmAllocs(t *testing.T) {
+	ds := PublicationsDataset(1000, 77)
+	sys, err := New(Options{
+		Key: "api-key", Mark: "api-mark", Schema: ds.Schema,
+		Catalog: ds.Catalog, Targets: ds.Targets, Gamma: 5,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	receipt, err := sys.Embed(ds.Doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := sys.CompileDetection(receipt.Records, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix := NewDocumentIndex(ds.Doc)
+	if det := plan.DetectIndexed(ds.Doc, ix); !det.Detected {
+		t.Fatalf("warm plan detect: %+v", det)
+	}
+	avg := testing.AllocsPerRun(100, func() { plan.DetectIndexed(ds.Doc, ix) })
+	if avg > 16 {
+		t.Fatalf("warm DetectIndexed allocates %.1f objects/op, budget is 16", avg)
+	}
+	t.Logf("warm DetectIndexed: %.1f allocs/op", avg)
+}
+
 func TestPipelineVerifyPublicAPI(t *testing.T) {
 	ds := PublicationsDataset(100, 41)
 	sys, err := New(Options{

@@ -1,9 +1,9 @@
 package wmxml
 
-// Benchmarks for the PR-2 index layer. BenchmarkDetect10k is the
+// Benchmarks for the index layer. BenchmarkDetect10k is the
 // acceptance benchmark: indexed vs unindexed DetectWithQueries on a
 // 10k-record document (the indexed path must be >= 5x faster; measured
-// results live in README.md and BENCH_PR2.json).
+// results live in README.md).
 
 import (
 	"fmt"

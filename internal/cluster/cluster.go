@@ -1,9 +1,8 @@
 // Package cluster is the fleet's owner-routing arithmetic: a
 // consistent-hash ring mapping owner ids onto node addresses. The same
-// ring is built independently by every wmxmld node (from --fleet-nodes)
-// and by wmload's multi-node client, so routing needs no coordination
-// service — any party holding the node list computes the same owner →
-// node assignment.
+// ring is built independently by every wmxmld node (from --fleet-nodes),
+// so routing needs no coordination service — any party holding the
+// node list computes the same owner → node assignment.
 //
 // Consistent hashing (vs. hash-mod-N) keeps the assignment stable when
 // the fleet changes: adding or removing one node remaps only the owners

@@ -24,7 +24,7 @@ import (
 // the same Indent "  " every CLI and server response uses.
 var canonOpts = xmltree.SerializeOptions{Indent: "  "}
 
-func testFingerprinter(t *testing.T, ds *datagen.Dataset, key string, gamma int) *fingerprint.System {
+func testFingerprinter(t testing.TB, ds *datagen.Dataset, key string, gamma int) *fingerprint.System {
 	t.Helper()
 	s, err := fingerprint.New(fingerprint.Options{
 		Key:     []byte(key),
@@ -39,7 +39,7 @@ func testFingerprinter(t *testing.T, ds *datagen.Dataset, key string, gamma int)
 	return s
 }
 
-func serializeDoc(t *testing.T, doc *xmltree.Node) []byte {
+func serializeDoc(t testing.TB, doc *xmltree.Node) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := xmltree.Serialize(&buf, doc, canonOpts); err != nil {

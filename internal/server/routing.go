@@ -7,8 +7,8 @@ package server
 // suspect documents and compiled runtime warm exactly one node's
 // memory instead of N copies competing for N small caches. Clients
 // need zero routing knowledge — any node is a correct entry point —
-// but a routing-aware client (wmload --nodes) can hit home nodes
-// directly and skip the extra hop.
+// but a client that builds the same ring can hit home nodes directly
+// and skip the extra hop.
 
 import (
 	"bytes"

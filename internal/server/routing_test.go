@@ -48,22 +48,25 @@ func newFleet(t *testing.T, n int, opts Options) ([]*Server, []string) {
 	return servers, nodes
 }
 
-// ownerHomedOn finds an owner id whose consistent-hash home is the
+// ownersHomedOn finds n owner ids whose consistent-hash home is the
 // given node — so the tests can aim requests at (or away from) it.
-func ownerHomedOn(t *testing.T, nodes []string, node string) string {
+func ownersHomedOn(t *testing.T, nodes []string, node string, n int) []string {
 	t.Helper()
 	ring, err := cluster.New(nodes)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 4096; i++ {
+	var ids []string
+	for i := 0; i < 4096 && len(ids) < n; i++ {
 		id := fmt.Sprintf("tenant-%04d", i)
 		if ring.Node(id) == node {
-			return id
+			ids = append(ids, id)
 		}
 	}
-	t.Fatalf("no owner homed on %s in 4096 candidates", node)
-	return ""
+	if len(ids) < n {
+		t.Fatalf("found %d owners homed on %s in 4096 candidates, want %d", len(ids), node, n)
+	}
+	return ids
 }
 
 // TestFleetRouting: a request landing on the wrong node is proxied to
@@ -71,7 +74,7 @@ func ownerHomedOn(t *testing.T, nodes []string, node string) string {
 // counter); a request landing on the right node is served in place.
 func TestFleetRouting(t *testing.T) {
 	servers, nodes := newFleet(t, 2, Options{})
-	remote := ownerHomedOn(t, nodes, nodes[1])
+	remote := ownersHomedOn(t, nodes, nodes[1], 1)[0]
 
 	// Registration routes too — the body peek finds the owner id.
 	registerOwner(t, nodes[0], remote)
@@ -124,12 +127,86 @@ func TestFleetRouting(t *testing.T) {
 	}
 }
 
+// TestFleetCacheResidency: what a fleet buys is aggregate cache
+// capacity. 24 tenants, 6 homed on each of 4 nodes with 12-entry
+// document caches, detect their own documents twice, each request
+// entering through a different node than the last. The second round is
+// all cache hits served by each tenant's home node, and no entry node
+// keeps a copy of a document it proxied. One node with the same cache
+// cycles through all 24 working sets and the second round hits nothing.
+func TestFleetCacheResidency(t *testing.T) {
+	const perNode, entries = 6, 12
+	servers, nodes := newFleet(t, 4, Options{CacheEntries: entries})
+	var owners, homes []string
+	for _, node := range nodes {
+		for _, id := range ownersHomedOn(t, nodes, node, perNode) {
+			owners, homes = append(owners, id), append(homes, node)
+		}
+	}
+	single, ts := newTestServer(t, Options{CacheEntries: entries})
+
+	// detectTwice embeds one document per owner through entry(i, 0),
+	// then detects every owner's copy in two rounds through entry(i, r)
+	// and returns the second round's responses and serving nodes.
+	detectTwice := func(entry func(i, round int) string) (hits []bool, servedBy []string) {
+		t.Helper()
+		marked := make([][]byte, len(owners))
+		for i, id := range owners {
+			registerOwner(t, entry(i, 0), id)
+			code, body, _ := doAs(t, "key-"+id, "POST", entry(i, 0)+"/v1/embed?owner="+id, pubsXML(t, 60, int64(i+1)))
+			if code != http.StatusOK {
+				t.Fatalf("embed %s: %d %s", id, code, body)
+			}
+			marked[i] = body
+		}
+		for round := 1; round <= 2; round++ {
+			hits, servedBy = hits[:0], servedBy[:0]
+			for i, id := range owners {
+				code, body, hdr := doAs(t, "key-"+id, "POST", entry(i, round)+"/v1/detect?owner="+id, marked[i])
+				if code != http.StatusOK {
+					t.Fatalf("round %d detect %s: %d %s", round, id, code, body)
+				}
+				var resp struct {
+					CacheHit bool `json:"cache_hit"`
+				}
+				if err := json.Unmarshal(body, &resp); err != nil {
+					t.Fatal(err)
+				}
+				hits, servedBy = append(hits, resp.CacheHit), append(servedBy, hdr.Get("X-Wmxml-Node"))
+			}
+		}
+		return hits, servedBy
+	}
+
+	hits, servedBy := detectTwice(func(i, round int) string { return nodes[(i+round)%len(nodes)] })
+	for i, id := range owners {
+		if !hits[i] || servedBy[i] != homes[i] {
+			t.Errorf("fleet round 2, %s: cache_hit=%v served by %q, want a hit on home node %q", id, hits[i], servedBy[i], homes[i])
+		}
+	}
+	for i, s := range servers {
+		if _, _, _, size := s.CacheStats(); size != perNode {
+			t.Errorf("node %d caches %d documents, want its own %d tenants' only", i, size, perNode)
+		}
+	}
+
+	hits, _ = detectTwice(func(int, int) string { return ts.URL })
+	for i, id := range owners {
+		if hits[i] {
+			t.Errorf("single node round 2, %s: cache hit with %d tenants over %d entries", id, len(owners), entries)
+		}
+	}
+	if h, _, _, _ := single.CacheStats(); h != 0 {
+		t.Errorf("single node scored %d cache hits, want 0", h)
+	}
+}
+
 // TestFleetHopGuard: a request already carrying the hop header is
 // served wherever it lands, even if this node's ring disagrees — one
 // extra hop max, never a proxy loop.
 func TestFleetHopGuard(t *testing.T) {
 	_, nodes := newFleet(t, 2, Options{})
-	remote := ownerHomedOn(t, nodes, nodes[1])
+	remote := ownersHomedOn(t, nodes, nodes[1], 1)[0]
 	registerOwner(t, nodes[1], remote)
 
 	req, err := http.NewRequest("GET", nodes[0]+"/v1/owners/"+remote+"/receipts", nil)
@@ -155,7 +232,7 @@ func TestFleetHopGuard(t *testing.T) {
 // entry node, not a hung request or an opaque transport error.
 func TestFleetPeerDown(t *testing.T) {
 	servers, nodes := newFleet(t, 2, Options{})
-	remote := ownerHomedOn(t, nodes, nodes[1])
+	remote := ownersHomedOn(t, nodes, nodes[1], 1)[0]
 	registerOwner(t, nodes[1], remote)
 	_ = servers
 
@@ -174,7 +251,7 @@ func TestFleetPeerDown(t *testing.T) {
 	defer s.Close()
 	live.Config.Handler = s.Handler()
 
-	downOwner := ownerHomedOn(t, []string{live.URL, deadURL}, deadURL)
+	downOwner := ownersHomedOn(t, []string{live.URL, deadURL}, deadURL, 1)[0]
 	code, body, hdr := doAs(t, "k", "GET", live.URL+"/v1/owners/"+downOwner+"/receipts", nil)
 	if code != http.StatusBadGateway {
 		t.Fatalf("request homed on a dead peer = %d %s, want 502", code, body)

@@ -1273,7 +1273,7 @@ func (s *Server) handleDetect(w http.ResponseWriter, r *http.Request) {
 	resp.MatchFraction = bestRes.MatchFraction
 	resp.Coverage = bestRes.Coverage
 	resp.Sigma = bestRes.Sigma()
-	resp.FalsePositiveRate = wmark.FalsePositiveProbability(bestRes.VotedBits, bestRes.MatchFraction)
+	resp.FalsePositiveRate = bestRes.FalsePositiveRate()
 	resp.RecoveredText = bestRes.Recovered.Text()
 	resp.QueriesRun = bestRes.QueriesRun
 	resp.QueryMisses = bestRes.QueryMisses

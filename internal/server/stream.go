@@ -39,7 +39,6 @@ import (
 	"wmxml/internal/pipeline"
 	"wmxml/internal/registry"
 	"wmxml/internal/stream"
-	"wmxml/internal/wmark"
 	"wmxml/internal/xmltree"
 )
 
@@ -264,7 +263,7 @@ func (s *Server) handleDetectStream(w http.ResponseWriter, r *http.Request, rt *
 	resp.MatchFraction = out.Result.MatchFraction
 	resp.Coverage = out.Result.Coverage
 	resp.Sigma = out.Result.Sigma()
-	resp.FalsePositiveRate = wmark.FalsePositiveProbability(out.Result.VotedBits, out.Result.MatchFraction)
+	resp.FalsePositiveRate = out.Result.FalsePositiveRate()
 	resp.RecoveredText = out.Result.Recovered.Text()
 	resp.QueriesRun = out.Result.QueriesRun
 	resp.QueryMisses = out.Result.QueryMisses

@@ -333,6 +333,9 @@ type Result struct {
 	MatchFraction float64
 	// VotedBits is the number of positions with at least one vote.
 	VotedBits int
+	// MatchedBits is how many of the VotedBits majorities equal the
+	// expected bit.
+	MatchedBits int
 	// Coverage is VotedBits / len(mark).
 	Coverage float64
 	// Votes and Misses mirror the accumulator totals.
@@ -364,10 +367,11 @@ func (v *Votes) Score(mark Bits, tau, minCoverage float64) Result {
 		}
 	}
 	res := Result{
-		Recovered: rec,
-		VotedBits: voted,
-		Votes:     v.total,
-		Misses:    v.misses,
+		Recovered:   rec,
+		VotedBits:   voted,
+		MatchedBits: match,
+		Votes:       v.total,
+		Misses:      v.misses,
 	}
 	if voted > 0 {
 		res.MatchFraction = float64(match) / float64(voted)
@@ -390,19 +394,15 @@ func (r Result) Sigma() float64 {
 	return (r.MatchFraction - 0.5) * 2 * math.Sqrt(n) / 1.0
 }
 
-// FalsePositiveProbability returns the probability that a random
-// coin-flip watermark matches at least tau of n voted bits — the
-// analytic false-detection rate P[Binomial(n, 1/2) >= ceil(tau·n)].
-// Owners use it to size the mark: at n=64 voted bits and tau=0.85 the
-// probability is below 1e-8. Callers that know the integer match count
-// should use FalsePositiveProbabilityCount instead: re-deriving the
-// count from a fraction can round ceil((k/n)·n) up to k+1 and shave a
-// tail term off the p-value.
-func FalsePositiveProbability(n int, tau float64) float64 {
-	if n <= 0 {
-		return 1
-	}
-	return FalsePositiveProbabilityCount(n, int(math.Ceil(tau*float64(n))))
+// FalsePositiveRate is the analytic probability that a random
+// coin-flip watermark matches at least MatchedBits of the VotedBits
+// voted bits: P[Binomial(VotedBits, 1/2) >= MatchedBits]. It works from
+// the integer count, never the fraction, so no tail term is lost to
+// rounding. Owners use it to size the mark: 55 or more matches out of
+// 64 voted bits (tau=0.85) happen by chance with probability below
+// 1e-8.
+func (r Result) FalsePositiveRate() float64 {
+	return FalsePositiveProbabilityCount(r.VotedBits, r.MatchedBits)
 }
 
 // FalsePositiveProbabilityCount is the exact binomial tail

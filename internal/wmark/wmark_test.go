@@ -271,32 +271,69 @@ func TestSigma(t *testing.T) {
 }
 
 func TestFalsePositiveProbability(t *testing.T) {
-	// Exact small case: n=4, tau=0.75 -> P[X>=3] = (C(4,3)+C(4,4))/16 = 5/16.
-	if got := FalsePositiveProbability(4, 0.75); math.Abs(got-5.0/16.0) > 1e-12 {
-		t.Errorf("FP(4,0.75) = %v, want 0.3125", got)
+	// Exact small case: n=4, k=3 -> P[X>=3] = (C(4,3)+C(4,4))/16 = 5/16.
+	if got := FalsePositiveProbabilityCount(4, 3); math.Abs(got-5.0/16.0) > 1e-12 {
+		t.Errorf("FP(4,3) = %v, want 0.3125", got)
 	}
-	// Monotone decreasing in tau.
+	// Monotone decreasing in the match count.
 	prev := 1.1
-	for _, tau := range []float64{0.5, 0.6, 0.7, 0.8, 0.9, 1.0} {
-		got := FalsePositiveProbability(32, tau)
+	for k := 16; k <= 32; k++ {
+		got := FalsePositiveProbabilityCount(32, k)
 		if got > prev {
-			t.Errorf("FP not monotone at tau=%.1f: %v > %v", tau, got, prev)
+			t.Errorf("FP not monotone at k=%d: %v > %v", k, got, prev)
 		}
 		prev = got
 	}
-	// Production sizing claim used in the docs.
-	if got := FalsePositiveProbability(64, 0.85); got > 1e-8 {
-		t.Errorf("FP(64,0.85) = %v, want < 1e-8", got)
+	// Production sizing claim used in the docs: 55 of 64 is tau=0.85.
+	if got := FalsePositiveProbabilityCount(64, 55); got > 1e-8 {
+		t.Errorf("FP(64,55) = %v, want < 1e-8", got)
 	}
 	// Edge cases.
-	if FalsePositiveProbability(0, 0.85) != 1 {
+	if FalsePositiveProbabilityCount(0, 0) != 1 {
 		t.Errorf("FP(0) should be 1")
 	}
-	if FalsePositiveProbability(10, 0) != 1 {
-		t.Errorf("FP(tau=0) should be 1")
+	if FalsePositiveProbabilityCount(10, 0) != 1 {
+		t.Errorf("FP(k=0) should be 1")
 	}
-	if got := FalsePositiveProbability(10, 1.0); math.Abs(got-math.Pow(0.5, 10)) > 1e-12 {
-		t.Errorf("FP(10,1.0) = %v, want 2^-10", got)
+	if got := FalsePositiveProbabilityCount(10, 10); math.Abs(got-math.Pow(0.5, 10)) > 1e-12 {
+		t.Errorf("FP(10,10) = %v, want 2^-10", got)
+	}
+	if FalsePositiveProbabilityCount(10, 11) != 0 {
+		t.Errorf("FP(k>n) should be 0")
+	}
+}
+
+// TestScoreFalsePositiveRateFromCount scores a table where 29 of 35
+// voted bits match. Re-deriving the count as ceil((29/35)*35) gives 30
+// in float64, which drops the i=29 term and reports P[X>=30] = 1.12e-5;
+// the rate must be the full tail P[X>=29] = 5.84e-5.
+func TestScoreFalsePositiveRateFromCount(t *testing.T) {
+	mark := Random("fp-count", 35)
+	v := NewVotes(len(mark))
+	for i, b := range mark {
+		if i < 6 {
+			b ^= 1
+		}
+		v.Add(i, b)
+	}
+	res := v.Score(mark, 0.85, 0.5)
+	if res.VotedBits != 35 || res.MatchedBits != 29 {
+		t.Fatalf("scored %d matched of %d voted, want 29 of 35", res.MatchedBits, res.VotedBits)
+	}
+	// Exact tail: sum of C(35,i) for i in [29,35] over 2^35.
+	var sum, c uint64 = 0, 1
+	for i := 0; i <= 35; i++ {
+		if i >= 29 {
+			sum += c
+		}
+		c = c * uint64(35-i) / uint64(i+1)
+	}
+	want := float64(sum) / math.Exp2(35)
+	if got := res.FalsePositiveRate(); math.Abs(got-want) > 1e-12 {
+		t.Fatalf("FalsePositiveRate() = %.4g, want P[Bin(35,1/2) >= 29] = %.4g", got, want)
+	}
+	if math.Abs(want-5.842e-5) > 1e-8 {
+		t.Fatalf("reference tail = %.4g, want 5.842e-5", want)
 	}
 }
 

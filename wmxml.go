@@ -297,7 +297,7 @@ func toDetection(r *core.DetectResult) *Detection {
 		Coverage:          r.Coverage,
 		RecoveredText:     r.Recovered.Text(),
 		Sigma:             r.Sigma(),
-		FalsePositiveRate: wmark.FalsePositiveProbability(r.VotedBits, r.MatchFraction),
+		FalsePositiveRate: r.FalsePositiveRate(),
 		QueriesRun:        r.QueriesRun,
 		QueryMisses:       r.QueryMisses,
 	}
@@ -475,8 +475,8 @@ func NestedDataset(books int, seed int64) *Dataset {
 }
 
 // DatasetByName resolves a built-in dataset preset by name ("pubs",
-// "jobs", "library" or "nested") — the name set the CLI, the wmxmld
-// owner records and the wmload harness share.
+// "jobs", "library" or "nested") — the name set the CLI and the wmxmld
+// owner records share.
 func DatasetByName(name string, records int, seed int64) (*Dataset, error) {
 	return datagen.Preset(name, records, seed)
 }
