@@ -33,7 +33,6 @@ import (
 
 	"wmxml/internal/core"
 	"wmxml/internal/index"
-	"wmxml/internal/obs"
 	"wmxml/internal/stream"
 	"wmxml/internal/xmltree"
 )
@@ -61,18 +60,6 @@ type DetectJob struct {
 	// the suspect kept the original layout. Rewriters built by
 	// internal/rewrite are stateless and may be shared across jobs.
 	Rewriter core.Rewriter
-	// Index is an optional caller-built document index over Doc (it
-	// must be current — see internal/index for the invalidation
-	// contract). The server's suspect-document cache passes one here so
-	// repeated detections skip both the reparse and the index build;
-	// nil lets the core build its own per call.
-	Index *index.Index
-	// Plan is an optional precompiled decode plan for this job's query
-	// set. When set, Records and Rewriter are ignored — the plan already
-	// embodies them — and detection skips query parsing, plan
-	// compilation and the per-record HMACs entirely (the warm-path win;
-	// see core.DecodePlan). The plan's config must match the engine's.
-	Plan *core.DecodePlan
 }
 
 // EmbedOutcome is the embedding result of one job.
@@ -206,16 +193,11 @@ func (e *Engine) embedOne(ctx context.Context, jobIndex int, j Job) (out EmbedOu
 	// One index per document, shared across embed and (optionally)
 	// verify: embedding invalidates its value tables, so the verify
 	// detection reads post-embed values through still-valid structure.
-	tr := obs.FromContext(ctx)
 	var ix *index.Index
 	if !e.cfg.DisableIndex {
-		isp := tr.StartSpan("index")
 		ix = index.New(j.Doc)
-		isp.End()
 	}
-	esp := tr.StartSpan("embed")
 	out.Result, out.Err = core.EmbedIndexed(j.Doc, e.cfg, ix)
-	esp.End()
 	if e.verify && out.Err == nil {
 		out.Verify, out.VerifyErr = core.DetectWithQueriesIndexed(j.Doc, e.cfg, out.Result.Records, nil, ix)
 	}
@@ -238,18 +220,10 @@ func (e *Engine) detectOne(ctx context.Context, jobIndex int, j DetectJob) (out 
 		out.Err = fmt.Errorf("pipeline: job %q has no document", j.ID)
 		return out
 	}
-	tr := obs.FromContext(ctx)
-	switch {
-	case j.Plan != nil:
-		out.Result = j.Plan.DetectTraced(j.Doc, j.Index, tr)
-	case j.Records == nil:
-		dsp := tr.StartSpan("decode")
-		out.Result, out.Err = core.DetectBlindIndexed(j.Doc, e.cfg, j.Index)
-		dsp.End()
-	default:
-		dsp := tr.StartSpan("decode")
-		out.Result, out.Err = core.DetectWithQueriesIndexed(j.Doc, e.cfg, j.Records, j.Rewriter, j.Index)
-		dsp.End()
+	if j.Records == nil {
+		out.Result, out.Err = core.DetectBlind(j.Doc, e.cfg)
+	} else {
+		out.Result, out.Err = core.DetectWithQueries(j.Doc, e.cfg, j.Records, j.Rewriter)
 	}
 	return out
 }

@@ -9,9 +9,7 @@ import (
 	"testing"
 	"time"
 
-	"wmxml/internal/index"
 	"wmxml/internal/registry"
-	"wmxml/internal/xmltree"
 )
 
 // TestLRU covers the one cache type behind the document, decode-plan
@@ -158,37 +156,29 @@ func TestDetectCompilesOnlyTriedReceipts(t *testing.T) {
 }
 
 // TestDetectMissSingleflight is the thundering-herd regression test:
-// 16 concurrent cold detects of the same body must trigger exactly one
-// parse+index — one leader misses, the other 15 coalesce onto its
-// flight. Before the fix each of the 16 did the full work.
+// concurrent cold detects of the same body must share one parse+index.
+// Before the fix each of them did the full work.
 //
-// The CacheFill hook doubles as a deterministic barrier: the leader
-// blocks inside the miss until all 15 waiters have joined the flight,
-// so the assertion cannot be satisfied by lucky serialization (requests
-// finishing before the rest arrive would hit the cache instead, and
-// coalesced would come up short).
+// The test holds the flight itself, so the assertion cannot be
+// satisfied by lucky serialization (requests finishing before the rest
+// arrive would hit the cache instead): it joins the flight for the
+// body's hash, fires 16 detects, waits until all 16 have coalesced onto
+// the live flight, and only then does the leader's work — fillDoc, then
+// complete. No request arriving during the fill may parse again.
 func TestDetectMissSingleflight(t *testing.T) {
 	const clients = 16
-	var s *Server
-	fill := func(sum [sha256.Size]byte, body []byte) (*xmltree.Node, *index.Index, bool) {
-		deadline := time.Now().Add(10 * time.Second)
-		for {
-			if coalesced, _ := s.CacheFlightStats(); coalesced >= clients-1 {
-				return nil, nil, false // all waiters parked; do the real parse
-			}
-			if time.Now().After(deadline) {
-				return nil, nil, false
-			}
-			time.Sleep(time.Millisecond)
-		}
-	}
-	s, ts := newTestServer(t, Options{Workers: clients, CacheFill: fill})
+	s, ts := newTestServer(t, Options{Workers: clients})
 	registerOwner(t, ts.URL, "acme")
 	code, marked, _ := doAs(t, "key-acme", "POST", ts.URL+"/v1/embed?owner=acme&doc=d.xml", pubsXML(t, 150, 7))
 	if code != http.StatusOK {
 		t.Fatalf("embed: %d %s", code, marked)
 	}
 
+	sum := sha256.Sum256(marked)
+	call, leader := s.cache.join(sum)
+	if !leader {
+		t.Fatal("the test did not get the flight")
+	}
 	var wg sync.WaitGroup
 	errs := make(chan error, clients)
 	for i := 0; i < clients; i++ {
@@ -208,6 +198,13 @@ func TestDetectMissSingleflight(t *testing.T) {
 			}
 		}()
 	}
+	// Fill even if the wait times out, so no detect is left blocked; the
+	// coalesced count below then reports the shortfall.
+	for deadline := time.Now().Add(10 * time.Second); s.CacheFlightStats() < clients && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
+	cd, err := s.fillDoc(sum, marked, nil)
+	s.cache.complete(sum, call, cd, err)
 	wg.Wait()
 	close(errs)
 	for err := range errs {
@@ -215,12 +212,11 @@ func TestDetectMissSingleflight(t *testing.T) {
 	}
 
 	hits, misses, _, _ := s.CacheStats()
-	coalesced, _ := s.CacheFlightStats()
-	if misses != 1 {
-		t.Errorf("16 concurrent cold detects parsed %d times, want exactly 1", misses)
+	if misses != 0 {
+		t.Errorf("%d of the detects that arrived during the fill parsed again, want 0", misses)
 	}
-	if coalesced != clients-1 {
-		t.Errorf("coalesced waiters = %d, want %d", coalesced, clients-1)
+	if coalesced := s.CacheFlightStats(); coalesced != clients {
+		t.Errorf("coalesced waiters = %d, want %d", coalesced, clients)
 	}
 	if hits != 0 {
 		t.Errorf("cache hits = %d during the cold burst, want 0", hits)
@@ -257,46 +253,6 @@ func TestSingleflightErrorPropagates(t *testing.T) {
 	// The flight is gone; the next join starts fresh.
 	if _, leader := c.join(key); !leader {
 		t.Fatal("join after complete did not start a new flight")
-	}
-}
-
-// TestCacheFillHook: a miss satisfied by the peer-fill hook skips the
-// local parse, counts as a fill, and still populates the cache.
-func TestCacheFillHook(t *testing.T) {
-	var hookCalls int
-	fill := func(sum [sha256.Size]byte, body []byte) (*xmltree.Node, *index.Index, bool) {
-		hookCalls++
-		doc, err := xmltree.ParseBytes(body, xmltree.ParseOptions{})
-		if err != nil {
-			return nil, nil, false
-		}
-		return doc, index.New(doc), true
-	}
-	s, ts := newTestServer(t, Options{CacheFill: fill})
-	registerOwner(t, ts.URL, "acme")
-	code, marked, _ := doAs(t, "key-acme", "POST", ts.URL+"/v1/embed?owner=acme&doc=d.xml", pubsXML(t, 120, 3))
-	if code != http.StatusOK {
-		t.Fatalf("embed: %d %s", code, marked)
-	}
-	code, body, _ := doAs(t, "key-acme", "POST", ts.URL+"/v1/detect?owner=acme", marked)
-	if code != http.StatusOK {
-		t.Fatalf("detect: %d %s", code, body)
-	}
-	var det struct {
-		Detected bool `json:"detected"`
-	}
-	if err := json.Unmarshal(body, &det); err != nil || !det.Detected {
-		t.Fatalf("detect through hook-filled cache: %s (%v)", body, err)
-	}
-	if _, fills := s.CacheFlightStats(); fills != 1 || hookCalls != 1 {
-		t.Errorf("fills=%d hookCalls=%d, want 1 and 1", fills, hookCalls)
-	}
-	// Second detect: plain hit, the hook is not consulted again.
-	if code, _, _ := doAs(t, "key-acme", "POST", ts.URL+"/v1/detect?owner=acme", marked); code != http.StatusOK {
-		t.Fatal("repeat detect failed")
-	}
-	if hookCalls != 1 {
-		t.Errorf("cache hit consulted the fill hook (calls=%d)", hookCalls)
 	}
 }
 

@@ -43,20 +43,20 @@ type planEntry struct {
 
 // planFor returns the compiled decode plan for one receipt, compiling
 // its records under cfg on a miss or when the cached plan was compiled
-// under another runtime. A compile failure returns nil — the caller's
-// uncached path recompiles and surfaces the identical error.
-func (s *Server) planFor(key dplanKey, rt *ownerRuntime, cfg core.Config, records []core.QueryRecord, tr *obs.Trace) *core.DecodePlan {
+// under another runtime. A compile error is returned and nothing is
+// cached.
+func (s *Server) planFor(key dplanKey, rt *ownerRuntime, cfg core.Config, records []core.QueryRecord, tr *obs.Trace) (*core.DecodePlan, error) {
 	if en, ok := s.dplan.Get(key); ok && en.rt == rt {
 		s.met.decodePlanHits.Inc()
-		return en.plan
+		return en.plan, nil
 	}
 	s.met.decodePlanMiss.Inc()
 	sp := tr.StartSpan("plan_compile")
 	pl, err := core.CompileDecodePlan(cfg, records, nil)
 	sp.End()
 	if err != nil {
-		return nil
+		return nil, err
 	}
 	s.dplan.Put(key, planEntry{rt: rt, plan: pl}, 0)
-	return pl
+	return pl, nil
 }

@@ -75,50 +75,32 @@ type planResponse struct {
 // handleDeliverPlan compiles and stores the delivery plan for the XML
 // body under the owner's key — the one full-cost pass that makes every
 // subsequent /v1/deliver of this document a splice.
-func (s *Server) handleDeliverPlan(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleDeliverPlan(w http.ResponseWriter, r *http.Request) error {
 	tr := obs.FromContext(r.Context())
 	tr.SetOp("deliver_plan")
 	ownerID := r.URL.Query().Get("owner")
 	rt, err := s.runtimeFor(r, ownerID)
 	if err != nil {
-		s.writeErr(w, r, err)
-		return
+		return err
 	}
-	body, err := s.readBody(w, r)
+	body, err := s.admit(w, r)
 	if err != nil {
-		s.writeErr(w, r, err)
-		return
-	}
-	if err := s.acquire(r); err != nil {
-		s.writeErr(w, r, err)
-		return
+		return err
 	}
 	defer s.release()
-	psp := tr.StartSpan("parse")
-	doc, err := s.parseDoc(body)
-	psp.End()
+	doc, err := s.parseDoc(body, tr)
 	if err != nil {
-		s.writeErr(w, r, err)
-		return
+		return err
 	}
-	var (
-		plan      *deliver.Plan
-		canonical []byte
-	)
 	csp := tr.StartSpan("plan_compile")
-	if err := guarded(func() error {
-		var cerr error
-		plan, canonical, cerr = deliver.Compile(doc, rt.fp.PlanConfig(), canonSerializeOpts)
-		return cerr
-	}); err != nil {
-		s.writeErr(w, r, errf(http.StatusUnprocessableEntity, "compile plan: %v", err))
-		return
-	}
+	plan, canonical, err := deliver.Compile(doc, rt.fp.PlanConfig(), canonSerializeOpts)
 	csp.End()
+	if err != nil {
+		return errf(http.StatusUnprocessableEntity, "compile plan: %v", err)
+	}
 	planJSON, err := plan.Marshal()
 	if err != nil {
-		s.writeErr(w, r, errf(http.StatusInternalServerError, "encode plan: %v", err))
-		return
+		return errf(http.StatusInternalServerError, "encode plan: %v", err)
 	}
 	rec := registry.PlanRecord{
 		Owner:       ownerID,
@@ -129,8 +111,7 @@ func (s *Server) handleDeliverPlan(w http.ResponseWriter, r *http.Request) {
 		Plan:        planJSON,
 	}
 	if err := s.reg.PutPlan(rec); err != nil {
-		s.writeErr(w, r, errf(http.StatusInternalServerError, "store plan: %v", err))
-		return
+		return errf(http.StatusInternalServerError, "store plan: %v", err)
 	}
 	if b, berr := plan.Bind(canonical); berr == nil {
 		s.bound.Put(boundKey{ownerID, plan.Digest}, b, 0)
@@ -152,6 +133,7 @@ func (s *Server) handleDeliverPlan(w http.ResponseWriter, r *http.Request) {
 		CarrierUnits:   carriers,
 		BandwidthUnits: plan.Bandwidth.Units,
 	})
+	return nil
 }
 
 // boundFor resolves (owner, digest) to a bound plan: cache first, then
@@ -185,188 +167,142 @@ func (s *Server) boundFor(ownerID, digest string) (*deliver.Bound, error) {
 // handleDeliver splices one recipient's fingerprinted copy from a
 // delivery plan. See the package comment for the three request shapes
 // (stored digest, document body, mode=stream).
-func (s *Server) handleDeliver(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleDeliver(w http.ResponseWriter, r *http.Request) error {
 	tr := obs.FromContext(r.Context())
 	tr.SetOp("deliver")
 	ownerID := r.URL.Query().Get("owner")
 	rt, err := s.runtimeFor(r, ownerID)
 	if err != nil {
-		s.writeErr(w, r, err)
-		return
+		return err
 	}
-	recipientID := r.URL.Query().Get("recipient")
-	if recipientID == "" {
-		s.writeErr(w, r, errf(http.StatusBadRequest, "recipient query parameter is required"))
-		return
-	}
-	rcpt := registry.Recipient{ID: recipientID, Owner: ownerID, Note: r.URL.Query().Get("note"), CreatedUnix: time.Now().Unix()}
-	if err := rcpt.Validate(); err != nil {
-		s.writeErr(w, r, errf(http.StatusBadRequest, "%v", err))
-		return
+	rcpt, err := recipientOf(r, ownerID)
+	if err != nil {
+		return err
 	}
 	digest := r.URL.Query().Get("digest")
 	if r.URL.Query().Get("mode") == "stream" {
-		s.handleDeliverStream(w, r, rt, ownerID, recipientID, digest, rcpt)
-		return
+		return s.handleDeliverStream(w, r, rt, digest, rcpt)
 	}
 
 	var b *deliver.Bound
-	switch {
-	case digest != "":
+	if digest != "" {
 		// Pure splice: no body, no parse, no worker slot.
-		csp := tr.StartSpan("cache")
-		b, err = s.boundFor(ownerID, digest)
-		if err != nil {
-			csp.EndNote("miss")
-			s.writeErr(w, r, err)
-			return
-		}
-		csp.EndNote("hit")
-		s.met.planHits.Inc()
-	default:
-		// Document body: canonicalize, reuse a stored plan when one
-		// matches, compile otherwise.
-		body, rerr := s.readBody(w, r)
-		if rerr != nil {
-			s.writeErr(w, r, rerr)
-			return
-		}
-		if err := s.acquire(r); err != nil {
-			s.writeErr(w, r, err)
-			return
-		}
-		psp := tr.StartSpan("parse")
-		doc, perr := s.parseDoc(body)
-		psp.End()
-		if perr != nil {
-			s.release()
-			s.writeErr(w, r, perr)
-			return
-		}
-		var canon bytes.Buffer
-		if err := xmltree.Serialize(&canon, doc, canonSerializeOpts); err != nil {
-			s.release()
-			s.writeErr(w, r, errf(http.StatusUnprocessableEntity, "canonicalize: %v", err))
-			return
-		}
-		digest = deliver.DigestBytes(canon.Bytes())
-		if cached, berr := s.boundFor(ownerID, digest); berr == nil {
-			b = cached
-			s.met.planHits.Inc()
-		} else {
-			var plan *deliver.Plan
-			var canonical []byte
-			csp := tr.StartSpan("plan_compile")
-			if err := guarded(func() error {
-				var cerr error
-				plan, canonical, cerr = deliver.Compile(doc, rt.fp.PlanConfig(), canonSerializeOpts)
-				return cerr
-			}); err != nil {
-				s.release()
-				s.writeErr(w, r, errf(http.StatusUnprocessableEntity, "compile plan: %v", err))
-				return
-			}
-			csp.End()
-			if planJSON, merr := plan.Marshal(); merr == nil {
-				s.reg.PutPlan(registry.PlanRecord{
-					Owner: ownerID, Digest: plan.Digest, Doc: r.URL.Query().Get("doc"),
-					CreatedUnix: time.Now().Unix(), Canonical: canonical, Plan: planJSON,
-				})
-			}
-			b, err = plan.Bind(canonical)
-			if err != nil {
-				s.release()
-				s.writeErr(w, r, errf(http.StatusInternalServerError, "bind plan: %v", err))
-				return
-			}
-			s.bound.Put(boundKey{ownerID, plan.Digest}, b, 0)
-			s.met.planCompiles.Inc()
-		}
-		s.release()
+		b, err = s.cachedBound(tr, ownerID, digest)
+	} else {
+		b, err = s.bodyBound(w, r, rt, ownerID)
+	}
+	if err != nil {
+		return err
 	}
 
 	plan := b.Plan()
-	payload := rt.fp.Payload(recipientID)
+	payload := rt.fp.Payload(rcpt.ID)
 	res, err := plan.Receipt(payload)
 	if err != nil {
-		s.writeErr(w, r, errf(http.StatusConflict, "plan does not fit this owner's configuration (recompile after a rotation): %v", err))
-		return
+		return errf(http.StatusConflict, "plan does not fit this owner's configuration (recompile after a rotation): %v", err)
 	}
 	ssp := tr.StartSpan("splice")
 	out, err := b.AppendCopy(nil, payload)
 	ssp.End()
 	if err != nil {
-		s.writeErr(w, r, errf(http.StatusInternalServerError, "splice: %v", err))
-		return
+		return errf(http.StatusInternalServerError, "splice: %v", err)
 	}
-
-	receiptID := deliverReceiptID(rt.owner, recipientID, plan.Digest)
-	if r.URL.Query().Get("register") != "0" {
-		rgsp := tr.StartSpan("registry")
-		err := s.registerDelivery(ownerID, receiptID, rcpt, r.URL.Query().Get("doc"), res)
-		rgsp.End()
-		if err != nil {
-			s.writeErr(w, r, err)
-			return
-		}
+	receiptID := deliverReceiptID(rt.owner, rcpt.ID, plan.Digest)
+	if err := s.registerDelivery(r, receiptID, rcpt, res); err != nil {
+		return err
 	}
 	s.met.delivers.Inc()
-	h := w.Header()
-	h.Set("Content-Type", "application/xml")
-	h.Set("X-Wmxml-Receipt", receiptID)
-	h.Set("X-Wmxml-Recipient", recipientID)
-	h.Set("X-Wmxml-Digest", plan.Digest)
-	h.Set("X-Wmxml-Carriers", fmt.Sprint(res.Carriers))
-	h.Set("X-Wmxml-Values-Written", fmt.Sprint(res.Embedded))
+	setDeliverHeaders(w.Header(), receiptID, rcpt.ID, plan.Digest, res)
 	w.WriteHeader(http.StatusOK)
 	w.Write(out)
+	return nil
+}
+
+// cachedBound is boundFor under a "cache" span, counted as a plan hit.
+func (s *Server) cachedBound(tr *obs.Trace, ownerID, digest string) (*deliver.Bound, error) {
+	csp := tr.StartSpan("cache")
+	b, err := s.boundFor(ownerID, digest)
+	if err != nil {
+		csp.EndNote("miss")
+		return nil, err
+	}
+	csp.EndNote("hit")
+	s.met.planHits.Inc()
+	return b, nil
+}
+
+// bodyBound canonicalizes a document body and returns its bound plan:
+// the stored plan when one matches the canonical digest, a fresh compile
+// (stored and cached) otherwise. The parse and compile hold a worker
+// slot.
+func (s *Server) bodyBound(w http.ResponseWriter, r *http.Request, rt *ownerRuntime, ownerID string) (*deliver.Bound, error) {
+	tr := obs.FromContext(r.Context())
+	body, err := s.admit(w, r)
+	if err != nil {
+		return nil, err
+	}
+	defer s.release()
+	doc, err := s.parseDoc(body, tr)
+	if err != nil {
+		return nil, err
+	}
+	var canon bytes.Buffer
+	if err := xmltree.Serialize(&canon, doc, canonSerializeOpts); err != nil {
+		return nil, errf(http.StatusUnprocessableEntity, "canonicalize: %v", err)
+	}
+	if b, err := s.boundFor(ownerID, deliver.DigestBytes(canon.Bytes())); err == nil {
+		s.met.planHits.Inc()
+		return b, nil
+	}
+	csp := tr.StartSpan("plan_compile")
+	plan, canonical, err := deliver.Compile(doc, rt.fp.PlanConfig(), canonSerializeOpts)
+	csp.End()
+	if err != nil {
+		return nil, errf(http.StatusUnprocessableEntity, "compile plan: %v", err)
+	}
+	// Storing the plan is best effort: this delivery splices from the
+	// bound plan either way, and a later one recompiles on a miss.
+	if planJSON, err := plan.Marshal(); err == nil {
+		_ = s.reg.PutPlan(registry.PlanRecord{
+			Owner: ownerID, Digest: plan.Digest, Doc: r.URL.Query().Get("doc"),
+			CreatedUnix: time.Now().Unix(), Canonical: canonical, Plan: planJSON,
+		})
+	}
+	b, err := plan.Bind(canonical)
+	if err != nil {
+		return nil, errf(http.StatusInternalServerError, "bind plan: %v", err)
+	}
+	s.bound.Put(boundKey{ownerID, plan.Digest}, b, 0)
+	s.met.planCompiles.Inc()
+	return b, nil
 }
 
 // handleDeliverStream splices a recipient copy in constant memory: the
 // body is the canonical document (any size up to MaxStreamBytes), the
 // response is the spliced copy, and the plan's digest check runs as the
-// stream drains. A digest mismatch aborts the response mid-body — the
-// status line is long gone — so streaming clients must discard output
-// on a short read.
-func (s *Server) handleDeliverStream(w http.ResponseWriter, r *http.Request, rt *ownerRuntime, ownerID, recipientID, digest string, rcpt registry.Recipient) {
+// stream drains. A digest mismatch fails the request after the status
+// line is long gone, so instrument() cuts the connection — streaming
+// clients must discard output on a short read.
+func (s *Server) handleDeliverStream(w http.ResponseWriter, r *http.Request, rt *ownerRuntime, digest string, rcpt registry.Recipient) error {
 	tr := obs.FromContext(r.Context())
 	if digest == "" {
-		s.writeErr(w, r, errf(http.StatusBadRequest, "mode=stream requires the digest query parameter (compile the plan first)"))
-		return
+		return errf(http.StatusBadRequest, "mode=stream requires the digest query parameter (compile the plan first)")
 	}
-	csp := tr.StartSpan("cache")
-	b, err := s.boundFor(ownerID, digest)
+	b, err := s.cachedBound(tr, rcpt.Owner, digest)
 	if err != nil {
-		csp.EndNote("miss")
-		s.writeErr(w, r, err)
-		return
+		return err
 	}
-	csp.EndNote("hit")
 	plan := b.Plan()
-	payload := rt.fp.Payload(recipientID)
+	payload := rt.fp.Payload(rcpt.ID)
 	res, err := plan.Receipt(payload)
 	if err != nil {
-		s.writeErr(w, r, errf(http.StatusConflict, "plan does not fit this owner's configuration (recompile after a rotation): %v", err))
-		return
+		return errf(http.StatusConflict, "plan does not fit this owner's configuration (recompile after a rotation): %v", err)
 	}
-	receiptID := deliverReceiptID(rt.owner, recipientID, digest)
-	if r.URL.Query().Get("register") != "0" {
-		rgsp := tr.StartSpan("registry")
-		err := s.registerDelivery(ownerID, receiptID, rcpt, r.URL.Query().Get("doc"), res)
-		rgsp.End()
-		if err != nil {
-			s.writeErr(w, r, err)
-			return
-		}
+	receiptID := deliverReceiptID(rt.owner, rcpt.ID, digest)
+	if err := s.registerDelivery(r, receiptID, rcpt, res); err != nil {
+		return err
 	}
-	s.met.planHits.Inc()
-	h := w.Header()
-	h.Set("Content-Type", "application/xml")
-	h.Set("X-Wmxml-Receipt", receiptID)
-	h.Set("X-Wmxml-Recipient", recipientID)
-	h.Set("X-Wmxml-Digest", digest)
-	h.Set("X-Wmxml-Carriers", fmt.Sprint(res.Carriers))
-	h.Set("X-Wmxml-Values-Written", fmt.Sprint(res.Embedded))
+	setDeliverHeaders(w.Header(), receiptID, rcpt.ID, digest, res)
 	// The response streams while the request body is still being read;
 	// HTTP/1.x servers close the request body on the first response
 	// write unless full-duplex is enabled (HTTP/2 allows it natively —
@@ -375,13 +311,23 @@ func (s *Server) handleDeliverStream(w http.ResponseWriter, r *http.Request, rt 
 	w.WriteHeader(http.StatusOK)
 	src := io.LimitReader(r.Body, s.opts.MaxStreamBytes)
 	ssp := tr.StartSpan("splice")
-	if err := plan.ApplyReader(w, src, payload); err != nil {
-		// Headers are sent; all we can do is cut the connection short so
-		// the client sees a truncated body, never a clean wrong copy.
-		panic(http.ErrAbortHandler)
-	}
+	err = plan.ApplyReader(w, src, payload)
 	ssp.End()
+	if err != nil {
+		return errf(http.StatusUnprocessableEntity, "splice stream: %v", err)
+	}
 	s.met.delivers.Inc()
+	return nil
+}
+
+// setDeliverHeaders sets the response headers of a delivered copy.
+func setDeliverHeaders(h http.Header, receiptID, recipient, digest string, res *core.EmbedResult) {
+	h.Set("Content-Type", "application/xml")
+	h.Set("X-Wmxml-Receipt", receiptID)
+	h.Set("X-Wmxml-Recipient", recipient)
+	h.Set("X-Wmxml-Digest", digest)
+	h.Set("X-Wmxml-Carriers", fmt.Sprint(res.Carriers))
+	h.Set("X-Wmxml-Values-Written", fmt.Sprint(res.Embedded))
 }
 
 // deliverReceiptID derives the delivery receipt id: bound to the owner
@@ -395,8 +341,14 @@ func deliverReceiptID(o registry.Owner, recipient, digest string) string {
 
 // registerDelivery records the recipient (a tracing candidate from this
 // moment on) and the delivery receipt with the plan-simulated query set
-// — the same Q a full fingerprint embed would have safeguarded.
-func (s *Server) registerDelivery(ownerID, receiptID string, rcpt registry.Recipient, label string, res *core.EmbedResult) error {
+// — the same Q a full fingerprint embed would have safeguarded — under
+// a "registry" span. ?register=0 skips it.
+func (s *Server) registerDelivery(r *http.Request, receiptID string, rcpt registry.Recipient, res *core.EmbedResult) error {
+	if r.URL.Query().Get("register") == "0" {
+		return nil
+	}
+	rgsp := obs.FromContext(r.Context()).StartSpan("registry")
+	defer rgsp.End()
 	if err := s.reg.PutRecipient(rcpt); err != nil {
 		return errf(http.StatusInternalServerError, "store recipient: %v", err)
 	}
@@ -406,7 +358,7 @@ func (s *Server) registerDelivery(ownerID, receiptID string, rcpt registry.Recip
 		return nil
 	}
 	rec := registry.Receipt{
-		ID: receiptID, Owner: ownerID, Doc: label, Recipient: rcpt.ID,
+		ID: receiptID, Owner: rcpt.Owner, Doc: r.URL.Query().Get("doc"), Recipient: rcpt.ID,
 		CreatedUnix:    time.Now().Unix(),
 		Records:        res.Records,
 		BandwidthUnits: res.Bandwidth.Units,

@@ -154,7 +154,6 @@ type metrics struct {
 	cacheHits      counter
 	cacheMiss      counter
 	cacheCoalesced counter // cold requests that waited on another's parse (singleflight)
-	cacheFill      counter // cache misses satisfied by the peer-fill hook
 	cacheEvict     counter
 	cacheSize      gauge
 	cacheBytes     gauge
@@ -356,7 +355,6 @@ func (m *metrics) render(w io.Writer) {
 		{"wmxmld_doc_cache_hits_total", "Suspect-document cache hits (reparse and index build skipped).", m.cacheHits.Value()},
 		{"wmxmld_doc_cache_misses_total", "Suspect-document cache misses.", m.cacheMiss.Value()},
 		{"wmxmld_doc_cache_coalesced_total", "Cold requests that shared another request's in-flight parse (singleflight).", m.cacheCoalesced.Value()},
-		{"wmxmld_doc_cache_peer_fills_total", "Cache misses satisfied by the peer-fill hook instead of a local parse.", m.cacheFill.Value()},
 		{"wmxmld_doc_cache_evictions_total", "Suspect-document cache evictions.", m.cacheEvict.Value()},
 		{"wmxmld_fleet_proxied_total", "Requests proxied to the owner's home node by consistent-hash routing.", m.fleetProxied.Value()},
 		{"wmxmld_plan_cache_hits_total", "Decode-plan cache hits (query compilation skipped).", m.decodePlanHits.Value()},

@@ -63,30 +63,22 @@ func (s *Server) ownerFromBody(r *http.Request) string {
 // routed wraps an owner-scoped handler with home-node routing. With no
 // fleet configured it is the identity — the single-node hot path gains
 // zero work.
-func (s *Server) routed(owner ownerExtractor, h http.HandlerFunc) http.HandlerFunc {
+func (s *Server) routed(owner ownerExtractor, h handler) handler {
 	if s.fleet == nil {
 		return h
 	}
-	return func(w http.ResponseWriter, r *http.Request) {
-		if r.Header.Get(fleetHopHeader) != "" {
-			w.Header().Set(fleetNodeHeader, s.opts.FleetSelf)
-			h(w, r)
-			return
+	return func(w http.ResponseWriter, r *http.Request) error {
+		if r.Header.Get(fleetHopHeader) == "" {
+			if id := owner(r); id != "" {
+				if node := s.fleet.Node(id); node != s.opts.FleetSelf {
+					s.met.fleetProxied.Inc()
+					s.proxies[node].ServeHTTP(w, r)
+					return nil
+				}
+			}
 		}
-		id := owner(r)
-		if id == "" {
-			w.Header().Set(fleetNodeHeader, s.opts.FleetSelf)
-			h(w, r)
-			return
-		}
-		node := s.fleet.Node(id)
-		if node == s.opts.FleetSelf {
-			w.Header().Set(fleetNodeHeader, s.opts.FleetSelf)
-			h(w, r)
-			return
-		}
-		s.met.fleetProxied.Inc()
-		s.proxies[node].ServeHTTP(w, r)
+		w.Header().Set(fleetNodeHeader, s.opts.FleetSelf)
+		return h(w, r)
 	}
 }
 

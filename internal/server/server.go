@@ -25,9 +25,11 @@
 //     run at once; excess requests wait up to QueueTimeout for a slot
 //     and are rejected with 503 afterwards. Request bodies are capped
 //     at MaxBodyBytes and parsed with the xmltree MaxDepth guard.
-//   - Execution runs through an internal/pipeline engine, so a request
-//     that panics inside tree or plug-in code turns into a 422 for that
-//     request, never a daemon crash.
+//   - Every endpoint returns its failure to one boundary, instrument(),
+//     which answers it: the {error, request_id} envelope while no
+//     response byte has gone out, a cut connection once output has
+//     started. A panic in tree or plug-in code is recovered there as a
+//     500 for that request, never a daemon crash.
 //   - Repeated detections of the same suspect body hit a
 //     content-hash-keyed LRU of parsed Document + DocumentIndex pairs,
 //     skipping the reparse and index build that dominate indexed
@@ -48,6 +50,7 @@ import (
 	"net/http"
 	"net/http/httputil"
 	"runtime"
+	"runtime/debug"
 	"slices"
 	"strings"
 	"sync"
@@ -63,7 +66,6 @@ import (
 	"wmxml/internal/identity"
 	"wmxml/internal/index"
 	"wmxml/internal/obs"
-	"wmxml/internal/pipeline"
 	"wmxml/internal/registry"
 	"wmxml/internal/schema"
 	"wmxml/internal/semantics"
@@ -164,12 +166,6 @@ type Options struct {
 	// FleetSelf is this node's own address as it appears in FleetNodes;
 	// required when FleetNodes has two or more entries.
 	FleetSelf string
-	// CacheFill, when non-nil, is consulted on a document-cache miss
-	// before parsing locally — a hook for fleet deployments to borrow a
-	// sibling node's parse. Returning ok=false falls through to the
-	// local parse. Runs inside the miss singleflight, so concurrent
-	// requests trigger it at most once per body.
-	CacheFill func(sum [sha256.Size]byte, body []byte) (*xmltree.Node, *index.Index, bool)
 }
 
 func (o Options) withDefaults() Options {
@@ -245,12 +241,10 @@ type Server struct {
 }
 
 // ownerRuntime is the compiled per-tenant state: the working objects an
-// owner's spec resolves to, plus the pipeline engine requests execute
-// through.
+// owner's spec resolves to.
 type ownerRuntime struct {
 	owner   registry.Owner
 	cfg     core.Config
-	eng     *pipeline.Engine
 	fp      *fingerprint.System
 	schema  *schema.Schema
 	catalog semantics.Catalog
@@ -396,11 +390,10 @@ func (s *Server) CacheStats() (hits, misses, evicts uint64, size int) {
 	return s.met.cacheHits.Value(), s.met.cacheMiss.Value(), s.met.cacheEvict.Value(), s.cache.Len()
 }
 
-// CacheFlightStats reports the miss-singleflight counters: how many
-// requests waited on another request's parse, and how many misses were
-// satisfied by the peer-fill hook.
-func (s *Server) CacheFlightStats() (coalesced, fills uint64) {
-	return s.met.cacheCoalesced.Value(), s.met.cacheFill.Value()
+// CacheFlightStats reports how many requests waited on another
+// request's parse (the miss singleflight).
+func (s *Server) CacheFlightStats() (coalesced uint64) {
+	return s.met.cacheCoalesced.Value()
 }
 
 // FleetStats reports how many requests this node proxied to their
@@ -440,21 +433,28 @@ func (s *Server) routes() {
 	}
 }
 
-// statusWriter captures the response code and body byte count for
-// instrumentation. bytes needs no synchronization: only the handler
-// goroutine writes the response.
+// handler is an endpoint. It answers the request itself, or returns the
+// error instrument() answers for it.
+type handler func(w http.ResponseWriter, r *http.Request) error
+
+// statusWriter captures the response code, whether the response has
+// started, and the body byte count for instrumentation. Its fields need
+// no synchronization: only the handler goroutine writes the response.
 type statusWriter struct {
 	http.ResponseWriter
 	code  int
+	wrote bool
 	bytes int64
 }
 
 func (w *statusWriter) WriteHeader(code int) {
 	w.code = code
+	w.wrote = true
 	w.ResponseWriter.WriteHeader(code)
 }
 
 func (w *statusWriter) Write(p []byte) (int, error) {
+	w.wrote = true
 	n, err := w.ResponseWriter.Write(p)
 	w.bytes += int64(n)
 	return n, err
@@ -470,8 +470,16 @@ func (w *statusWriter) Unwrap() http.ResponseWriter { return w.ResponseWriter }
 // its trace-id becomes the request id — and echoing one back with a
 // fresh span id), carried down through the request context so every
 // layer can attach stage spans, and on completion folded into the
-// route/stage/owner metrics, the trace ring and the access log.
-func (s *Server) instrument(route string, h http.HandlerFunc) http.HandlerFunc {
+// route/stage/owner metrics, the SLO windows, the trace ring and the
+// access log.
+//
+// It is also the one place a failed request is answered. A returned
+// error, or a panic recovered as a 500, becomes the {error, request_id}
+// envelope while no response byte has gone out. Once output has started
+// the status line is spoken for: the request is recorded under the
+// error's status and the connection is cut with http.ErrAbortHandler, so
+// the client sees a truncated response, never a clean wrong one.
+func (s *Server) instrument(route string, h handler) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		tr := obs.StartRequest(r.Header.Get("traceparent"), route)
 		if s.opts.TraceRing < 0 {
@@ -483,18 +491,26 @@ func (s *Server) instrument(route string, h http.HandlerFunc) http.HandlerFunc {
 		r = r.WithContext(obs.NewContext(r.Context(), tr))
 		sw := &statusWriter{ResponseWriter: w, code: http.StatusOK}
 		start := time.Now()
-		h(sw, r)
+		err := serve(h, sw, r)
+		if err != nil && !sw.wrote {
+			s.writeErr(sw, r, err)
+			err = nil
+		}
+		code := sw.code
+		if err != nil {
+			code = s.logErr(r, err)
+		}
 		d := time.Since(start)
-		snap := tr.Finish(sw.code, d)
-		s.met.finishRequest(snap, route, sw.code, d)
-		s.slo.record(snap.Owner, snap.Op, sw.code, d)
+		snap := tr.Finish(code, d)
+		s.met.finishRequest(snap, route, code, d)
+		s.slo.record(snap.Owner, snap.Op, code, d)
 		if s.opts.TraceRing >= 0 {
 			s.ring.Add(snap)
 		}
 		s.log.Info("request",
 			"request_id", snap.RequestID,
 			"route", route,
-			"status", sw.code,
+			"status", code,
 			"dur_ms", float64(d.Microseconds())/1000,
 			"owner", snap.Owner,
 			"op", snap.Op,
@@ -504,8 +520,36 @@ func (s *Server) instrument(route string, h http.HandlerFunc) http.HandlerFunc {
 			"verdict", snap.Verdict,
 			"cache_hit", snap.CacheHit,
 		)
+		if err != nil {
+			panic(http.ErrAbortHandler)
+		}
 	}
 }
+
+// serve runs h and turns a panic into its error: a *panicError, or
+// http.ErrAbortHandler itself when that is what was thrown (the fleet
+// proxy throws it when a peer fails mid-body).
+func serve(h handler, w http.ResponseWriter, r *http.Request) (err error) {
+	defer func() {
+		if v := recover(); v != nil {
+			if v == http.ErrAbortHandler {
+				err = http.ErrAbortHandler
+				return
+			}
+			err = &panicError{val: v, stack: debug.Stack()}
+		}
+	}()
+	return h(w, r)
+}
+
+// panicError is a recovered handler panic: a 500 whose value and stack
+// go to the error log.
+type panicError struct {
+	val   any
+	stack []byte
+}
+
+func (e *panicError) Error() string { return fmt.Sprintf("panic: %v", e.val) }
 
 // httpError is an error with an HTTP status.
 type httpError struct {
@@ -520,36 +564,48 @@ func errf(code int, format string, args ...any) *httpError {
 	return &httpError{code: code, err: fmt.Errorf(format, args...)}
 }
 
-// writeErr renders an error as the stable JSON envelope
-// {error, request_id} with the right status. The full error chain —
-// wrapped causes, file paths, internal identifiers — goes to the log
-// at full fidelity; the response body carries the top-level message
-// for client errors and only "internal error" for 5xx, plus the
-// request id so an operator can join a client report to the log line
-// and the trace.
-func (s *Server) writeErr(w http.ResponseWriter, r *http.Request, err error) {
+// logErr logs a failed request at full fidelity — the whole error
+// chain, wrapped causes, file paths, internal identifiers and a
+// recovered panic's stack — and returns its status: 413 for a body over
+// its cap, an httpError's own code, 500 for anything else.
+func (s *Server) logErr(r *http.Request, err error) int {
 	code := http.StatusInternalServerError
+	var mbe *http.MaxBytesError
 	var he *httpError
-	if errors.As(err, &he) {
+	switch {
+	case errors.As(err, &mbe):
+		code = http.StatusRequestEntityTooLarge
+	case errors.As(err, &he):
 		code = he.code
 	}
-	var mbe *http.MaxBytesError
-	if errors.As(err, &mbe) {
-		code = http.StatusRequestEntityTooLarge
-	}
 	tr := obs.FromContext(r.Context())
-	if code >= http.StatusInternalServerError {
-		s.log.Error("request failed", "request_id", tr.ID(), "route", tr.Route(), "status", code, "error", err.Error())
-	} else {
-		s.log.Warn("request rejected", "request_id", tr.ID(), "route", tr.Route(), "status", code, "error", err.Error())
+	args := []any{"request_id", tr.ID(), "route", tr.Route(), "status", code, "error", err.Error()}
+	var pe *panicError
+	if errors.As(err, &pe) {
+		args = append(args, "stack", string(pe.stack))
 	}
+	if code >= http.StatusInternalServerError {
+		s.log.Error("request failed", args...)
+	} else {
+		s.log.Warn("request rejected", args...)
+	}
+	return code
+}
+
+// writeErr logs an error and renders it as the stable JSON envelope
+// {error, request_id} with the right status. The body carries the
+// top-level message for client errors and only "internal error" for
+// 5xx, plus the request id so an operator can join a client report to
+// the log line and the trace.
+func (s *Server) writeErr(w http.ResponseWriter, r *http.Request, err error) {
+	code := s.logErr(r, err)
 	msg := err.Error()
 	if code >= http.StatusInternalServerError {
 		msg = "internal error"
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	json.NewEncoder(w).Encode(map[string]string{"error": msg, "request_id": tr.ID()})
+	json.NewEncoder(w).Encode(map[string]string{"error": msg, "request_id": obs.FromContext(r.Context()).ID()})
 }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {
@@ -617,10 +673,27 @@ func (s *Server) readBody(w http.ResponseWriter, r *http.Request) ([]byte, error
 	return body, nil
 }
 
-// parseDoc parses an XML body under the depth guard, through the byte
-// tokenizer (interned names, slab nodes) and its encoding/xml hand-off.
-func (s *Server) parseDoc(body []byte) (*xmltree.Node, error) {
+// admit reads the request body, then takes a worker slot for the work
+// on it: in that order, so a slow upload never holds a slot. On success
+// the caller must release the slot.
+func (s *Server) admit(w http.ResponseWriter, r *http.Request) ([]byte, error) {
+	body, err := s.readBody(w, r)
+	if err != nil {
+		return nil, err
+	}
+	if err := s.acquire(r); err != nil {
+		return nil, err
+	}
+	return body, nil
+}
+
+// parseDoc parses an XML body in a "parse" span, under the depth guard,
+// through the byte tokenizer (interned names, slab nodes) and its
+// encoding/xml hand-off.
+func (s *Server) parseDoc(body []byte, tr *obs.Trace) (*xmltree.Node, error) {
+	sp := tr.StartSpan("parse")
 	doc, err := xmltree.ParseBytes(body, xmltree.ParseOptions{MaxDepth: s.opts.MaxDepth})
+	sp.End()
 	if err != nil {
 		return nil, errf(http.StatusBadRequest, "parse document: %v", err)
 	}
@@ -784,7 +857,6 @@ func (s *Server) buildRuntime(o registry.Owner) (*ownerRuntime, error) {
 	return &ownerRuntime{
 		owner:   o,
 		cfg:     cfg,
-		eng:     pipeline.New(cfg, pipeline.Options{Workers: 1}),
 		fp:      fp,
 		schema:  sch,
 		catalog: cat,
@@ -807,23 +879,20 @@ type ownerResponse struct {
 // network peer could hijack the tenant with its own key and mark. The
 // runtime is built eagerly so a broken spec fails registration, not
 // the first embed.
-func (s *Server) handlePutOwner(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handlePutOwner(w http.ResponseWriter, r *http.Request) error {
 	body, err := s.readBody(w, r)
 	if err != nil {
-		s.writeErr(w, r, err)
-		return
+		return err
 	}
 	var o registry.Owner
 	if err := json.Unmarshal(body, &o); err != nil {
-		s.writeErr(w, r, errf(http.StatusBadRequest, "parse owner: %v", err))
-		return
+		return errf(http.StatusBadRequest, "parse owner: %v", err)
 	}
 	if o.CreatedUnix == 0 {
 		o.CreatedUnix = time.Now().Unix()
 	}
 	if err := o.Validate(); err != nil {
-		s.writeErr(w, r, errf(http.StatusBadRequest, "%v", err))
-		return
+		return errf(http.StatusBadRequest, "%v", err)
 	}
 	tr := obs.FromContext(r.Context())
 	tr.SetOp("register")
@@ -831,19 +900,12 @@ func (s *Server) handlePutOwner(w http.ResponseWriter, r *http.Request) {
 	// Cheap fast-fail before the spec compile: unauthenticated peers
 	// must not get to burn a buildRuntime against an existing id. The
 	// authoritative check is repeated under the lock below.
-	if existing, gerr := s.reg.GetOwner(o.ID); gerr == nil {
-		if err := s.authorize(r, existing); err != nil {
-			s.writeErr(w, r, errf(http.StatusUnauthorized, "owner %q exists; re-registration requires Authorization: Bearer <current key>", o.ID))
-			return
-		}
-	} else if !errors.Is(gerr, registry.ErrNotFound) {
-		s.writeErr(w, r, gerr)
-		return
+	if err := s.mayRegister(r, o.ID); err != nil {
+		return err
 	}
 	rt, err := s.buildRuntime(o)
 	if err != nil {
-		s.writeErr(w, r, err)
-		return
+		return err
 	}
 	// The exists-check and the Put must be one atomic step: two
 	// concurrent registrations of the same fresh id would otherwise
@@ -852,25 +914,9 @@ func (s *Server) handlePutOwner(w http.ResponseWriter, r *http.Request) {
 	// registration. s.mu serializes every registration in this process,
 	// and the registry file lock guarantees this process is the only
 	// writer.
-	s.mu.Lock()
-	if existing, gerr := s.reg.GetOwner(o.ID); gerr == nil {
-		if err := s.authorize(r, existing); err != nil {
-			s.mu.Unlock()
-			s.writeErr(w, r, errf(http.StatusUnauthorized, "owner %q exists; re-registration requires Authorization: Bearer <current key>", o.ID))
-			return
-		}
-	} else if !errors.Is(gerr, registry.ErrNotFound) {
-		s.mu.Unlock()
-		s.writeErr(w, r, gerr)
-		return
+	if err := s.putOwner(r, o, rt); err != nil {
+		return err
 	}
-	if err := s.reg.PutOwner(o); err != nil {
-		s.mu.Unlock()
-		s.writeErr(w, r, err)
-		return
-	}
-	s.runtimes[o.ID] = rt
-	s.mu.Unlock()
 	// Re-registration is how operators tune a tenant's SLO override;
 	// make the new objectives take effect on the next request.
 	s.slo.invalidate(o.ID)
@@ -879,6 +925,38 @@ func (s *Server) handlePutOwner(w http.ResponseWriter, r *http.Request) {
 		n = len(recs)
 	}
 	writeJSON(w, http.StatusOK, ownerResponse{ID: o.ID, Dataset: o.Dataset, Gamma: o.Gamma, Receipts: n})
+	return nil
+}
+
+// mayRegister checks that registering id is allowed: the id is new, or
+// the request proves the current key of the owner it replaces.
+func (s *Server) mayRegister(r *http.Request, id string) error {
+	existing, err := s.reg.GetOwner(id)
+	if errors.Is(err, registry.ErrNotFound) {
+		return nil
+	}
+	if err != nil {
+		return err
+	}
+	if s.authorize(r, existing) != nil {
+		return errf(http.StatusUnauthorized, "owner %q exists; re-registration requires Authorization: Bearer <current key>", id)
+	}
+	return nil
+}
+
+// putOwner stores o and its compiled runtime, repeating mayRegister's
+// check under s.mu so the check and the Put are one step.
+func (s *Server) putOwner(r *http.Request, o registry.Owner, rt *ownerRuntime) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if err := s.mayRegister(r, o.ID); err != nil {
+		return err
+	}
+	if err := s.reg.PutOwner(o); err != nil {
+		return err
+	}
+	s.runtimes[o.ID] = rt
+	return nil
 }
 
 // receiptMeta is the receipt listing entry; Records is elided unless
@@ -895,28 +973,14 @@ type receiptMeta struct {
 	Records        []core.QueryRecord `json:"records,omitempty"`
 }
 
-func (s *Server) handleListReceipts(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	o, err := s.reg.GetOwner(id)
+func (s *Server) handleListReceipts(w http.ResponseWriter, r *http.Request) error {
+	id, err := s.pathOwner(r)
 	if err != nil {
-		if errors.Is(err, registry.ErrNotFound) {
-			s.writeErr(w, r, errf(http.StatusNotFound, "unknown owner %q", id))
-			return
-		}
-		s.writeErr(w, r, err)
-		return
+		return err
 	}
-	// Receipts are the safeguarded query sets; even the metadata listing
-	// is for the key holder only.
-	if err := s.authorize(r, o); err != nil {
-		s.writeErr(w, r, err)
-		return
-	}
-	obs.FromContext(r.Context()).SetOwner(id)
 	recs, err := s.reg.ListReceipts(id)
 	if err != nil {
-		s.writeErr(w, r, err)
-		return
+		return err
 	}
 	full := r.URL.Query().Get("full") == "1"
 	out := make([]receiptMeta, len(recs))
@@ -931,41 +995,52 @@ func (s *Server) handleListReceipts(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	writeJSON(w, http.StatusOK, map[string]any{"owner": id, "receipts": out})
+	return nil
+}
+
+// pathOwner resolves the owner named by the {id} path segment and
+// checks the request's credential against it. Receipts are the
+// safeguarded query sets and recipients the tracing candidates; even
+// their metadata listings are for the key holder only.
+func (s *Server) pathOwner(r *http.Request) (string, error) {
+	id := r.PathValue("id")
+	o, err := s.reg.GetOwner(id)
+	if errors.Is(err, registry.ErrNotFound) {
+		return "", errf(http.StatusNotFound, "unknown owner %q", id)
+	}
+	if err != nil {
+		return "", err
+	}
+	if err := s.authorize(r, o); err != nil {
+		return "", err
+	}
+	obs.FromContext(r.Context()).SetOwner(id)
+	return id, nil
 }
 
 // handleEmbed watermarks the XML request body under the owner's key and
 // mark, stores the receipt, and returns the marked document. The
 // receipt id is derived from the owner and body hash, so retrying the
 // same embed is idempotent.
-func (s *Server) handleEmbed(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleEmbed(w http.ResponseWriter, r *http.Request) error {
 	tr := obs.FromContext(r.Context())
 	tr.SetOp("embed")
 	ownerID := r.URL.Query().Get("owner")
 	rt, err := s.runtimeFor(r, ownerID)
 	if err != nil {
-		s.writeErr(w, r, err)
-		return
+		return err
 	}
 	if r.URL.Query().Get("mode") == "stream" {
-		s.handleEmbedStream(w, r, rt, ownerID)
-		return
+		return s.handleEmbedStream(w, r, rt, ownerID)
 	}
-	body, err := s.readBody(w, r)
+	body, err := s.admit(w, r)
 	if err != nil {
-		s.writeErr(w, r, err)
-		return
-	}
-	if err := s.acquire(r); err != nil {
-		s.writeErr(w, r, err)
-		return
+		return err
 	}
 	defer s.release()
-	psp := tr.StartSpan("parse")
-	doc, err := s.parseDoc(body)
-	psp.End()
+	doc, err := s.parseDoc(body, tr)
 	if err != nil {
-		s.writeErr(w, r, err)
-		return
+		return err
 	}
 	// The receipt id binds the body to the owner configuration that
 	// marked it: retrying the identical embed dedupes (deterministic
@@ -978,52 +1053,59 @@ func (s *Server) handleEmbed(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(idh, "%s\x1f%s\x1f%s\x1f%d\x1f", rt.owner.ID, rt.owner.Key, rt.owner.Mark, rt.owner.Gamma)
 	idh.Write(body)
 	receiptID := "r-" + hex.EncodeToString(idh.Sum(nil))[:32]
-	label := r.URL.Query().Get("doc")
 
-	outs, err := rt.eng.EmbedAll(r.Context(), []pipeline.Job{{ID: receiptID, Doc: doc}})
+	isp := tr.StartSpan("index")
+	ix := index.New(doc)
+	isp.End()
+	esp := tr.StartSpan("embed")
+	res, err := core.EmbedIndexed(doc, rt.cfg, ix)
+	esp.End()
 	if err != nil {
-		s.writeErr(w, r, errf(499, "cancelled: %v", err))
-		return
-	}
-	out := outs[0]
-	if out.Err != nil {
-		s.writeErr(w, r, errf(http.StatusUnprocessableEntity, "embed: %v", out.Err))
-		return
-	}
-	rec := registry.Receipt{
-		ID: receiptID, Owner: ownerID, Doc: label,
-		CreatedUnix:    time.Now().Unix(),
-		Records:        out.Result.Records,
-		BandwidthUnits: out.Result.Bandwidth.Units,
-		Carriers:       out.Result.Carriers,
-		ValuesWritten:  out.Result.Embedded,
+		return errf(http.StatusUnprocessableEntity, "embed: %v", err)
 	}
 	rsp := tr.StartSpan("registry")
-	if err := s.reg.AddReceipt(rec); err != nil {
-		if !errors.Is(err, registry.ErrDuplicate) {
-			s.writeErr(w, r, errf(http.StatusInternalServerError, "store receipt: %v", err))
-			return
-		}
-		// Same id under this owner: an idempotent retry of the identical
-		// embed stores identical records. Anything else is an id
-		// collision between different documents — refuse rather than
-		// hand back a receipt whose queries target another document.
-		stored, gerr := s.reg.GetReceipt(ownerID, receiptID)
-		if gerr != nil || !slices.Equal(stored.Records, rec.Records) {
-			s.writeErr(w, r, errf(http.StatusInternalServerError, "receipt id collision on %q: stored records do not match this embedding", receiptID))
-			return
-		}
-	}
+	err = s.storeReceipt(registry.Receipt{
+		ID: receiptID, Owner: ownerID, Doc: r.URL.Query().Get("doc"),
+		CreatedUnix:    time.Now().Unix(),
+		Records:        res.Records,
+		BandwidthUnits: res.Bandwidth.Units,
+		Carriers:       res.Carriers,
+		ValuesWritten:  res.Embedded,
+	})
 	rsp.End()
+	if err != nil {
+		return err
+	}
 	s.met.embeds.Inc()
 	h := w.Header()
 	h.Set("Content-Type", "application/xml")
 	h.Set("X-Wmxml-Receipt", receiptID)
-	h.Set("X-Wmxml-Carriers", fmt.Sprint(out.Result.Carriers))
-	h.Set("X-Wmxml-Bandwidth-Units", fmt.Sprint(out.Result.Bandwidth.Units))
-	h.Set("X-Wmxml-Values-Written", fmt.Sprint(out.Result.Embedded))
+	h.Set("X-Wmxml-Carriers", fmt.Sprint(res.Carriers))
+	h.Set("X-Wmxml-Bandwidth-Units", fmt.Sprint(res.Bandwidth.Units))
+	h.Set("X-Wmxml-Values-Written", fmt.Sprint(res.Embedded))
 	w.WriteHeader(http.StatusOK)
 	xmltree.Serialize(w, doc, xmltree.SerializeOptions{Indent: "  "})
+	return nil
+}
+
+// storeReceipt appends a receipt to the registry. Its id is derived from
+// the body and the owner configuration, so a duplicate id with identical
+// records is an idempotent retry. Anything else is an id collision
+// between different documents, refused rather than answered with a
+// receipt whose queries target another document.
+func (s *Server) storeReceipt(rec registry.Receipt) error {
+	err := s.reg.AddReceipt(rec)
+	if err == nil {
+		return nil
+	}
+	if !errors.Is(err, registry.ErrDuplicate) {
+		return errf(http.StatusInternalServerError, "store receipt: %v", err)
+	}
+	stored, err := s.reg.GetReceipt(rec.Owner, rec.ID)
+	if err != nil || !slices.Equal(stored.Records, rec.Records) {
+		return errf(http.StatusInternalServerError, "receipt id collision on %q: stored records do not match this embedding", rec.ID)
+	}
+	return nil
 }
 
 // detectResponse is the JSON verdict of one detection pass.
@@ -1070,7 +1152,8 @@ func (s *Server) suspectDoc(body []byte, tr *obs.Trace) (cachedDoc, bool, error)
 	if s.opts.CacheEntries == 0 {
 		csp.EndNote("miss")
 		s.met.cacheMiss.Inc()
-		return s.fillDoc(sum, body, tr)
+		cd, err := s.fillDoc(sum, body, tr)
+		return cd, false, err
 	}
 	call, leader := s.cache.join(sum)
 	if !leader {
@@ -1094,34 +1177,26 @@ func (s *Server) suspectDoc(body []byte, tr *obs.Trace) (cachedDoc, bool, error)
 	}
 	csp.EndNote("miss")
 	s.met.cacheMiss.Inc()
-	cd, hit, err := s.fillDoc(sum, body, tr)
-	s.cache.complete(sum, call, cd, err)
-	return cd, hit, err
+	// Completing in a defer retires the flight even when the fill
+	// panics, so its waiters fail instead of blocking for good.
+	cd, err := cachedDoc{}, errors.New("document parse did not complete")
+	defer func() { s.cache.complete(sum, call, cd, err) }()
+	cd, err = s.fillDoc(sum, body, tr)
+	return cd, false, err
 }
 
-// fillDoc does the actual work of a cache miss: consult the peer-fill
-// hook if one is wired (a fleet node borrowing a sibling's parse),
-// otherwise parse and index locally, then populate the cache.
-func (s *Server) fillDoc(sum [sha256.Size]byte, body []byte, tr *obs.Trace) (cachedDoc, bool, error) {
-	if s.opts.CacheFill != nil {
-		if doc, ix, ok := s.opts.CacheFill(sum, body); ok && doc != nil && ix != nil {
-			s.met.cacheFill.Inc()
-			cd := cachedDoc{doc: doc, ix: ix}
-			s.cachePut(sum, cd, int64(len(body)))
-			return cd, false, nil
-		}
-	}
-	psp := tr.StartSpan("parse")
-	doc, err := s.parseDoc(body)
-	psp.End()
+// fillDoc does the actual work of a cache miss: parse and index the
+// body, then populate the cache.
+func (s *Server) fillDoc(sum [sha256.Size]byte, body []byte, tr *obs.Trace) (cachedDoc, error) {
+	doc, err := s.parseDoc(body, tr)
 	if err != nil {
-		return cachedDoc{}, false, err
+		return cachedDoc{}, err
 	}
 	isp := tr.StartSpan("index")
 	cd := cachedDoc{doc: doc, ix: index.New(doc)}
 	isp.End()
 	s.cachePut(sum, cd, int64(len(body)))
-	return cd, false, nil
+	return cd, nil
 }
 
 // cachePut inserts a parsed document and keeps the cache gauges honest.
@@ -1137,152 +1212,129 @@ func (s *Server) cachePut(sum [sha256.Size]byte, cd cachedDoc, weight int64) {
 // owner's registered receipts (no query set in the request). With
 // ?receipt=ID only that receipt is tried; with ?mode=blind the carriers
 // are re-derived from the document instead (original schema required).
-func (s *Server) handleDetect(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleDetect(w http.ResponseWriter, r *http.Request) error {
 	start := time.Now()
 	tr := obs.FromContext(r.Context())
 	tr.SetOp("detect")
 	ownerID := r.URL.Query().Get("owner")
 	rt, err := s.runtimeFor(r, ownerID)
 	if err != nil {
-		s.writeErr(w, r, err)
-		return
+		return err
 	}
 	switch r.URL.Query().Get("mode") {
 	case "stream":
-		s.handleDetectStream(w, r, rt, ownerID, false)
-		return
+		return s.handleDetectStream(w, r, rt, ownerID, false)
 	case "stream-blind":
-		s.handleDetectStream(w, r, rt, ownerID, true)
-		return
+		return s.handleDetectStream(w, r, rt, ownerID, true)
 	}
 	blind := r.URL.Query().Get("mode") == "blind"
-	wantReceipt := r.URL.Query().Get("receipt")
-	body, err := s.readBody(w, r)
+	body, err := s.admit(w, r)
 	if err != nil {
-		s.writeErr(w, r, err)
-		return
-	}
-	if err := s.acquire(r); err != nil {
-		s.writeErr(w, r, err)
-		return
+		return err
 	}
 	defer s.release()
 	cd, cacheHit, err := s.suspectDoc(body, tr)
 	if err != nil {
-		s.writeErr(w, r, err)
-		return
-	}
-
-	// Assemble the detection jobs: one per candidate receipt, or a
-	// single blind job.
-	var jobs []pipeline.DetectJob
-	var ids []string
-	if blind {
-		jobs = []pipeline.DetectJob{{Job: pipeline.Job{ID: "blind", Doc: cd.doc}, Index: cd.ix}}
-		ids = []string{""}
-	} else {
-		var recs []registry.Receipt
-		rsp := tr.StartSpan("registry")
-		if wantReceipt != "" {
-			rec, err := s.reg.GetReceipt(ownerID, wantReceipt)
-			if err != nil {
-				rsp.End()
-				s.writeErr(w, r, errf(http.StatusNotFound, "owner %q has no receipt %q", ownerID, wantReceipt))
-				return
-			}
-			recs = []registry.Receipt{rec}
-		} else {
-			recs, err = s.reg.ListReceipts(ownerID)
-			if err != nil {
-				rsp.End()
-				s.writeErr(w, r, err)
-				return
-			}
-			if len(recs) == 0 {
-				rsp.End()
-				s.writeErr(w, r, errf(http.StatusConflict, "owner %q has no receipts; embed first or use mode=blind", ownerID))
-				return
-			}
-		}
-		rsp.End()
-		// Newest first: the latest embedding is the likeliest source.
-		for i := len(recs) - 1; i >= 0; i-- {
-			jobs = append(jobs, pipeline.DetectJob{
-				Job:     pipeline.Job{ID: recs[i].ID, Doc: cd.doc},
-				Records: recs[i].Records,
-				Index:   cd.ix,
-			})
-			ids = append(ids, recs[i].ID)
-		}
+		return err
 	}
 
 	resp := detectResponse{Owner: ownerID, Mode: "receipts", CacheHit: cacheHit}
+	var best *core.DetectResult
 	if blind {
 		resp.Mode = "blind"
-	}
-	best := -1
-	var bestRes *core.DetectResult
-	var lastErr error
-	for i, job := range jobs {
-		// The sweep stops at the first detected verdict, so each
-		// receipt's decode plan is looked up only when it is tried. A
-		// nil plan (compile error) sends the job down the uncached
-		// path, which reports the compile error.
-		if !blind {
-			job.Plan = s.planFor(dplanKey{ownerID, ids[i], planDetect}, rt, rt.cfg, job.Records, tr)
-		}
-		outs, err := rt.eng.DetectAll(r.Context(), []pipeline.DetectJob{job})
+		resp.ReceiptsTried = 1
+		dsp := tr.StartSpan("decode")
+		best, err = core.DetectBlindIndexed(cd.doc, rt.cfg, cd.ix)
+		dsp.End()
 		if err != nil {
-			s.writeErr(w, r, errf(499, "cancelled: %v", err))
-			return
+			return errf(http.StatusUnprocessableEntity, "detect: %v", err)
 		}
-		resp.ReceiptsTried++
-		out := outs[0]
-		if out.Err != nil {
-			// A single unusable receipt must not fail the sweep; the
-			// error only surfaces if no receipt answers at all.
-			lastErr = out.Err
-			continue
+	} else {
+		rsp := tr.StartSpan("registry")
+		recs, err := s.detectReceipts(r, ownerID, "blind")
+		rsp.End()
+		if err != nil {
+			return err
 		}
-		// A detected verdict always wins: a wrong receipt can tie on
-		// match fraction (few queries hit, all agree) while failing the
-		// coverage floor, and a strict > comparison would let that stale
-		// non-detection shadow the true receipt.
-		if out.Result.Detected {
-			bestRes, best = out.Result, i
-			break
+		// Newest first: the latest embedding is the likeliest source. The
+		// sweep stops at the first detected verdict, so each receipt's
+		// decode plan is looked up only when it is tried.
+		var lastErr error
+		for i := len(recs) - 1; i >= 0; i-- {
+			if err := r.Context().Err(); err != nil {
+				return errf(499, "cancelled: %v", err)
+			}
+			resp.ReceiptsTried++
+			pl, err := s.planFor(dplanKey{ownerID, recs[i].ID, planDetect}, rt, rt.cfg, recs[i].Records, tr)
+			if err != nil {
+				// A single unusable receipt must not fail the sweep; the
+				// error only surfaces if no receipt answers at all.
+				lastErr = err
+				continue
+			}
+			res := pl.DetectTraced(cd.doc, cd.ix, tr)
+			// A detected verdict always wins: a wrong receipt can tie on
+			// match fraction (few queries hit, all agree) while failing the
+			// coverage floor, and a strict > comparison would let that stale
+			// non-detection shadow the true receipt.
+			if best == nil || res.Detected || res.MatchFraction > best.MatchFraction {
+				best, resp.Receipt = res, recs[i].ID
+			}
+			if res.Detected {
+				break
+			}
 		}
-		if bestRes == nil || out.Result.MatchFraction > bestRes.MatchFraction {
-			bestRes, best = out.Result, i
+		if best == nil {
+			return errf(http.StatusUnprocessableEntity, "detect: %v", lastErr)
 		}
 	}
-	if bestRes == nil {
-		if lastErr == nil {
-			lastErr = errors.New("no receipt was usable")
-		}
-		s.writeErr(w, r, errf(http.StatusUnprocessableEntity, "detect: %v", lastErr))
-		return
-	}
-	if bestRes.Detected {
+	if best.Detected {
 		tr.SetVerdict("detected")
 	} else {
 		tr.SetVerdict("clean")
 	}
-	resp.Receipt = ids[best]
-	resp.Detected = bestRes.Detected
-	resp.MatchFraction = bestRes.MatchFraction
-	resp.Coverage = bestRes.Coverage
-	resp.Sigma = bestRes.Sigma()
-	resp.FalsePositiveRate = bestRes.FalsePositiveRate()
-	resp.RecoveredText = bestRes.Recovered.Text()
-	resp.QueriesRun = bestRes.QueriesRun
-	resp.QueryMisses = bestRes.QueryMisses
+	s.verdict(&resp, best, start)
+	writeJSON(w, http.StatusOK, resp)
+	return nil
+}
+
+// verdict fills resp from a detection result, stamps the time since
+// start and counts the detection.
+func (s *Server) verdict(resp *detectResponse, res *core.DetectResult, start time.Time) {
+	resp.Detected = res.Detected
+	resp.MatchFraction = res.MatchFraction
+	resp.Coverage = res.Coverage
+	resp.Sigma = res.Sigma()
+	resp.FalsePositiveRate = res.FalsePositiveRate()
+	resp.RecoveredText = res.Recovered.Text()
+	resp.QueriesRun = res.QueriesRun
+	resp.QueryMisses = res.QueryMisses
 	resp.ElapsedMS = float64(time.Since(start).Microseconds()) / 1000
 	s.met.detects.Inc()
-	if resp.Detected {
+	if res.Detected {
 		s.met.detected.Inc()
 	}
-	writeJSON(w, http.StatusOK, resp)
+}
+
+// detectReceipts resolves the receipts a detection tries: the one named
+// by ?receipt=, or every receipt the owner holds, oldest first. An owner
+// without receipts is a 409 that points at blindMode.
+func (s *Server) detectReceipts(r *http.Request, ownerID, blindMode string) ([]registry.Receipt, error) {
+	if want := r.URL.Query().Get("receipt"); want != "" {
+		rec, err := s.reg.GetReceipt(ownerID, want)
+		if err != nil {
+			return nil, errf(http.StatusNotFound, "owner %q has no receipt %q", ownerID, want)
+		}
+		return []registry.Receipt{rec}, nil
+	}
+	recs, err := s.reg.ListReceipts(ownerID)
+	if err != nil {
+		return nil, err
+	}
+	if len(recs) == 0 {
+		return nil, errf(http.StatusConflict, "owner %q has no receipts; embed first or use mode=%s", ownerID, blindMode)
+	}
+	return recs, nil
 }
 
 // verifyResponse reports schema and semantic validation of a document
@@ -1307,29 +1359,22 @@ type constraintStatus struct {
 // handleVerify validates the XML body against the owner's schema and
 // verifies the declared keys and FDs — the paper's initialization step
 // as a service endpoint.
-func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) error {
 	tr := obs.FromContext(r.Context())
 	tr.SetOp("verify")
 	ownerID := r.URL.Query().Get("owner")
 	rt, err := s.runtimeFor(r, ownerID)
 	if err != nil {
-		s.writeErr(w, r, err)
-		return
+		return err
 	}
-	body, err := s.readBody(w, r)
+	body, err := s.admit(w, r)
 	if err != nil {
-		s.writeErr(w, r, err)
-		return
-	}
-	if err := s.acquire(r); err != nil {
-		s.writeErr(w, r, err)
-		return
+		return err
 	}
 	defer s.release()
 	cd, cacheHit, err := s.suspectDoc(body, tr)
 	if err != nil {
-		s.writeErr(w, r, err)
-		return
+		return err
 	}
 	resp := verifyResponse{Owner: ownerID, OK: true, CacheHit: cacheHit}
 	violations := rt.schema.Validate(cd.doc)
@@ -1346,8 +1391,7 @@ func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
 	}
 	keyReps, fdReps, err := rt.catalog.Verify(cd.doc)
 	if err != nil {
-		s.writeErr(w, r, errf(http.StatusUnprocessableEntity, "verify: %v", err))
-		return
+		return errf(http.StatusUnprocessableEntity, "verify: %v", err)
 	}
 	for _, kr := range keyReps {
 		st := constraintStatus{Constraint: fmt.Sprint(kr.Key), OK: kr.OK()}
@@ -1367,116 +1411,90 @@ func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
 	}
 	s.met.verifies.Inc()
 	writeJSON(w, http.StatusOK, resp)
-}
-
-// guarded runs fn converting panics in tree or plug-in code into a 422
-// for this request — fingerprint and trace run outside the pipeline
-// engine (their config varies per recipient), so they carry their own
-// isolation.
-func guarded(fn func() error) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = errf(http.StatusUnprocessableEntity, "panicked: %v", r)
-		}
-	}()
-	return fn()
+	return nil
 }
 
 // handleFingerprint watermarks the XML body with a recipient-specific
 // code under the owner's key, registers the recipient, stores a
 // recipient-tagged receipt and returns the recipient's copy — the
 // distribution counterpart of /v1/embed.
-func (s *Server) handleFingerprint(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleFingerprint(w http.ResponseWriter, r *http.Request) error {
 	tr := obs.FromContext(r.Context())
 	tr.SetOp("fingerprint")
 	ownerID := r.URL.Query().Get("owner")
 	rt, err := s.runtimeFor(r, ownerID)
 	if err != nil {
-		s.writeErr(w, r, err)
-		return
+		return err
 	}
-	recipientID := r.URL.Query().Get("recipient")
-	if recipientID == "" {
-		s.writeErr(w, r, errf(http.StatusBadRequest, "recipient query parameter is required"))
-		return
-	}
-	rcpt := registry.Recipient{ID: recipientID, Owner: ownerID, Note: r.URL.Query().Get("note"), CreatedUnix: time.Now().Unix()}
-	if err := rcpt.Validate(); err != nil {
-		s.writeErr(w, r, errf(http.StatusBadRequest, "%v", err))
-		return
-	}
-	body, err := s.readBody(w, r)
+	rcpt, err := recipientOf(r, ownerID)
 	if err != nil {
-		s.writeErr(w, r, err)
-		return
+		return err
 	}
-	if err := s.acquire(r); err != nil {
-		s.writeErr(w, r, err)
-		return
+	body, err := s.admit(w, r)
+	if err != nil {
+		return err
 	}
 	defer s.release()
-	psp := tr.StartSpan("parse")
-	doc, err := s.parseDoc(body)
-	psp.End()
+	doc, err := s.parseDoc(body, tr)
 	if err != nil {
-		s.writeErr(w, r, err)
-		return
+		return err
 	}
 	// Like embed's receipt id, but bound to the recipient too: retrying
 	// the same fingerprint dedupes, different recipients never collide.
 	idh := sha256.New()
-	fmt.Fprintf(idh, "fp\x1f%s\x1f%s\x1f%s\x1f%d\x1f%s\x1f", rt.owner.ID, rt.owner.Key, rt.owner.Mark, rt.owner.Gamma, recipientID)
+	fmt.Fprintf(idh, "fp\x1f%s\x1f%s\x1f%s\x1f%d\x1f%s\x1f", rt.owner.ID, rt.owner.Key, rt.owner.Mark, rt.owner.Gamma, rcpt.ID)
 	idh.Write(body)
 	receiptID := "f-" + hex.EncodeToString(idh.Sum(nil))[:32]
 
-	var res *core.EmbedResult
 	esp := tr.StartSpan("embed")
-	if err := guarded(func() error {
-		var eerr error
-		res, eerr = rt.fp.Embed(doc, recipientID)
-		return eerr
-	}); err != nil {
-		s.writeErr(w, r, errf(http.StatusUnprocessableEntity, "fingerprint: %v", err))
-		return
-	}
+	res, err := rt.fp.Embed(doc, rcpt.ID)
 	esp.End()
+	if err != nil {
+		return errf(http.StatusUnprocessableEntity, "fingerprint: %v", err)
+	}
 	// The recipient record makes the id a tracing candidate; the
 	// receipt binds this copy's query set to it. Registration is
 	// idempotent (first CreatedUnix wins).
 	rgsp := tr.StartSpan("registry")
 	if err := s.reg.PutRecipient(rcpt); err != nil {
-		s.writeErr(w, r, errf(http.StatusInternalServerError, "store recipient: %v", err))
-		return
+		return errf(http.StatusInternalServerError, "store recipient: %v", err)
 	}
-	rec := registry.Receipt{
-		ID: receiptID, Owner: ownerID, Doc: r.URL.Query().Get("doc"), Recipient: recipientID,
+	err = s.storeReceipt(registry.Receipt{
+		ID: receiptID, Owner: ownerID, Doc: r.URL.Query().Get("doc"), Recipient: rcpt.ID,
 		CreatedUnix:    time.Now().Unix(),
 		Records:        res.Records,
 		BandwidthUnits: res.Bandwidth.Units,
 		Carriers:       res.Carriers,
 		ValuesWritten:  res.Embedded,
-	}
-	if err := s.reg.AddReceipt(rec); err != nil {
-		if !errors.Is(err, registry.ErrDuplicate) {
-			s.writeErr(w, r, errf(http.StatusInternalServerError, "store receipt: %v", err))
-			return
-		}
-		stored, gerr := s.reg.GetReceipt(ownerID, receiptID)
-		if gerr != nil || !slices.Equal(stored.Records, rec.Records) {
-			s.writeErr(w, r, errf(http.StatusInternalServerError, "receipt id collision on %q: stored records do not match this fingerprint", receiptID))
-			return
-		}
-	}
+	})
 	rgsp.End()
+	if err != nil {
+		return err
+	}
 	s.met.fingerprints.Inc()
 	h := w.Header()
 	h.Set("Content-Type", "application/xml")
 	h.Set("X-Wmxml-Receipt", receiptID)
-	h.Set("X-Wmxml-Recipient", recipientID)
+	h.Set("X-Wmxml-Recipient", rcpt.ID)
 	h.Set("X-Wmxml-Carriers", fmt.Sprint(res.Carriers))
 	h.Set("X-Wmxml-Values-Written", fmt.Sprint(res.Embedded))
 	w.WriteHeader(http.StatusOK)
 	xmltree.Serialize(w, doc, xmltree.SerializeOptions{Indent: "  "})
+	return nil
+}
+
+// recipientOf reads the ?recipient= (and ?note=) of a fingerprint or
+// delivery request into the recipient record it registers.
+func recipientOf(r *http.Request, ownerID string) (registry.Recipient, error) {
+	q := r.URL.Query()
+	if q.Get("recipient") == "" {
+		return registry.Recipient{}, errf(http.StatusBadRequest, "recipient query parameter is required")
+	}
+	rcpt := registry.Recipient{ID: q.Get("recipient"), Owner: ownerID, Note: q.Get("note"), CreatedUnix: time.Now().Unix()}
+	if err := rcpt.Validate(); err != nil {
+		return registry.Recipient{}, errf(http.StatusBadRequest, "%v", err)
+	}
+	return rcpt, nil
 }
 
 // traceResponse is the JSON verdict of one trace sweep.
@@ -1502,37 +1520,29 @@ type traceResponse struct {
 // what keeps an N-recipient sweep near the cost of a single detection.
 // With ?receipt=ID the decode runs through that stored query set
 // instead of blind carrier re-derivation.
-func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) error {
 	start := time.Now()
 	tr := obs.FromContext(r.Context())
 	tr.SetOp("trace")
 	ownerID := r.URL.Query().Get("owner")
 	rt, err := s.runtimeFor(r, ownerID)
 	if err != nil {
-		s.writeErr(w, r, err)
-		return
+		return err
 	}
 	wantReceipt := r.URL.Query().Get("receipt")
-	body, err := s.readBody(w, r)
+	body, err := s.admit(w, r)
 	if err != nil {
-		s.writeErr(w, r, err)
-		return
-	}
-	if err := s.acquire(r); err != nil {
-		s.writeErr(w, r, err)
-		return
+		return err
 	}
 	defer s.release()
 	rsp := tr.StartSpan("registry")
 	recipients, err := s.reg.ListRecipients(ownerID)
 	rsp.End()
 	if err != nil {
-		s.writeErr(w, r, err)
-		return
+		return err
 	}
 	if len(recipients) == 0 {
-		s.writeErr(w, r, errf(http.StatusConflict, "owner %q has no recipients; fingerprint first", ownerID))
-		return
+		return errf(http.StatusConflict, "owner %q has no recipients; fingerprint first", ownerID)
 	}
 	candidates := make([]string, len(recipients))
 	for i, rc := range recipients {
@@ -1540,29 +1550,24 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	}
 	cd, cacheHit, err := s.suspectDoc(body, tr)
 	if err != nil {
-		s.writeErr(w, r, err)
-		return
+		return err
 	}
 	topts := fingerprint.TraceOptions{Index: cd.ix, Trace: tr}
 	mode := "blind"
 	if wantReceipt != "" {
-		rec, gerr := s.reg.GetReceipt(ownerID, wantReceipt)
-		if gerr != nil {
-			s.writeErr(w, r, errf(http.StatusNotFound, "owner %q has no receipt %q", ownerID, wantReceipt))
-			return
+		rec, err := s.reg.GetReceipt(ownerID, wantReceipt)
+		if err != nil {
+			return errf(http.StatusNotFound, "owner %q has no receipt %q", ownerID, wantReceipt)
 		}
-		topts.Records = rec.Records
-		topts.Plan = s.planFor(dplanKey{ownerID, wantReceipt, planTrace}, rt, rt.fp.PlanConfig(), rec.Records, tr)
+		topts.Plan, err = s.planFor(dplanKey{ownerID, wantReceipt, planTrace}, rt, rt.fp.PlanConfig(), rec.Records, tr)
+		if err != nil {
+			return errf(http.StatusUnprocessableEntity, "trace: %v", err)
+		}
 		mode = "receipt"
 	}
-	var res *fingerprint.TraceResult
-	if err := guarded(func() error {
-		var terr error
-		res, terr = rt.fp.Trace(cd.doc, candidates, topts)
-		return terr
-	}); err != nil {
-		s.writeErr(w, r, errf(http.StatusUnprocessableEntity, "trace: %v", err))
-		return
+	res, err := rt.fp.Trace(cd.doc, candidates, topts)
+	if err != nil {
+		return errf(http.StatusUnprocessableEntity, "trace: %v", err)
 	}
 	s.met.traces.Inc()
 	if len(res.Accused) > 0 {
@@ -1584,45 +1589,35 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 		CacheHit:    cacheHit,
 		ElapsedMS:   float64(time.Since(start).Microseconds()) / 1000,
 	})
+	return nil
 }
 
 // handleListRecipients lists the owner's registered recipients — the
 // candidate set /v1/trace sweeps. Key-holder only, like receipts.
-func (s *Server) handleListRecipients(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	o, err := s.reg.GetOwner(id)
+func (s *Server) handleListRecipients(w http.ResponseWriter, r *http.Request) error {
+	id, err := s.pathOwner(r)
 	if err != nil {
-		if errors.Is(err, registry.ErrNotFound) {
-			s.writeErr(w, r, errf(http.StatusNotFound, "unknown owner %q", id))
-			return
-		}
-		s.writeErr(w, r, err)
-		return
+		return err
 	}
-	if err := s.authorize(r, o); err != nil {
-		s.writeErr(w, r, err)
-		return
-	}
-	obs.FromContext(r.Context()).SetOwner(id)
 	rcs, err := s.reg.ListRecipients(id)
 	if err != nil {
-		s.writeErr(w, r, err)
-		return
+		return err
 	}
 	writeJSON(w, http.StatusOK, map[string]any{"owner": id, "recipients": rcs})
+	return nil
 }
 
-func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) error {
 	owners, err := s.reg.ListOwners()
 	if err != nil {
-		s.writeErr(w, r, errf(http.StatusServiceUnavailable, "registry: %v", err))
-		return
+		return errf(http.StatusServiceUnavailable, "registry: %v", err)
 	}
 	writeJSON(w, http.StatusOK, map[string]any{
 		"status":  "ok",
 		"version": s.opts.Version,
 		"owners":  len(owners),
 	})
+	return nil
 }
 
 // handleReadyz is the readiness probe — distinct from /healthz
@@ -1631,13 +1626,13 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 // probe is a single-key read against an id no tenant can register
 // (ids may not contain '/'), so a healthy store answers ErrNotFound
 // without scanning anything.
-func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) error {
 	if s.draining.Load() {
 		writeJSON(w, http.StatusServiceUnavailable, map[string]any{
 			"status": "draining",
 			"reason": "shutting down: not accepting new work",
 		})
-		return
+		return nil
 	}
 	if _, err := s.reg.GetOwner("_readyz/probe"); err != nil && !errors.Is(err, registry.ErrNotFound) {
 		// Detail goes to the log; the body stays generic — readyz sits on
@@ -1647,9 +1642,10 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 			"status": "unready",
 			"reason": "registry probe failed",
 		})
-		return
+		return nil
 	}
 	writeJSON(w, http.StatusOK, map[string]any{"status": "ready", "version": s.opts.Version})
+	return nil
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {

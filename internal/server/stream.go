@@ -18,7 +18,8 @@ package server
 //   - A failure after the first response byte cannot change the status
 //     code; it is reported in the X-Wmxml-Stream-Error trailer and the
 //     output is truncated (invalid XML — clients must treat a non-empty
-//     error trailer as a failed request).
+//     error trailer as a failed request). A panic cuts the connection
+//     instead.
 //   - Streamed detect runs one receipt (?receipt=ID, or the newest) or
 //     blind; sweeping every stored receipt would need one body pass per
 //     receipt. The verdict JSON gains streamed/chunks/suspect_sha256
@@ -29,14 +30,13 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"hash"
 	"io"
 	"net/http"
-	"slices"
 	"strings"
 	"time"
 
 	"wmxml/internal/core"
-	"wmxml/internal/pipeline"
 	"wmxml/internal/registry"
 	"wmxml/internal/stream"
 	"wmxml/internal/xmltree"
@@ -65,15 +65,55 @@ func (lw *latchWriter) Write(p []byte) (int, error) {
 	return lw.w.Write(p)
 }
 
-// streamHTTPErr maps a streaming failure to a status: parse problems in
+// capReader fails with *http.MaxBytesError past limit bytes. Unlike
+// http.MaxBytesReader it never touches the response, so the stream's
+// reader goroutine can hit the cap while the handler goroutine writes.
+type capReader struct {
+	r     io.Reader
+	n     int64 // bytes still allowed
+	limit int64
+	err   error
+}
+
+func (c *capReader) Read(p []byte) (int, error) {
+	if c.err != nil {
+		return 0, c.err
+	}
+	if int64(len(p)) > c.n+1 {
+		p = p[:c.n+1] // one byte past the cap answers whether it is exceeded
+	}
+	n, err := c.r.Read(p)
+	if int64(n) <= c.n {
+		c.n -= int64(n)
+		c.err = err
+		return n, err
+	}
+	n, c.n = int(c.n), 0
+	c.err = &http.MaxBytesError{Limit: c.limit}
+	return n, c.err
+}
+
+// streamBody is the request body of a streaming route: capped at
+// MaxStreamBytes and hashed into digest as it is read.
+func (s *Server) streamBody(r *http.Request, digest hash.Hash) io.Reader {
+	return io.TeeReader(&capReader{r: r.Body, n: s.opts.MaxStreamBytes, limit: s.opts.MaxStreamBytes}, digest)
+}
+
+// streamErr maps a streaming failure to a status: parse problems in
 // the request body are the client's (400), everything else is 422. The
-// cause stays in the chain, so a body over MaxStreamBytes still reaches
-// writeErr as *http.MaxBytesError (413); it is counted here, on both
-// stream routes, whether or not output has started.
-func (s *Server) streamHTTPErr(err error) *httpError {
+// cause stays in the chain, so a body over MaxStreamBytes still answers
+// 413; it is counted here, on both stream routes, whether or not output
+// has started. Over the cap the unread rest of the body must not reach
+// the next request on this connection: once the stream has returned
+// (and with it every stream goroutine), one read through
+// http.MaxBytesReader at limit 0, on the handler goroutine, has net/http
+// close the connection after the reply. Only that side effect matters,
+// so the read's result is dropped.
+func (s *Server) streamErr(w http.ResponseWriter, r *http.Request, err error) *httpError {
 	var mbe *http.MaxBytesError
 	if errors.As(err, &mbe) {
 		s.met.tooLarge.Inc()
+		_, _ = limitBody(w, r, 0).Read(make([]byte, 1))
 	}
 	if strings.Contains(err.Error(), "xmltree: parse") {
 		return errf(http.StatusBadRequest, "parse document: %w", err)
@@ -85,23 +125,20 @@ func (s *Server) streamHTTPErr(err error) *httpError {
 // chunk, streaming the marked document back while the input is still
 // arriving. The receipt id is derived from the spooled body digest and
 // returned in the X-Wmxml-Receipt trailer.
-func (s *Server) handleEmbedStream(w http.ResponseWriter, r *http.Request, rt *ownerRuntime, ownerID string) {
+func (s *Server) handleEmbedStream(w http.ResponseWriter, r *http.Request, rt *ownerRuntime, ownerID string) error {
 	// Refuse up front when this owner's document type cannot actually
 	// chunk: the library would fall back to the in-memory parse, which
 	// must never happen on a MaxStreamBytes-sized body — that is the
 	// OOM this endpoint exists to prevent.
 	reason, err := stream.EmbedFallbackReason(rt.cfg, s.streamOptions())
 	if err != nil {
-		s.writeErr(w, r, errf(http.StatusUnprocessableEntity, "stream: %v", err))
-		return
+		return errf(http.StatusUnprocessableEntity, "stream: %v", err)
 	}
 	if reason != "" {
-		s.writeErr(w, r, errf(http.StatusUnprocessableEntity, "owner %q cannot stream (%s); use the buffered endpoint", ownerID, reason))
-		return
+		return errf(http.StatusUnprocessableEntity, "owner %q cannot stream (%s); use the buffered endpoint", ownerID, reason)
 	}
 	if err := s.acquire(r); err != nil {
-		s.writeErr(w, r, err)
-		return
+		return err
 	}
 	defer s.release()
 
@@ -112,29 +149,21 @@ func (s *Server) handleEmbedStream(w http.ResponseWriter, r *http.Request, rt *o
 	_ = http.NewResponseController(w).EnableFullDuplex()
 
 	digest := sha256.New()
-	body := io.TeeReader(limitBody(w, r, s.opts.MaxStreamBytes), digest)
-
 	h := w.Header()
 	h.Set("Content-Type", "application/xml")
 	h.Set("Trailer", "X-Wmxml-Receipt, X-Wmxml-Carriers, X-Wmxml-Values-Written, X-Wmxml-Stream-Chunks, X-Wmxml-Stream-Error")
 	lw := &latchWriter{w: w}
 
-	out := rt.eng.EmbedReader(r.Context(), pipeline.StreamEmbedJob{
-		ID:      "stream-embed",
-		In:      body,
-		Out:     lw,
-		Options: s.streamOptions(),
-	})
-	if out.Err != nil {
-		herr := s.streamHTTPErr(out.Err)
+	res, err := stream.Embed(r.Context(), s.streamBody(r, digest), lw, rt.cfg, s.streamOptions())
+	if err != nil {
+		herr := s.streamErr(w, r, err)
 		if !lw.wrote {
-			s.writeErr(w, r, herr)
-			return
+			return herr
 		}
 		// Output already started: the status is spoken for. Truncate and
 		// report through the trailer.
-		h.Set("X-Wmxml-Stream-Error", out.Err.Error())
-		return
+		h.Set("X-Wmxml-Stream-Error", err.Error())
+		return nil
 	}
 
 	// The spooled digest binds the receipt to the exact bytes received,
@@ -143,38 +172,30 @@ func (s *Server) handleEmbedStream(w http.ResponseWriter, r *http.Request, rt *o
 	idh := sha256.New()
 	fmt.Fprintf(idh, "stream\x1f%s\x1f%s\x1f%s\x1f%d\x1f%x\x1f", rt.owner.ID, rt.owner.Key, rt.owner.Mark, rt.owner.Gamma, digest.Sum(nil))
 	receiptID := "s-" + hex.EncodeToString(idh.Sum(nil))[:32]
-	rec := registry.Receipt{
+	err = s.storeReceipt(registry.Receipt{
 		ID: receiptID, Owner: ownerID, Doc: r.URL.Query().Get("doc"),
 		CreatedUnix:    time.Now().Unix(),
-		Records:        out.Result.Records,
-		BandwidthUnits: out.Result.Bandwidth.Units,
-		Carriers:       out.Result.Carriers,
-		ValuesWritten:  out.Result.Embedded,
-	}
-	if err := s.reg.AddReceipt(rec); err != nil {
-		if !errors.Is(err, registry.ErrDuplicate) {
-			h.Set("X-Wmxml-Stream-Error", fmt.Sprintf("store receipt: %v", err))
-			return
-		}
-		stored, gerr := s.reg.GetReceipt(ownerID, receiptID)
-		if gerr != nil || !slices.Equal(stored.Records, rec.Records) {
-			h.Set("X-Wmxml-Stream-Error", fmt.Sprintf("receipt id collision on %q", receiptID))
-			return
-		}
+		Records:        res.Records,
+		BandwidthUnits: res.Bandwidth.Units,
+		Carriers:       res.Carriers,
+		ValuesWritten:  res.Embedded,
+	})
+	if err != nil {
+		h.Set("X-Wmxml-Stream-Error", err.Error())
+		return nil
 	}
 	s.met.streamEmbeds.Inc()
-	if out.Stream != nil {
-		s.met.streamChunks.Add(uint64(out.Stream.Chunks))
-		h.Set("X-Wmxml-Stream-Chunks", fmt.Sprint(out.Stream.Chunks))
-	}
+	s.met.streamChunks.Add(uint64(res.Stats.Chunks))
+	h.Set("X-Wmxml-Stream-Chunks", fmt.Sprint(res.Stats.Chunks))
 	h.Set("X-Wmxml-Receipt", receiptID)
-	h.Set("X-Wmxml-Carriers", fmt.Sprint(out.Result.Carriers))
-	h.Set("X-Wmxml-Values-Written", fmt.Sprint(out.Result.Embedded))
+	h.Set("X-Wmxml-Carriers", fmt.Sprint(res.Carriers))
+	h.Set("X-Wmxml-Values-Written", fmt.Sprint(res.Embedded))
 	if !lw.wrote {
 		// Legal empty-output case does not exist (a parsed document has a
 		// root), but never leave the status unwritten.
 		w.WriteHeader(http.StatusOK)
 	}
+	return nil
 }
 
 // streamDetectResponse is detectResponse plus the streaming fields.
@@ -189,95 +210,59 @@ type streamDetectResponse struct {
 // record chunks: blind (mode=stream-blind) or against one stored
 // receipt (?receipt=ID; defaults to the newest). The parsed-document
 // cache is bypassed — nothing is materialized to cache.
-func (s *Server) handleDetectStream(w http.ResponseWriter, r *http.Request, rt *ownerRuntime, ownerID string, blind bool) {
+func (s *Server) handleDetectStream(w http.ResponseWriter, r *http.Request, rt *ownerRuntime, ownerID string, blind bool) error {
 	start := time.Now()
 	if err := s.acquire(r); err != nil {
-		s.writeErr(w, r, err)
-		return
+		return err
 	}
 	defer s.release()
 
-	resp := streamDetectResponse{Streamed: true}
-	resp.Owner = ownerID
-	resp.Mode = "stream-blind"
+	resp := streamDetectResponse{detectResponse: detectResponse{Owner: ownerID, Mode: "stream-blind"}}
 
-	var records []registry.Receipt
+	var records []core.QueryRecord
 	if !blind {
 		resp.Mode = "stream"
-		wantReceipt := r.URL.Query().Get("receipt")
-		if wantReceipt != "" {
-			rec, err := s.reg.GetReceipt(ownerID, wantReceipt)
-			if err != nil {
-				s.writeErr(w, r, errf(http.StatusNotFound, "owner %q has no receipt %q", ownerID, wantReceipt))
-				return
-			}
-			records = []registry.Receipt{rec}
-		} else {
-			recs, err := s.reg.ListReceipts(ownerID)
-			if err != nil {
-				s.writeErr(w, r, err)
-				return
-			}
-			if len(recs) == 0 {
-				s.writeErr(w, r, errf(http.StatusConflict, "owner %q has no receipts; embed first or use mode=stream-blind", ownerID))
-				return
-			}
-			// One pass over the body allows one query set; the newest
-			// embedding is the likeliest source. Clients disputing older
-			// receipts pass ?receipt=ID explicitly.
-			records = []registry.Receipt{recs[len(recs)-1]}
+		recs, err := s.detectReceipts(r, ownerID, "stream-blind")
+		if err != nil {
+			return err
 		}
+		// One pass over the body allows one query set; the newest
+		// embedding is the likeliest source. Clients disputing older
+		// receipts pass ?receipt=ID explicitly.
+		newest := recs[len(recs)-1]
+		records, resp.Receipt, resp.ReceiptsTried = newest.Records, newest.ID, 1
 	}
 
 	// Same guard as streamed embed: never take the in-memory fallback
 	// on a stream-sized body.
-	var jobRecords []core.QueryRecord
-	if !blind {
-		jobRecords = records[0].Records
-	}
-	reason, err := stream.DetectFallbackReason(rt.cfg, jobRecords, nil, s.streamOptions())
+	reason, err := stream.DetectFallbackReason(rt.cfg, records, nil, s.streamOptions())
 	if err != nil {
-		s.writeErr(w, r, errf(http.StatusUnprocessableEntity, "stream: %v", err))
-		return
+		return errf(http.StatusUnprocessableEntity, "stream: %v", err)
 	}
 	if reason != "" {
-		s.writeErr(w, r, errf(http.StatusUnprocessableEntity, "owner %q cannot stream (%s); use the buffered endpoint", ownerID, reason))
-		return
+		return errf(http.StatusUnprocessableEntity, "owner %q cannot stream (%s); use the buffered endpoint", ownerID, reason)
 	}
 
 	digest := sha256.New()
-	body := io.TeeReader(limitBody(w, r, s.opts.MaxStreamBytes), digest)
-
-	job := pipeline.StreamDetectJob{ID: "stream-detect", In: body, Options: s.streamOptions()}
-	if !blind {
-		job.Records = jobRecords
-		resp.Receipt = records[0].ID
+	body := s.streamBody(r, digest)
+	var (
+		res   *core.DetectResult
+		stats stream.Stats
+	)
+	if blind {
+		res, stats, err = stream.DetectBlind(r.Context(), body, rt.cfg, s.streamOptions())
+	} else {
+		res, stats, err = stream.Detect(r.Context(), body, rt.cfg, records, nil, s.streamOptions())
 	}
-	out := rt.eng.DetectReader(r.Context(), job)
-	if out.Err != nil {
-		s.writeErr(w, r, s.streamHTTPErr(out.Err))
-		return
+	if err != nil {
+		return s.streamErr(w, r, err)
 	}
-	resp.ReceiptsTried = len(records)
-	resp.Detected = out.Result.Detected
-	resp.MatchFraction = out.Result.MatchFraction
-	resp.Coverage = out.Result.Coverage
-	resp.Sigma = out.Result.Sigma()
-	resp.FalsePositiveRate = out.Result.FalsePositiveRate()
-	resp.RecoveredText = out.Result.Recovered.Text()
-	resp.QueriesRun = out.Result.QueriesRun
-	resp.QueryMisses = out.Result.QueryMisses
 	resp.SuspectSHA256 = hex.EncodeToString(digest.Sum(nil))
-	if out.Stream != nil {
-		resp.Chunks = out.Stream.Chunks
-		resp.Streamed = out.Stream.Streamed
-		s.met.streamChunks.Add(uint64(out.Stream.Chunks))
-	}
-	resp.ElapsedMS = float64(time.Since(start).Microseconds()) / 1000
+	resp.Chunks = stats.Chunks
+	resp.Streamed = stats.Streamed
+	s.met.streamChunks.Add(uint64(stats.Chunks))
 	s.met.streamDetects.Inc()
-	s.met.detects.Inc()
-	if resp.Detected {
-		s.met.detected.Inc()
-	}
+	s.verdict(&resp.detectResponse, res, start)
 	writeJSON(w, http.StatusOK, resp)
+	return nil
 }

@@ -188,9 +188,10 @@ type chunk struct {
 // runChunked drives the scanner → worker → in-order collect pipeline
 // shared by streaming embed and decode. work is called concurrently on
 // chunkItems chunks; emit is called exactly once per chunk in document
-// order (including zero-work chunks). The first error — a parse
-// failure, a worker failure, an emit failure, or ctx cancellation —
-// stops everything; no goroutines outlive the call.
+// order (including zero-work chunks). A worker failure, an emit
+// failure or ctx cancellation stops everything; a parse or read failure
+// ends the scan, and the chunks scanned before it still run and are
+// emitted before it is returned. No goroutines outlive the call.
 func runChunked(parent context.Context, sp *xmltree.StreamParser, recordNames map[string]bool, opts Options,
 	work func(c *chunk) error, emit func(c *chunk) error) (*Stats, error) {
 
@@ -238,9 +239,10 @@ func runChunked(parent context.Context, sp *xmltree.StreamParser, recordNames ma
 			}
 			ev, err := sp.Next()
 			if err != nil {
+				// No cancel: what was scanned before the error is still
+				// emitted, so the output preceding it is deterministic.
 				if !errors.Is(err, io.EOF) {
 					scanErr = err
-					cancel()
 				}
 				_ = flush()
 				return
