@@ -1,4 +1,4 @@
-package pipeline
+package pipeline_test
 
 // Mid-batch cancellation coverage: workers drain their in-flight
 // documents, the partial outcome set is internally consistent, and no
@@ -12,7 +12,7 @@ import (
 	"testing"
 	"time"
 
-	"wmxml/internal/datagen"
+	"wmxml"
 )
 
 // goroutineBaseline snapshots the goroutine count and returns a
@@ -25,10 +25,7 @@ func goroutineBaseline(t *testing.T) func() {
 	return func() {
 		t.Helper()
 		deadline := time.Now().Add(2 * time.Second)
-		for {
-			if n := runtime.NumGoroutine(); n <= before {
-				return
-			}
+		for runtime.NumGoroutine() > before {
 			if time.Now().After(deadline) {
 				buf := make([]byte, 1<<20)
 				n := runtime.Stack(buf, true)
@@ -40,69 +37,68 @@ func goroutineBaseline(t *testing.T) func() {
 	}
 }
 
-// checkPartialEmbedOutcomes asserts the invariants every outcome set
-// must satisfy after a cancelled batch: one outcome per job, correct
-// identity, and exactly one of (receipt, error) per outcome, with
-// skipped documents carrying ErrSkipped and no receipt.
-func checkPartialEmbedOutcomes(t *testing.T, jobs []Job, outs []EmbedOutcome) (done, skipped int) {
-	t.Helper()
-	if len(outs) != len(jobs) {
-		t.Fatalf("outcomes = %d, want %d", len(outs), len(jobs))
-	}
-	for i, o := range outs {
-		if o.Index != i || o.ID != jobs[i].ID {
-			t.Errorf("outcome %d misattributed: ID=%s Index=%d", i, o.ID, o.Index)
-		}
-		switch {
-		case errors.Is(o.Err, ErrSkipped):
-			skipped++
-			if o.Result != nil {
-				t.Errorf("doc %s: skipped but has a result", o.ID)
-			}
-		case o.Err != nil:
-			t.Errorf("doc %s: unexpected error %v", o.ID, o.Err)
-		default:
-			done++
-			if o.Result == nil || len(o.Result.Records) == 0 {
-				t.Errorf("doc %s: success without receipt", o.ID)
-			}
-		}
-	}
-	return done, skipped
+// cancelAfter cancels a fresh context after d.
+func cancelAfter(d time.Duration) (context.Context, context.CancelFunc) {
+	ctx, cancel := context.WithCancel(context.Background())
+	go func() {
+		time.Sleep(d)
+		cancel()
+	}()
+	return ctx, cancel
 }
 
 // TestEmbedAllCancelMidBatch cancels a large batch shortly after it
 // starts: the call returns ctx.Err(), in-flight documents finish
-// cleanly, unfed documents report ErrSkipped, the summary classifies
-// every document, and the worker pool leaves no goroutines behind.
+// cleanly, unfed documents report ErrBatchSkipped, the summary
+// classifies every document, and the worker pool leaves no goroutines
+// behind.
 func TestEmbedAllCancelMidBatch(t *testing.T) {
 	leakCheck := goroutineBaseline(t)
 	// 256 documents of 200 records each take far longer than the cancel
 	// delay, so cancellation lands mid-batch with a wide margin.
-	jobs, cfg := corpus(t, 256, 200)
-	eng := New(cfg, Options{Workers: 2})
+	docs, opts := corpus(t, 256, 200)
+	pl := wmxml.NewPipeline(newSystem(t, opts), wmxml.PipelineOptions{Workers: 2})
 
-	ctx, cancel := context.WithCancel(context.Background())
-	go func() {
-		time.Sleep(5 * time.Millisecond)
-		cancel()
-	}()
-	outs, err := eng.EmbedAll(ctx, jobs)
+	ctx, cancel := cancelAfter(5 * time.Millisecond)
+	defer cancel()
+	outs, err := pl.EmbedBatch(ctx, docs)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	leakCheck()
 
-	done, skipped := checkPartialEmbedOutcomes(t, jobs, outs)
+	if len(outs) != len(docs) {
+		t.Fatalf("outcomes = %d, want %d", len(outs), len(docs))
+	}
+	var done, skipped int
+	for i, o := range outs {
+		if o.Index != i || o.ID != fmt.Sprintf("#%d", i) {
+			t.Errorf("outcome %d misattributed: ID=%s Index=%d", i, o.ID, o.Index)
+		}
+		switch {
+		case errors.Is(o.Err, wmxml.ErrBatchSkipped):
+			skipped++
+			if o.Receipt != nil {
+				t.Errorf("doc %s: skipped but has a receipt", o.ID)
+			}
+		case o.Err != nil:
+			t.Errorf("doc %s: unexpected error %v", o.ID, o.Err)
+		default:
+			done++
+			if o.Receipt == nil || len(o.Receipt.Records) == 0 {
+				t.Errorf("doc %s: success without receipt", o.ID)
+			}
+		}
+	}
 	if skipped == 0 {
 		t.Fatalf("cancellation skipped nothing (done=%d): batch completed before cancel", done)
 	}
-	t.Logf("cancelled mid-batch: %d done, %d skipped of %d", done, skipped, len(jobs))
+	t.Logf("cancelled mid-batch: %d done, %d skipped of %d", done, skipped, len(docs))
 
 	// The summary must classify every document, consistently with the
 	// outcome partition.
-	sum := SummarizeEmbed(outs)
-	if sum.Docs != len(jobs) || sum.Succeeded+sum.Failed+sum.Skipped != sum.Docs {
+	sum := wmxml.SummarizeEmbedBatch(outs)
+	if sum.Docs != len(docs) || sum.Succeeded+sum.Failed+sum.Skipped != sum.Docs {
 		t.Fatalf("summary inconsistent: %+v", sum)
 	}
 	if sum.Succeeded != done || sum.Skipped != skipped {
@@ -113,20 +109,13 @@ func TestEmbedAllCancelMidBatch(t *testing.T) {
 // TestDetectAllCancelMidBatch is the detection-side twin.
 func TestDetectAllCancelMidBatch(t *testing.T) {
 	leakCheck := goroutineBaseline(t)
-	jobs, cfg := corpus(t, 256, 200)
-	// Blind detection jobs (no stored queries): enumeration per doc is
-	// as heavy as embedding, so the cancel lands mid-batch.
-	djobs := make([]DetectJob, len(jobs))
-	for i, j := range jobs {
-		djobs[i] = DetectJob{Job: j}
-	}
-	eng := New(cfg, Options{Workers: 2})
-	ctx, cancel := context.WithCancel(context.Background())
-	go func() {
-		time.Sleep(5 * time.Millisecond)
-		cancel()
-	}()
-	outs, err := eng.DetectAll(ctx, djobs)
+	docs, opts := corpus(t, 256, 200)
+	pl := wmxml.NewPipeline(newSystem(t, opts), wmxml.PipelineOptions{Workers: 2})
+	// Blind detection (no stored queries): enumeration per doc is as
+	// heavy as embedding, so the cancel lands mid-batch.
+	ctx, cancel := cancelAfter(5 * time.Millisecond)
+	defer cancel()
+	outs, err := pl.DetectBatchBlind(ctx, docs)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -134,20 +123,20 @@ func TestDetectAllCancelMidBatch(t *testing.T) {
 
 	var done, skipped int
 	for i, o := range outs {
-		if o.Index != i || o.ID != djobs[i].ID {
+		if o.Index != i || o.ID != fmt.Sprintf("#%d", i) {
 			t.Errorf("outcome %d misattributed: ID=%s Index=%d", i, o.ID, o.Index)
 		}
 		switch {
-		case errors.Is(o.Err, ErrSkipped):
+		case errors.Is(o.Err, wmxml.ErrBatchSkipped):
 			skipped++
-			if o.Result != nil {
+			if o.Detection != nil {
 				t.Errorf("doc %s: skipped but has a result", o.ID)
 			}
 		case o.Err != nil:
 			t.Errorf("doc %s: unexpected error %v", o.ID, o.Err)
 		default:
 			done++
-			if o.Result == nil {
+			if o.Detection == nil {
 				t.Errorf("doc %s: success without result", o.ID)
 			}
 		}
@@ -155,8 +144,8 @@ func TestDetectAllCancelMidBatch(t *testing.T) {
 	if skipped == 0 {
 		t.Fatalf("cancellation skipped nothing (done=%d)", done)
 	}
-	sum := SummarizeDetect(outs)
-	if sum.Docs != len(djobs) || sum.Succeeded+sum.Failed+sum.Skipped != sum.Docs {
+	sum := wmxml.SummarizeDetectBatch(outs)
+	if sum.Docs != len(docs) || sum.Succeeded+sum.Failed+sum.Skipped != sum.Docs {
 		t.Fatalf("summary inconsistent: %+v", sum)
 	}
 	if sum.Succeeded != done || sum.Skipped != skipped {
@@ -164,55 +153,38 @@ func TestDetectAllCancelMidBatch(t *testing.T) {
 	}
 }
 
-// TestEmbedStreamCancelDrains cancels a stream fed from an endless
-// generator: the outcome channel must close promptly, consumed
-// outcomes must all be complete (a started document is never reported
-// half-done), and every pipeline goroutine must exit.
+// TestEmbedStreamCancelDrains cancels a stream drawn from an endless
+// source: the stream must end promptly, consumed outcomes must all be
+// complete (a started document is never reported half-done), and every
+// pipeline goroutine must exit.
 func TestEmbedStreamCancelDrains(t *testing.T) {
 	leakCheck := goroutineBaseline(t)
-	_, cfg := corpus(t, 1, 40)
-	eng := New(cfg, Options{Workers: 4})
+	_, opts := corpus(t, 1, 40)
+	pl := wmxml.NewPipeline(newSystem(t, opts), wmxml.PipelineOptions{Workers: 4})
 
 	ctx, cancel := context.WithCancel(context.Background())
-	in := make(chan Job)
-	feederDone := make(chan struct{})
-	go func() {
-		// Endless feed: only cancellation can stop the stream.
-		defer close(feederDone)
-		for i := 0; ; i++ {
-			ds := datagen.Publications(datagen.PubConfig{Books: 40, Seed: int64(i + 1)})
-			select {
-			case in <- Job{ID: fmt.Sprintf("doc-%03d", i), Doc: ds.Doc}:
-			case <-ctx.Done():
-				return
-			}
-		}
-	}()
-
-	out := eng.EmbedStream(ctx, in)
-	var got []EmbedOutcome
-	for o := range out {
+	defer cancel()
+	var got []wmxml.BatchEmbed
+	for o := range pl.EmbedSeq(ctx, endless(40)) {
 		got = append(got, o)
 		if len(got) == 5 {
 			cancel()
 		}
 	}
-	// The loop exiting proves the channel closed after cancel. Every
-	// outcome delivered before the cancel is a finished document; a job
-	// a worker picked up after the cancel may surface as ErrSkipped,
-	// but never half-done (result and skip error together).
+	// The loop exiting proves the stream ended after cancel. Every
+	// outcome delivered before the cancel is a finished document; one a
+	// worker picked up after the cancel may surface as ErrBatchSkipped,
+	// but never half-done (receipt and skip error together).
 	if len(got) < 5 {
-		t.Fatalf("stream closed after %d outcomes, before the cancel trigger", len(got))
+		t.Fatalf("stream ended after %d outcomes, before the cancel trigger", len(got))
 	}
 	for i, o := range got {
-		skippedOK := i >= 5 && errors.Is(o.Err, ErrSkipped) && o.Result == nil
-		completeOK := o.Err == nil && o.Result != nil
+		skippedOK := i >= 5 && errors.Is(o.Err, wmxml.ErrBatchSkipped) && o.Receipt == nil
+		completeOK := o.Err == nil && o.Receipt != nil
 		if !skippedOK && !completeOK {
-			t.Errorf("outcome %d (doc %s): err=%v result=%v — neither complete nor cleanly skipped",
-				i, o.ID, o.Err, o.Result != nil)
+			t.Errorf("outcome %d (doc %s): err=%v receipt=%v — neither complete nor cleanly skipped",
+				i, o.ID, o.Err, o.Receipt != nil)
 		}
 	}
-	<-feederDone
-	cancel()
 	leakCheck()
 }

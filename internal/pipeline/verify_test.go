@@ -1,40 +1,33 @@
-package pipeline
+package pipeline_test
 
 import (
 	"context"
 	"reflect"
 	"testing"
 
-	"wmxml/internal/core"
-	"wmxml/internal/datagen"
-	"wmxml/internal/identity"
-	"wmxml/internal/wmark"
-	"wmxml/internal/xmltree"
+	"wmxml"
 )
 
-func verifyCfg(ds *datagen.Dataset) core.Config {
-	return core.Config{
-		Key:      []byte("verify-key"),
-		Mark:     wmark.Random("verify-mark", 48),
+func verifySystem(t *testing.T, ds *wmxml.Dataset) *wmxml.System {
+	t.Helper()
+	return newSystem(t, wmxml.Options{
+		Key:      "verify-key",
+		MarkBits: wmxml.RandomMark("verify-mark", 48),
 		Gamma:    4,
 		Schema:   ds.Schema,
 		Catalog:  ds.Catalog,
-		Identity: identity.Options{Targets: ds.Targets},
-	}
+		Targets:  ds.Targets,
+	})
 }
 
 // The Verify option runs detection on the freshly embedded document,
 // reusing its index, and must match a standalone detection exactly.
 func TestEmbedVerify(t *testing.T) {
-	ds := datagen.Publications(datagen.PubConfig{Books: 120, Editors: 12, Publishers: 4, Seed: 31})
-	cfg := verifyCfg(ds)
-	docs := []*xmltree.Node{ds.Doc.Clone(), ds.Doc.Clone(), ds.Doc.Clone()}
-	jobs := make([]Job, len(docs))
-	for i, d := range docs {
-		jobs[i] = Job{ID: string(rune('a' + i)), Doc: d}
-	}
-	eng := New(cfg, Options{Workers: 2, Verify: true})
-	outs, err := eng.EmbedAll(context.Background(), jobs)
+	ds := wmxml.PublicationsDataset(120, 31)
+	sys := verifySystem(t, ds)
+	docs := []*wmxml.Document{ds.Doc.Clone(), ds.Doc.Clone(), ds.Doc.Clone()}
+	pl := wmxml.NewPipeline(sys, wmxml.PipelineOptions{Workers: 2, Verify: true})
+	outs, err := pl.EmbedBatch(context.Background(), docs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,23 +39,23 @@ func TestEmbedVerify(t *testing.T) {
 			t.Fatalf("outcome %q: no verify result", o.ID)
 		}
 		if !o.Verify.Detected || o.Verify.MatchFraction != 1.0 || o.Verify.QueryMisses != 0 {
-			t.Fatalf("outcome %q: verify = %+v", o.ID, o.Verify.Result)
+			t.Fatalf("outcome %q: verify = %+v", o.ID, *o.Verify)
 		}
-		standalone, err := core.DetectWithQueries(docs[o.Index], cfg, o.Result.Records, nil)
+		standalone, err := sys.Detect(docs[o.Index], o.Receipt.Records, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(o.Verify, standalone) {
-			t.Fatalf("outcome %q: verify %+v != standalone %+v", o.ID, o.Verify, standalone)
+			t.Fatalf("outcome %q: verify %+v != standalone %+v", o.ID, *o.Verify, *standalone)
 		}
 	}
 }
 
 // Without the option no verification runs.
 func TestEmbedVerifyOff(t *testing.T) {
-	ds := datagen.Publications(datagen.PubConfig{Books: 60, Seed: 32})
-	eng := New(verifyCfg(ds), Options{Workers: 1})
-	outs, err := eng.EmbedAll(context.Background(), []Job{{ID: "x", Doc: ds.Doc.Clone()}})
+	ds := wmxml.PublicationsDataset(60, 32)
+	pl := wmxml.NewPipeline(verifySystem(t, ds), wmxml.PipelineOptions{Workers: 1})
+	outs, err := pl.EmbedBatch(context.Background(), []*wmxml.Document{ds.Doc.Clone()})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -185,25 +185,65 @@ func TestEmbedMalformedChunkMidDocument(t *testing.T) {
 	leakCheck()
 }
 
+// TestDecodeReaderFailureMidDocument: a reader that fails or panics
+// halfway through the document must end embed, detect and blind decode
+// with an error naming the cause, not kill the process, and leave no
+// goroutine behind.
 func TestDecodeReaderFailureMidDocument(t *testing.T) {
-	leakCheck := goroutineBaseline(t)
 	src, cfg := testWorkload(t, 120)
+	res, err := Embed(context.Background(), bytes.NewReader(src), io.Discard, cfg, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	diskErr := errors.New("backing store went away")
-
-	r := io.MultiReader(bytes.NewReader(src[:len(src)/2]), &failReader{err: diskErr})
-	_, err := DecodeBlind(context.Background(), r, cfg, Options{ChunkSize: 8, Workers: 4})
-	if err == nil {
-		t.Fatal("decode over failing reader returned nil error")
+	opts := Options{ChunkSize: 8, Workers: 4}
+	ops := []struct {
+		name string
+		run  func(r io.Reader) error
+	}{
+		{"embed", func(r io.Reader) error {
+			_, err := Embed(context.Background(), r, io.Discard, cfg, opts)
+			return err
+		}},
+		{"detect", func(r io.Reader) error {
+			_, _, err := Detect(context.Background(), r, cfg, res.Records, nil, opts)
+			return err
+		}},
+		{"decode-blind", func(r io.Reader) error {
+			_, err := DecodeBlind(context.Background(), r, cfg, opts)
+			return err
+		}},
 	}
-	if !errors.Is(err, diskErr) {
-		t.Fatalf("underlying reader error not surfaced: %v", err)
+	tails := []struct {
+		name  string
+		r     io.Reader
+		cause func(error) bool
+	}{
+		{"failing", &failReader{err: diskErr}, func(err error) bool { return errors.Is(err, diskErr) }},
+		{"panicking", panicReader{}, func(err error) bool {
+			return err != nil && strings.Contains(err.Error(), "reader exploded")
+		}},
 	}
-	leakCheck()
+	for _, tail := range tails {
+		for _, op := range ops {
+			leakCheck := goroutineBaseline(t)
+			err := op.run(io.MultiReader(bytes.NewReader(src[:len(src)/2]), tail.r))
+			if !tail.cause(err) {
+				t.Errorf("%s over a %s reader: error %v does not name the cause", op.name, tail.name, err)
+			}
+			leakCheck()
+		}
+	}
 }
 
 type failReader struct{ err error }
 
 func (r *failReader) Read([]byte) (int, error) { return 0, r.err }
+
+// panicReader stands for a caller's reader with a bug in it.
+type panicReader struct{}
+
+func (panicReader) Read([]byte) (int, error) { panic("reader exploded") }
 
 // TestEmbedChunkWorkerError exercises the per-chunk embed failing (an
 // invalid config surfaces per chunk) without hanging the pipeline.

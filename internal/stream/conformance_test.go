@@ -4,7 +4,7 @@ package stream_test
 // (namespaces, mixed content, CDATA, deep nesting, empty records,
 // non-record preamble/trailer, quoting edge cases) with expected embed
 // digests and detect verdicts, asserted identically through the core
-// API, the streaming layer, the pipeline engine and the server
+// API, the streaming layer, wmxml.Pipeline and the server
 // loopback — one table-driven suite so the entry points can never
 // drift. (The CLI leg lives in cmd/wmxml/conformance_test.go and reads
 // this same corpus and golden file.)
@@ -27,10 +27,10 @@ import (
 	"path/filepath"
 	"testing"
 
+	"wmxml"
 	"wmxml/internal/config"
 	"wmxml/internal/core"
 	"wmxml/internal/identity"
-	"wmxml/internal/pipeline"
 	"wmxml/internal/registry"
 	"wmxml/internal/server"
 	"wmxml/internal/stream"
@@ -235,13 +235,20 @@ func TestConformanceCorpus(t *testing.T) {
 				t.Errorf("stream verdict drifted: %+v", sdet)
 			}
 
-			// --- pipeline engine (tree and reader jobs) ---
-			eng := pipeline.New(cfg, pipeline.Options{Workers: 2})
+			// --- wmxml.Pipeline (tree and reader jobs) ---
+			psys, err := wmxml.New(wmxml.Options{
+				Key: string(cfg.Key), MarkBits: cfg.Mark, Gamma: cfg.Gamma,
+				Schema: cfg.Schema, Catalog: cfg.Catalog, Targets: cfg.Identity.Targets,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			pl := wmxml.NewPipeline(psys, wmxml.PipelineOptions{Workers: 2})
 			pdoc, err := xmltree.Parse(bytes.NewReader(src), xmltree.ParseOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			pouts, err := eng.EmbedAll(context.Background(), []pipeline.Job{{ID: name, Doc: pdoc}})
+			pouts, err := pl.EmbedBatch(context.Background(), []*wmxml.Document{pdoc})
 			if err != nil || pouts[0].Err != nil {
 				t.Fatalf("pipeline embed: %v / %v", err, pouts[0].Err)
 			}
@@ -253,19 +260,19 @@ func TestConformanceCorpus(t *testing.T) {
 				t.Errorf("pipeline embed digest %s != golden %s", got[:12], want.EmbedSHA256[:12])
 			}
 			var prOut bytes.Buffer
-			pr := eng.EmbedReader(context.Background(), pipeline.StreamEmbedJob{ID: name, In: bytes.NewReader(src), Out: &prOut, Options: stream.Options{ChunkSize: 2}})
+			pr, _ := pl.EmbedReader(context.Background(), name, bytes.NewReader(src), &prOut, wmxml.StreamOptions{ChunkSize: 2})
 			if pr.Err != nil {
 				t.Fatalf("pipeline stream embed: %v", pr.Err)
 			}
 			if got := sha(prOut.Bytes()); got != want.EmbedSHA256 {
 				t.Errorf("pipeline reader-embed digest %s != golden %s", got[:12], want.EmbedSHA256[:12])
 			}
-			pd := eng.DetectReader(context.Background(), pipeline.StreamDetectJob{ID: name, In: bytes.NewReader(markedBytes), Records: records})
+			pd, _ := pl.DetectReader(context.Background(), name, bytes.NewReader(markedBytes), records, nil, wmxml.StreamOptions{})
 			if pd.Err != nil {
 				t.Fatalf("pipeline stream detect: %v", pd.Err)
 			}
-			if pd.Result.Detected != want.Detected || pd.Result.MatchFraction != want.MatchFraction {
-				t.Errorf("pipeline verdict drifted: %+v", pd.Result)
+			if pd.Detection.Detected != want.Detected || pd.Detection.MatchFraction != want.MatchFraction {
+				t.Errorf("pipeline verdict drifted: %+v", pd.Detection)
 			}
 
 			// --- server loopback: buffered and streamed embeds ---

@@ -208,11 +208,18 @@ func runChunked(parent context.Context, sp *xmltree.StreamParser, recordNames ma
 	var wg sync.WaitGroup
 
 	// Scanner: sequentially reads events, batches root children into
-	// chunks of ChunkSize records, forwards everything in order.
+	// chunks of ChunkSize records, forwards everything in order. A panic
+	// while reading (the caller's io.Reader) ends the scan like a parse
+	// error instead of killing the process.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
 		defer close(workCh)
+		defer func() {
+			if r := recover(); r != nil {
+				scanErr = fmt.Errorf("stream: input scan panicked: %v", r)
+			}
+		}()
 		next := 0
 		send := func(c *chunk) bool {
 			c.index = next

@@ -1,17 +1,20 @@
 package wmxml
 
 // Batch processing: embed and detect watermarks across corpora of
-// documents with a bounded worker pool. This is the public face of
-// internal/pipeline; see DESIGN.md ("Batch pipeline") and the
-// `wmxml batch` command.
+// documents with a bounded worker pool around the System calls. See
+// DESIGN.md ("Batch pipeline") and the `wmxml batch` command.
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"iter"
+	"runtime"
+	"sync"
 
-	"wmxml/internal/pipeline"
+	"wmxml/internal/core"
+	"wmxml/internal/index"
 )
 
 // PipelineOptions configures a Pipeline.
@@ -29,22 +32,26 @@ type PipelineOptions struct {
 // concurrently: per-document isolation (one bad document does not abort
 // the batch), input-order results for the Batch methods,
 // completion-order results for the Seq streams, and context
-// cancellation throughout. It is safe for concurrent use.
+// cancellation throughout. Each document's result is what the
+// corresponding System call gives it alone. It is safe for concurrent
+// use.
 type Pipeline struct {
-	sys *System
-	eng *pipeline.Engine
+	sys     *System
+	workers int
+	verify  bool
 }
 
 // NewPipeline builds a batch pipeline over a configured System.
 func NewPipeline(sys *System, opts PipelineOptions) *Pipeline {
-	return &Pipeline{
-		sys: sys,
-		eng: pipeline.New(sys.cfg, pipeline.Options{Workers: opts.Workers, Verify: opts.Verify}),
+	w := opts.Workers
+	if w <= 0 {
+		w = runtime.GOMAXPROCS(0)
 	}
+	return &Pipeline{sys: sys, workers: w, verify: opts.Verify}
 }
 
 // Workers reports the effective worker bound.
-func (p *Pipeline) Workers() int { return p.eng.Workers() }
+func (p *Pipeline) Workers() int { return p.workers }
 
 // BatchEmbed is the embedding outcome of one document in a batch.
 type BatchEmbed struct {
@@ -94,45 +101,39 @@ type DetectInput struct {
 
 // ErrBatchSkipped marks outcomes of documents that were never started
 // because the batch context was cancelled first.
-var ErrBatchSkipped = pipeline.ErrSkipped
+var ErrBatchSkipped = errors.New("pipeline: document skipped (batch cancelled)")
 
 // EmbedBatch embeds the watermark into every document in place and
 // returns one outcome per document, in input order. The returned error
 // is nil or ctx.Err(); per-document failures are in the outcomes.
 func (p *Pipeline) EmbedBatch(ctx context.Context, docs []*Document) ([]BatchEmbed, error) {
-	jobs := make([]pipeline.Job, len(docs))
-	for i, d := range docs {
-		jobs[i] = pipeline.Job{ID: fmt.Sprintf("#%d", i), Doc: d}
+	outs := make([]BatchEmbed, len(docs))
+	for i := range outs {
+		outs[i] = BatchEmbed{ID: fmt.Sprintf("#%d", i), Index: i, Err: ErrBatchSkipped}
 	}
-	outs, err := p.eng.EmbedAll(ctx, jobs)
-	res := make([]BatchEmbed, len(outs))
-	for i, o := range outs {
-		res[i] = toBatchEmbed(o)
-	}
-	return res, err
+	err := p.fanOut(ctx, len(docs), func(i int) {
+		outs[i] = p.embedOne(ctx, i, outs[i].ID, docs[i])
+	})
+	return outs, err
 }
 
 // DetectBatch runs detection on every input and returns one outcome per
 // input, in input order. The returned error is nil or ctx.Err().
 func (p *Pipeline) DetectBatch(ctx context.Context, inputs []DetectInput) ([]BatchDetection, error) {
-	jobs := make([]pipeline.DetectJob, len(inputs))
+	outs := make([]BatchDetection, len(inputs))
 	for i, in := range inputs {
 		id := in.ID
 		if id == "" {
 			id = fmt.Sprintf("#%d", i)
 		}
-		jobs[i] = pipeline.DetectJob{
-			Job:      pipeline.Job{ID: id, Doc: in.Doc},
-			Records:  in.Records,
-			Rewriter: in.Rewriter,
-		}
+		outs[i] = BatchDetection{ID: id, Index: i, Err: ErrBatchSkipped}
 	}
-	outs, err := p.eng.DetectAll(ctx, jobs)
-	res := make([]BatchDetection, len(outs))
-	for i, o := range outs {
-		res[i] = toBatchDetection(o)
-	}
-	return res, err
+	err := p.fanOut(ctx, len(inputs), func(i int) {
+		in := inputs[i]
+		in.ID = outs[i].ID
+		outs[i] = p.detectOne(ctx, i, in)
+	})
+	return outs, err
 }
 
 // DetectBatchBlind runs blind detection (no stored query sets) over a
@@ -150,56 +151,26 @@ func (p *Pipeline) DetectBatchBlind(ctx context.Context, docs []*Document) ([]Ba
 // stream stops early when ctx is cancelled or the consumer breaks out
 // of the range loop.
 func (p *Pipeline) EmbedSeq(ctx context.Context, src iter.Seq2[string, *Document]) iter.Seq[BatchEmbed] {
-	return func(yield func(BatchEmbed) bool) {
-		ctx, cancel := context.WithCancel(ctx)
-		defer cancel()
-		in := make(chan pipeline.Job)
-		go func() {
-			defer close(in)
-			for id, doc := range src {
-				select {
-				case in <- pipeline.Job{ID: id, Doc: doc}:
-				case <-ctx.Done():
-					return
-				}
-			}
-		}()
-		for o := range p.eng.EmbedStream(ctx, in) {
-			if !yield(toBatchEmbed(o)) {
+	type job struct {
+		id  string
+		doc *Document
+	}
+	jobs := func(yield func(job) bool) {
+		for id, doc := range src {
+			if !yield(job{id, doc}) {
 				return
 			}
 		}
 	}
+	return fanStream(ctx, p.workers, jobs, func(ctx context.Context, i int, j job) BatchEmbed {
+		return p.embedOne(ctx, i, j.id, j.doc)
+	})
 }
 
 // DetectSeq detects over a streaming corpus of inputs, yielding
 // outcomes in completion order.
 func (p *Pipeline) DetectSeq(ctx context.Context, src iter.Seq[DetectInput]) iter.Seq[BatchDetection] {
-	return func(yield func(BatchDetection) bool) {
-		ctx, cancel := context.WithCancel(ctx)
-		defer cancel()
-		in := make(chan pipeline.DetectJob)
-		go func() {
-			defer close(in)
-			for di := range src {
-				j := pipeline.DetectJob{
-					Job:      pipeline.Job{ID: di.ID, Doc: di.Doc},
-					Records:  di.Records,
-					Rewriter: di.Rewriter,
-				}
-				select {
-				case in <- j:
-				case <-ctx.Done():
-					return
-				}
-			}
-		}()
-		for o := range p.eng.DetectStream(ctx, in) {
-			if !yield(toBatchDetection(o)) {
-				return
-			}
-		}
-	}
+	return fanStream(ctx, p.workers, src, p.detectOne)
 }
 
 // EmbedReader embeds a single streamed document through the pipeline's
@@ -209,40 +180,244 @@ func (p *Pipeline) DetectSeq(ctx context.Context, src iter.Seq[DetectInput]) ite
 // to w incrementally, with peak memory bounded by chunk size instead
 // of document size.
 func (p *Pipeline) EmbedReader(ctx context.Context, id string, r io.Reader, w io.Writer, opts StreamOptions) (BatchEmbed, StreamStats) {
-	out := p.eng.EmbedReader(ctx, pipeline.StreamEmbedJob{ID: id, In: r, Out: w, Options: opts.internal()})
+	out := BatchEmbed{ID: id}
 	var stats StreamStats
-	if out.Stream != nil {
-		stats = *out.Stream
-	}
-	return toBatchEmbed(out), stats
+	out.Err = isolate(ctx, "stream embed", id, func() (err error) {
+		if r == nil || w == nil {
+			return fmt.Errorf("pipeline: stream %q needs a reader and a writer", id)
+		}
+		out.Receipt, stats, err = p.sys.EmbedStreamContext(ctx, r, w, opts)
+		return err
+	})
+	return out, stats
 }
 
 // DetectReader detects over a single streamed document (blind when
 // records is nil) with the same isolation and cancellation contract as
 // EmbedReader.
 func (p *Pipeline) DetectReader(ctx context.Context, id string, r io.Reader, records []QueryRecord, rw Rewriter, opts StreamOptions) (BatchDetection, StreamStats) {
-	out := p.eng.DetectReader(ctx, pipeline.StreamDetectJob{ID: id, In: r, Records: records, Rewriter: rw, Options: opts.internal()})
+	out := BatchDetection{ID: id}
 	var stats StreamStats
-	if out.Stream != nil {
-		stats = *out.Stream
+	out.Err = isolate(ctx, "stream detect", id, func() (err error) {
+		switch {
+		case r == nil:
+			return fmt.Errorf("pipeline: stream %q needs a reader", id)
+		case records == nil:
+			out.Detection, stats, err = p.sys.DetectBlindStreamContext(ctx, r, opts)
+		default:
+			out.Detection, stats, err = p.sys.DetectStreamContext(ctx, r, records, rw, opts)
+		}
+		return err
+	})
+	return out, stats
+}
+
+// embedOne embeds one document. Embed and the optional verify share one
+// index: embedding invalidates its value tables, so verification reads
+// the post-embed values through still-valid structure.
+func (p *Pipeline) embedOne(ctx context.Context, i int, id string, doc *Document) BatchEmbed {
+	out := BatchEmbed{ID: id, Index: i}
+	out.Err = isolate(ctx, "embed", id, func() error {
+		if doc == nil {
+			return fmt.Errorf("pipeline: document %q is nil", id)
+		}
+		var ix *index.Index
+		if !p.sys.cfg.DisableIndex {
+			ix = index.New(doc)
+		}
+		res, err := core.EmbedIndexed(doc, p.sys.cfg, ix)
+		if err != nil {
+			return err
+		}
+		if p.verify {
+			out.Verify, out.VerifyErr = p.sys.DetectIndexed(doc, res.Records, nil, ix)
+		}
+		out.Receipt = toReceipt(res)
+		return nil
+	})
+	return out
+}
+
+// detectOne detects over one input: blind when it has no records.
+func (p *Pipeline) detectOne(ctx context.Context, i int, in DetectInput) BatchDetection {
+	out := BatchDetection{ID: in.ID, Index: i}
+	out.Err = isolate(ctx, "detect", in.ID, func() (err error) {
+		switch {
+		case in.Doc == nil:
+			return fmt.Errorf("pipeline: document %q is nil", in.ID)
+		case in.Records == nil:
+			out.Detection, err = p.sys.DetectBlind(in.Doc)
+		default:
+			out.Detection, err = p.sys.Detect(in.Doc, in.Records, in.Rewriter)
+		}
+		return err
+	})
+	return out
+}
+
+// isolate runs one document's work. A cancelled ctx skips it with
+// ErrBatchSkipped, and a panic in tree or plug-in code becomes its
+// error, so a poisoned document cannot take down the batch. work sets
+// the outcome's result only after the call producing it returns, so a
+// panicking document keeps a nil result.
+func isolate(ctx context.Context, op, id string, work func() error) (err error) {
+	if ctx.Err() != nil {
+		return ErrBatchSkipped
 	}
-	return toBatchDetection(out), stats
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("pipeline: %s %q panicked: %v", op, id, r)
+		}
+	}()
+	return work()
+}
+
+// fanOut distributes indices [0, n) over the pipeline's worker pool,
+// stopping the feed when ctx is cancelled. In-flight documents finish;
+// unfed indices keep whatever the caller pre-filled (ErrBatchSkipped).
+func (p *Pipeline) fanOut(ctx context.Context, n int, fn func(i int)) error {
+	workers := p.workers
+	if workers > n {
+		workers = n
+	}
+	if workers <= 1 {
+		for i := 0; i < n; i++ {
+			if ctx.Err() != nil {
+				return ctx.Err()
+			}
+			fn(i)
+		}
+		return ctx.Err()
+	}
+	idx := make(chan int)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range idx {
+				fn(i)
+			}
+		}()
+	}
+feed:
+	for i := 0; i < n; i++ {
+		select {
+		case idx <- i:
+		case <-ctx.Done():
+			break feed
+		}
+	}
+	close(idx)
+	wg.Wait()
+	return ctx.Err()
+}
+
+// fanStream is the worker loop behind EmbedSeq and DetectSeq. The
+// consumer's goroutine ranges src, stamps each input with its position
+// in src and hands it to a free worker, yielding finished outcomes
+// while it waits for one; once src ends it yields the rest. The
+// sequence ends when src and the workers are done, ctx is cancelled or
+// the consumer stops ranging; the workers then exit without waiting to
+// deliver.
+func fanStream[J, O any](ctx context.Context, workers int, src iter.Seq[J], fn func(context.Context, int, J) O) iter.Seq[O] {
+	return func(yield func(O) bool) {
+		ctx, cancel := context.WithCancel(ctx)
+		defer cancel()
+		type numbered struct {
+			i int
+			j J
+		}
+		in := make(chan numbered)
+		out := make(chan O)
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for n := range in {
+					o := fn(ctx, n.i, n.j)
+					select {
+					case out <- o:
+					case <-ctx.Done():
+						return
+					}
+				}
+			}()
+		}
+		go func() {
+			wg.Wait()
+			close(out)
+		}()
+		feed := func() bool {
+			defer close(in)
+			i := 0
+			for j := range src {
+				for sent := false; !sent; {
+					select {
+					case in <- numbered{i, j}:
+						sent = true
+					case o, ok := <-out:
+						// out closes early only once ctx is done and
+						// every worker has quit.
+						if !ok || !yield(o) {
+							return false
+						}
+					case <-ctx.Done():
+						return false
+					}
+				}
+				i++
+			}
+			return true
+		}
+		if !feed() {
+			return
+		}
+		for o := range out {
+			if !yield(o) {
+				return
+			}
+		}
+	}
 }
 
 // BatchEmbedSummary aggregates a batch of embed outcomes.
-type BatchEmbedSummary = pipeline.EmbedSummary
+type BatchEmbedSummary struct {
+	// Docs is the batch size; Succeeded + Failed + Skipped == Docs.
+	Docs, Succeeded, Failed, Skipped int
+	// BandwidthUnits, Carriers and ValuesWritten sum the receipts of
+	// the successful documents.
+	BandwidthUnits, Carriers, ValuesWritten int
+}
 
 // BatchDetectSummary aggregates a batch of detect outcomes.
-type BatchDetectSummary = pipeline.DetectSummary
+type BatchDetectSummary struct {
+	// Docs is the batch size; Succeeded + Failed + Skipped == Docs.
+	Docs, Succeeded, Failed, Skipped int
+	// Detected counts successful documents whose watermark was found.
+	Detected int
+	// MeanMatch and MeanCoverage average over successful documents
+	// (0 when none succeeded).
+	MeanMatch, MeanCoverage float64
+}
 
 // SummarizeEmbedBatch folds outcomes into corpus-level statistics.
 func SummarizeEmbedBatch(outs []BatchEmbed) BatchEmbedSummary {
-	var s BatchEmbedSummary
+	s := BatchEmbedSummary{Docs: len(outs)}
 	for _, o := range outs {
-		if o.Receipt != nil {
-			s.Add(o.Err, o.Receipt.BandwidthUnits, o.Receipt.Carriers, o.Receipt.ValuesWritten)
-		} else {
-			s.Add(o.Err, 0, 0, 0)
+		switch {
+		case errors.Is(o.Err, ErrBatchSkipped):
+			s.Skipped++
+		case o.Err != nil:
+			s.Failed++
+		default:
+			s.Succeeded++
+			if r := o.Receipt; r != nil {
+				s.BandwidthUnits += r.BandwidthUnits
+				s.Carriers += r.Carriers
+				s.ValuesWritten += r.ValuesWritten
+			}
 		}
 	}
 	return s
@@ -250,38 +425,27 @@ func SummarizeEmbedBatch(outs []BatchEmbed) BatchEmbedSummary {
 
 // SummarizeDetectBatch folds outcomes into corpus-level statistics.
 func SummarizeDetectBatch(outs []BatchDetection) BatchDetectSummary {
-	var s BatchDetectSummary
+	s := BatchDetectSummary{Docs: len(outs)}
 	for _, o := range outs {
-		if o.Detection != nil {
-			s.Add(o.Err, o.Detection.Detected, o.Detection.MatchFraction, o.Detection.Coverage)
-		} else {
-			s.Add(o.Err, false, 0, 0)
+		switch {
+		case errors.Is(o.Err, ErrBatchSkipped):
+			s.Skipped++
+		case o.Err != nil:
+			s.Failed++
+		default:
+			s.Succeeded++
+			if d := o.Detection; d != nil {
+				if d.Detected {
+					s.Detected++
+				}
+				s.MeanMatch += d.MatchFraction
+				s.MeanCoverage += d.Coverage
+			}
 		}
 	}
-	s.Finalize()
+	if s.Succeeded > 0 {
+		s.MeanMatch /= float64(s.Succeeded)
+		s.MeanCoverage /= float64(s.Succeeded)
+	}
 	return s
-}
-
-func toBatchEmbed(o pipeline.EmbedOutcome) BatchEmbed {
-	out := BatchEmbed{ID: o.ID, Index: o.Index, Err: o.Err, VerifyErr: o.VerifyErr}
-	if o.Verify != nil {
-		out.Verify = toDetection(o.Verify)
-	}
-	if o.Result != nil {
-		out.Receipt = &EmbedReceipt{
-			Records:        o.Result.Records,
-			BandwidthUnits: o.Result.Bandwidth.Units,
-			Carriers:       o.Result.Carriers,
-			ValuesWritten:  o.Result.Embedded,
-		}
-	}
-	return out
-}
-
-func toBatchDetection(o pipeline.DetectOutcome) BatchDetection {
-	out := BatchDetection{ID: o.ID, Index: o.Index, Err: o.Err}
-	if o.Result != nil {
-		out.Detection = toDetection(o.Result)
-	}
-	return out
 }

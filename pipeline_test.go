@@ -100,6 +100,9 @@ func TestPipelineMatchesSystem(t *testing.T) {
 	}
 }
 
+// TestPipelineSeqStreaming: the Seq streams process every input once,
+// stamp each outcome with its input's position in the source, and stop
+// cleanly when the consumer breaks.
 func TestPipelineSeqStreaming(t *testing.T) {
 	docs, sys := pipelineFixture(t, 6)
 	pl := NewPipeline(sys, PipelineOptions{Workers: 3})
@@ -116,6 +119,9 @@ func TestPipelineSeqStreaming(t *testing.T) {
 		if o.Err != nil {
 			t.Fatalf("%s: %v", o.ID, o.Err)
 		}
+		if o.ID != fmt.Sprintf("stream-%d", o.Index) || records[o.ID] != nil {
+			t.Fatalf("outcome %s has index %d or came twice", o.ID, o.Index)
+		}
 		records[o.ID] = o.Receipt.Records
 	}
 	if len(records) != len(docs) {
@@ -130,18 +136,22 @@ func TestPipelineSeqStreaming(t *testing.T) {
 			}
 		}
 	}
-	n, detected := 0, 0
+	seen := make(map[int]bool)
+	detected := 0
 	for o := range pl.DetectSeq(context.Background(), iter.Seq[DetectInput](dsrc)) {
 		if o.Err != nil {
 			t.Fatalf("%s: %v", o.ID, o.Err)
 		}
-		n++
+		if o.ID != fmt.Sprintf("stream-%d", o.Index) || seen[o.Index] {
+			t.Fatalf("outcome %s has index %d or came twice", o.ID, o.Index)
+		}
+		seen[o.Index] = true
 		if o.Detection.Detected {
 			detected++
 		}
 	}
-	if n != len(docs) || detected != len(docs) {
-		t.Fatalf("stream detected %d/%d, want %d/%d", detected, n, len(docs), len(docs))
+	if len(seen) != len(docs) || detected != len(docs) {
+		t.Fatalf("stream detected %d/%d, want %d/%d", detected, len(seen), len(docs), len(docs))
 	}
 
 	// Early break from the consumer must terminate cleanly.

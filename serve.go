@@ -8,6 +8,7 @@ import (
 	"context"
 	"errors"
 	"io"
+	"net"
 	"net/http"
 	"net/http/pprof"
 	"os"
@@ -236,7 +237,8 @@ func NewServerHandler(opts ServerOptions) (http.Handler, error) {
 // listeners close and in-flight requests get up to 10 seconds to
 // finish. When DebugAddr is set a second listener serves pprof,
 // /debug/traces, /debug/slo and /debug/captures; it is torn down with
-// the service. The returned error is nil after a clean shutdown.
+// the service. An address that cannot be bound is returned at once;
+// otherwise the returned error is nil after a clean shutdown.
 func Serve(ctx context.Context, opts ServerOptions) error {
 	s, err := newServer(opts)
 	if err != nil {
@@ -247,17 +249,29 @@ func Serve(ctx context.Context, opts ServerOptions) error {
 	if addr == "" {
 		addr = ":8484"
 	}
+	// Bind both listeners before serving, so an address that cannot be
+	// bound is Serve's error rather than a listener that never came up.
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return err
+	}
+	var debugLn net.Listener
+	if opts.DebugAddr != "" {
+		if debugLn, err = net.Listen("tcp", opts.DebugAddr); err != nil {
+			ln.Close()
+			return err
+		}
+	}
 	// Request contexts deliberately do NOT derive from ctx: cancelling
 	// ctx triggers the graceful Shutdown below, which lets in-flight
 	// requests finish — deriving them would abort that same work
 	// mid-request.
 	srv := &http.Server{
-		Addr:              addr,
 		Handler:           s.Handler(),
 		ReadHeaderTimeout: 10 * time.Second,
 	}
 	var debugSrv *http.Server
-	if opts.DebugAddr != "" {
+	if debugLn != nil {
 		// The operator surface: pprof plus the request-trace ring. Never
 		// mounted on the service mux — see ServerOptions.DebugAddr.
 		dmux := http.NewServeMux()
@@ -271,14 +285,13 @@ func Serve(ctx context.Context, opts ServerOptions) error {
 		dmux.Handle("/debug/slo", debug)
 		dmux.Handle("/debug/captures", debug)
 		debugSrv = &http.Server{
-			Addr:              opts.DebugAddr,
 			Handler:           dmux,
 			ReadHeaderTimeout: 10 * time.Second,
 		}
-		go debugSrv.ListenAndServe()
+		go debugSrv.Serve(debugLn)
 	}
 	errc := make(chan error, 1)
-	go func() { errc <- srv.ListenAndServe() }()
+	go func() { errc <- srv.Serve(ln) }()
 	shutdownDebug := func() {
 		if debugSrv != nil {
 			shutCtx, cancel := context.WithTimeout(context.Background(), time.Second)

@@ -3,11 +3,13 @@ package wmxml
 import (
 	"bytes"
 	"context"
+	"errors"
 	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"syscall"
 	"testing"
 	"time"
 )
@@ -166,5 +168,29 @@ func TestServeGracefulShutdown(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("Serve did not exit after cancel")
+	}
+}
+
+// TestServeBindError: a service or debug address that is already taken
+// makes Serve return the bind error at once.
+func TestServeBindError(t *testing.T) {
+	busy, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer busy.Close()
+	taken := busy.Addr().String()
+	for _, opts := range []ServerOptions{
+		{Addr: taken},
+		{Addr: "127.0.0.1:0", DebugAddr: taken},
+	} {
+		opts.HealthInterval = -1
+		opts.LogWriter = io.Discard
+		ctx, cancel := context.WithTimeout(context.Background(), 3*time.Second)
+		err := Serve(ctx, opts)
+		cancel()
+		if !errors.Is(err, syscall.EADDRINUSE) {
+			t.Errorf("Serve(Addr %q, DebugAddr %q) = %v, want a bind error", opts.Addr, opts.DebugAddr, err)
+		}
 	}
 }

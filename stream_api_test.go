@@ -8,6 +8,8 @@ package wmxml
 import (
 	"bytes"
 	"context"
+	"errors"
+	"io"
 	"strings"
 	"testing"
 )
@@ -110,4 +112,37 @@ func TestPipelineReaderJobs(t *testing.T) {
 	if bad.Err == nil {
 		t.Fatal("malformed stream job succeeded")
 	}
+
+	// A reader that panics halfway through is the outcome's error.
+	half := io.MultiReader(bytes.NewReader(src[:len(src)/2]), panicReader{})
+	exploded, _ := p.EmbedReader(context.Background(), "exploded", half, io.Discard, StreamOptions{ChunkSize: 16})
+	if exploded.Err == nil || exploded.Receipt != nil {
+		t.Fatalf("panicking reader: err=%v receipt=%v", exploded.Err, exploded.Receipt != nil)
+	}
+
+	// A missing reader or writer is the outcome's error.
+	if o, _ := p.EmbedReader(context.Background(), "no-reader", nil, io.Discard, StreamOptions{}); o.Err == nil {
+		t.Error("EmbedReader with a nil reader succeeded")
+	}
+	if o, _ := p.EmbedReader(context.Background(), "no-writer", bytes.NewReader(src), nil, StreamOptions{}); o.Err == nil {
+		t.Error("EmbedReader with a nil writer succeeded")
+	}
+	if o, _ := p.DetectReader(context.Background(), "no-reader", nil, nil, nil, StreamOptions{}); o.Err == nil {
+		t.Error("DetectReader with a nil reader succeeded")
+	}
+
+	// A cancelled context skips the job without reading its input.
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if o, _ := p.EmbedReader(ctx, "skipped", panicReader{}, io.Discard, StreamOptions{}); !errors.Is(o.Err, ErrBatchSkipped) {
+		t.Errorf("cancelled EmbedReader: err = %v, want ErrBatchSkipped", o.Err)
+	}
+	if o, _ := p.DetectReader(ctx, "skipped", panicReader{}, out.Receipt.Records, nil, StreamOptions{}); !errors.Is(o.Err, ErrBatchSkipped) {
+		t.Errorf("cancelled DetectReader: err = %v, want ErrBatchSkipped", o.Err)
+	}
 }
+
+// panicReader stands for a caller's reader with a bug in it.
+type panicReader struct{}
+
+func (panicReader) Read([]byte) (int, error) { panic("reader exploded") }

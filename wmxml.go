@@ -253,18 +253,22 @@ type EmbedReceipt struct {
 	ValuesWritten int
 }
 
+func toReceipt(res *core.EmbedResult) *EmbedReceipt {
+	return &EmbedReceipt{
+		Records:        res.Records,
+		BandwidthUnits: res.Bandwidth.Units,
+		Carriers:       res.Carriers,
+		ValuesWritten:  res.Embedded,
+	}
+}
+
 // Embed inserts the watermark into doc in place and returns the receipt.
 func (s *System) Embed(doc *Document) (*EmbedReceipt, error) {
 	res, err := core.Embed(doc, s.cfg)
 	if err != nil {
 		return nil, err
 	}
-	return &EmbedReceipt{
-		Records:        res.Records,
-		BandwidthUnits: res.Bandwidth.Units,
-		Carriers:       res.Carriers,
-		ValuesWritten:  res.Embedded,
-	}, nil
+	return toReceipt(res), nil
 }
 
 // Detection is the outcome of a detection pass.
@@ -585,6 +589,22 @@ type FingerprintOptions struct {
 	Concurrency int
 }
 
+func (o FingerprintOptions) internal() fingerprint.Options {
+	return fingerprint.Options{
+		Key:         []byte(o.Key),
+		Schema:      o.Schema,
+		Catalog:     o.Catalog,
+		Targets:     o.Targets,
+		Gamma:       o.Gamma,
+		Xi:          o.Xi,
+		Segments:    o.Segments,
+		SegmentBits: o.SegmentBits,
+		Replicas:    o.Replicas,
+		Alpha:       o.Alpha,
+		Concurrency: o.Concurrency,
+	}
+}
+
 // Fingerprinter derives per-recipient codes, produces recipient copies
 // and traces leaked documents back to recipients. Safe for concurrent
 // use.
@@ -594,19 +614,7 @@ type Fingerprinter struct {
 
 // NewFingerprinter builds a Fingerprinter.
 func NewFingerprinter(opts FingerprintOptions) (*Fingerprinter, error) {
-	fp, err := fingerprint.New(fingerprint.Options{
-		Key:         []byte(opts.Key),
-		Schema:      opts.Schema,
-		Catalog:     opts.Catalog,
-		Targets:     opts.Targets,
-		Gamma:       opts.Gamma,
-		Xi:          opts.Xi,
-		Segments:    opts.Segments,
-		SegmentBits: opts.SegmentBits,
-		Replicas:    opts.Replicas,
-		Alpha:       opts.Alpha,
-		Concurrency: opts.Concurrency,
-	})
+	fp, err := fingerprint.New(opts.internal())
 	if err != nil {
 		return nil, err
 	}
@@ -627,12 +635,7 @@ func (f *Fingerprinter) Fingerprint(doc *Document, recipient string) (*EmbedRece
 	if err != nil {
 		return nil, err
 	}
-	return &EmbedReceipt{
-		Records:        res.Records,
-		BandwidthUnits: res.Bandwidth.Units,
-		Carriers:       res.Carriers,
-		ValuesWritten:  res.Embedded,
-	}, nil
+	return toReceipt(res), nil
 }
 
 // Trace decodes the suspect document once and ranks every candidate
@@ -686,19 +689,7 @@ type Deliverer struct {
 // Fingerprinter; copies spliced from its plans are byte-identical to
 // the Fingerprinter's full Fingerprint + SerializeXML output.
 func NewDeliverer(opts FingerprintOptions) (*Deliverer, error) {
-	fp, err := fingerprint.New(fingerprint.Options{
-		Key:         []byte(opts.Key),
-		Schema:      opts.Schema,
-		Catalog:     opts.Catalog,
-		Targets:     opts.Targets,
-		Gamma:       opts.Gamma,
-		Xi:          opts.Xi,
-		Segments:    opts.Segments,
-		SegmentBits: opts.SegmentBits,
-		Replicas:    opts.Replicas,
-		Alpha:       opts.Alpha,
-		Concurrency: opts.Concurrency,
-	})
+	fp, err := fingerprint.New(opts.internal())
 	if err != nil {
 		return nil, err
 	}
@@ -733,12 +724,7 @@ func (d *Deliverer) Deliver(plan *DeliveryPlan, original []byte, recipient strin
 	if err != nil {
 		return nil, nil, err
 	}
-	return out, &EmbedReceipt{
-		Records:        res.Records,
-		BandwidthUnits: res.Bandwidth.Units,
-		Carriers:       res.Carriers,
-		ValuesWritten:  res.Embedded,
-	}, nil
+	return out, toReceipt(res), nil
 }
 
 // BoundPlan is a delivery plan already verified against its canonical
@@ -820,12 +806,7 @@ func (s *System) EmbedStreamContext(ctx context.Context, r io.Reader, w io.Write
 	if err != nil {
 		return nil, StreamStats{}, err
 	}
-	return &EmbedReceipt{
-		Records:        res.Records,
-		BandwidthUnits: res.Bandwidth.Units,
-		Carriers:       res.Carriers,
-		ValuesWritten:  res.Embedded,
-	}, res.Stats, nil
+	return toReceipt(res.EmbedResult), res.Stats, nil
 }
 
 // DetectStream reads a suspect XML document from r and runs detection
