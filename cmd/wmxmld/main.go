@@ -11,8 +11,8 @@
 //	       [--compact-on-start] [--insecure-no-auth] [--pprof-addr ADDR]
 //	       [--log-level info] [--log-format json] [--trace-ring 32]
 //	       [--slo-detect-p99 250ms] [--slo-error-ratio 0.01]
-//	       [--health-interval 10s] [--watchdog-interval 10s]
-//	       [--capture-dir DIR] [--capture-max 8] [--capture-cooldown 5m]
+//	       [--watchdog-interval 10s] [--capture-dir DIR]
+//	       [--capture-max 8] [--capture-cooldown 5m]
 //	       [--capture-cpu 5s] [--drain-delay 0s]
 //	       [--registry-backend file|sharded|remote|memory]
 //	       [--registry-shards 8] [--registry-url URL]
@@ -60,13 +60,12 @@
 // (per-owner SLO burn rates) and GET /debug/captures (the anomaly
 // capture-bundle ring).
 //
-// Self-monitoring: a runtime health collector samples runtime/metrics
-// every --health-interval into the wmxmld_go_* series; per-owner SLO
-// objectives (--slo-detect-p99, --slo-error-ratio, overridable per
-// tenant via the registration record's "slo" field) are evaluated over
-// rolling 5m/1h windows into wmxmld_slo_burn_rate and
-// wmxmld_slo_budget_remaining; and with --capture-dir set, an anomaly
-// watchdog writes capture bundles — pprof heap/goroutine/CPU profiles,
+// Self-monitoring: every /metrics scrape reads runtime/metrics into
+// the wmxmld_go_* series; per-owner SLO objectives (--slo-detect-p99,
+// --slo-error-ratio, overridable per tenant via the registration
+// record's "slo" field) are evaluated over rolling 5m/1h windows into
+// wmxmld_slo_burn_rate and wmxmld_slo_budget_remaining; and with
+// --capture-dir set, an anomaly watchdog writes capture bundles — pprof heap/goroutine/CPU profiles,
 // the slowest traces, metrics and SLO snapshots, the firing rule — to
 // a bounded disk ring whenever an objective burns hot in both windows
 // or the runtime crosses a memory/goroutine threshold.
@@ -128,7 +127,6 @@ func main() {
 	traceRing := fs.Int("trace-ring", 0, "request traces retained for /debug/traces (0 = 32, -1 = tracing off)")
 	sloDetectP99 := fs.Duration("slo-detect-p99", 0, "default detect latency objective at p99 (0 = 250ms, negative = off; per-owner override via the registration record)")
 	sloErrorRatio := fs.Float64("slo-error-ratio", 0, "default tolerated 5xx fraction (0 = 0.01, negative = off)")
-	healthInterval := fs.Duration("health-interval", 0, "runtime health sampling period for the wmxmld_go_* series (0 = 10s, negative = off)")
 	watchdogInterval := fs.Duration("watchdog-interval", 0, "anomaly rule evaluation period (0 = 10s)")
 	captureDir := fs.String("capture-dir", "", "write anomaly capture bundles into this directory's bounded ring (empty = watchdog off)")
 	captureMax := fs.Int("capture-max", 0, "capture bundles kept before the oldest is evicted (0 = 8)")
@@ -253,7 +251,6 @@ func main() {
 		DebugAddr:            *pprofAddr,
 		SLODetectP99:         *sloDetectP99,
 		SLOErrorRatio:        *sloErrorRatio,
-		HealthInterval:       *healthInterval,
 		WatchdogInterval:     *watchdogInterval,
 		CaptureDir:           *captureDir,
 		CaptureMax:           *captureMax,

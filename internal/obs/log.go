@@ -6,17 +6,14 @@ import (
 	"io"
 	"log/slog"
 	"strings"
-	"sync/atomic"
 )
 
 // Logger is the service's structured logger: a leveled slog front-end
-// with an atomically adjustable level and JSON or text output. A nil
-// *Logger discards everything — the library default, so packages log
-// unconditionally and pay nothing outside the daemon.
+// with JSON or text output. A nil *Logger discards everything — the
+// library default, so packages log unconditionally and pay nothing
+// outside the daemon.
 type Logger struct {
-	s    *slog.Logger
-	lvl  *slog.LevelVar
-	drop atomic.Uint64 // records suppressed below the level (observability of the logger itself)
+	s *slog.Logger
 }
 
 // LogOptions configures NewLogger.
@@ -48,9 +45,9 @@ func ParseLevel(s string) (slog.Level, error) {
 // daemon must not die over a typo'd log flag (the flag parser reports
 // it separately).
 func NewLogger(w io.Writer, opts LogOptions) *Logger {
-	lvl := new(slog.LevelVar)
-	if l, err := ParseLevel(opts.Level); err == nil {
-		lvl.Set(l)
+	lvl, err := ParseLevel(opts.Level)
+	if err != nil {
+		lvl = slog.LevelInfo
 	}
 	hopts := &slog.HandlerOptions{Level: lvl}
 	var h slog.Handler
@@ -59,50 +56,11 @@ func NewLogger(w io.Writer, opts LogOptions) *Logger {
 	} else {
 		h = slog.NewJSONHandler(w, hopts)
 	}
-	return &Logger{s: slog.New(h), lvl: lvl}
-}
-
-// SetLevel atomically adjusts the minimum level.
-func (l *Logger) SetLevel(level string) error {
-	if l == nil {
-		return nil
-	}
-	v, err := ParseLevel(level)
-	if err != nil {
-		return err
-	}
-	l.lvl.Set(v)
-	return nil
-}
-
-// Enabled reports whether records at lv currently pass the level gate.
-func (l *Logger) Enabled(lv slog.Level) bool {
-	return l != nil && lv >= l.lvl.Level()
-}
-
-// With returns a logger that adds the given key/value pairs to every
-// record (per-request fields: request id, owner, route).
-func (l *Logger) With(args ...any) *Logger {
-	if l == nil {
-		return nil
-	}
-	return &Logger{s: l.s.With(args...), lvl: l.lvl}
-}
-
-// Dropped reports how many records the level gate suppressed.
-func (l *Logger) Dropped() uint64 {
-	if l == nil {
-		return 0
-	}
-	return l.drop.Load()
+	return &Logger{s: slog.New(h)}
 }
 
 func (l *Logger) log(lv slog.Level, msg string, args ...any) {
 	if l == nil {
-		return
-	}
-	if lv < l.lvl.Level() {
-		l.drop.Add(1)
 		return
 	}
 	l.s.Log(context.Background(), lv, msg, args...)

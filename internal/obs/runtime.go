@@ -1,20 +1,20 @@
 package obs
 
-// The runtime health collector: the process-level half of the
-// self-observing runtime. Where Trace answers "what happened to this
-// request?", the collector answers "is this *node* healthy?" — heap
-// live vs goal vs GOMEMLIMIT, GC pause and scheduler-latency
-// distributions, goroutine count and open file descriptors, sampled
-// from runtime/metrics on a ticker so the serving warm path never pays
-// for them. The latest sample sits behind one atomic pointer; the
-// /metrics renderer and the anomaly watchdog both read that snapshot
-// without synchronizing with the sampler.
+// Runtime health: the process-level half of the self-observing
+// runtime. Where Trace answers "what happened to this request?",
+// ReadRuntime answers "is this *node* healthy?" — heap live vs goal vs
+// GOMEMLIMIT, GC pause and scheduler-latency distributions, goroutine
+// count and open file descriptors, read from runtime/metrics when
+// something asks: the /metrics render and the anomaly watchdog. A read
+// costs tens of microseconds, a small part of a render, so nothing
+// samples in the background and no reader sees a stale value.
 
 import (
 	"os"
 	"runtime"
 	"runtime/metrics"
-	"sync/atomic"
+	"slices"
+	"sync"
 	"time"
 )
 
@@ -25,11 +25,10 @@ var runtimeBounds = []float64{
 	1e-6, 5e-6, 1e-5, 5e-5, 1e-4, 5e-4, 1e-3, 5e-3, 1e-2, 5e-2, 1e-1, 1,
 }
 
-// RuntimeHistogram is a runtime/metrics distribution folded onto the
-// fixed ladder. Counts are cumulative per bound; Count is the total
-// (the +Inf bucket); Sum is a midpoint estimate, good enough for mean
-// lines on a dashboard, never for billing.
-type RuntimeHistogram struct {
+// Histogram is a distribution on fixed upper bounds. Counts are
+// cumulative per bound; Count is the total (the +Inf bucket); Sum is
+// the sum of the observations.
+type Histogram struct {
 	Bounds []float64
 	Counts []uint64
 	Count  uint64
@@ -47,13 +46,11 @@ type RuntimeSnapshot struct {
 	MemLimitBytes int64
 	GCCycles      uint64
 	OpenFDs       int64
-	GCPause       RuntimeHistogram
-	SchedLatency  RuntimeHistogram
+	GCPause       Histogram
+	SchedLatency  Histogram
 }
 
-// Runtime metric names sampled, resolved against metrics.All() at
-// construction so a missing name on some toolchain degrades to a zero
-// field instead of a panic.
+// Runtime metric names sampled.
 const (
 	mGoroutines = "/sched/goroutines:goroutines"
 	mHeapLive   = "/gc/heap/live:bytes"
@@ -64,114 +61,29 @@ const (
 	mSchedLat   = "/sched/latencies:seconds"
 )
 
-// RuntimeCollector samples runtime/metrics on a ticker into an atomic
-// snapshot. Build with NewRuntimeCollector (which takes an immediate
-// first sample, so Snapshot never returns nil), start the ticker with
-// Start, stop it with Stop. All methods are safe on a nil receiver —
-// the disabled-collector convention, like nil *Trace and nil *Logger.
-type RuntimeCollector struct {
-	interval time.Duration
-	samples  []metrics.Sample
-	snap     atomic.Pointer[RuntimeSnapshot]
-	ticks    atomic.Uint64
-	stop     chan struct{}
-	done     chan struct{}
-	started  atomic.Bool
-}
-
-// NewRuntimeCollector builds a collector sampling every interval
-// (0 = 10s) and takes the first sample synchronously.
-func NewRuntimeCollector(interval time.Duration) *RuntimeCollector {
-	if interval <= 0 {
-		interval = 10 * time.Second
-	}
+// runtimeSamples is the sample list ReadRuntime reads, resolved once
+// against metrics.All() so a name missing on some toolchain degrades
+// to a zero field instead of a panic.
+var runtimeSamples = sync.OnceValue(func() []metrics.Sample {
 	known := map[string]bool{}
 	for _, d := range metrics.All() {
 		known[d.Name] = true
 	}
-	c := &RuntimeCollector{
-		interval: interval,
-		stop:     make(chan struct{}),
-		done:     make(chan struct{}),
-	}
+	var out []metrics.Sample
 	for _, name := range []string{mGoroutines, mHeapLive, mHeapGoal, mMemLimit, mGCCycles, mGCPauses, mSchedLat} {
 		if known[name] {
-			c.samples = append(c.samples, metrics.Sample{Name: name})
+			out = append(out, metrics.Sample{Name: name})
 		}
 	}
-	c.SampleNow()
-	return c
-}
+	return out
+})
 
-// Start launches the ticker goroutine. Calling Start twice, or on a
-// nil collector, is a no-op.
-func (c *RuntimeCollector) Start() {
-	if c == nil || !c.started.CompareAndSwap(false, true) {
-		return
-	}
-	go func() {
-		defer close(c.done)
-		t := time.NewTicker(c.interval)
-		defer t.Stop()
-		for {
-			select {
-			case <-t.C:
-				c.SampleNow()
-			case <-c.stop:
-				return
-			}
-		}
-	}()
-}
-
-// Stop halts the ticker and waits for the sampler goroutine to exit.
-// Safe on a nil or never-started collector.
-func (c *RuntimeCollector) Stop() {
-	if c == nil {
-		return
-	}
-	if c.started.CompareAndSwap(false, true) {
-		// Never started: nothing to wait for.
-		close(c.stop)
-		return
-	}
-	select {
-	case <-c.stop: // already stopped
-	default:
-		close(c.stop)
-	}
-	<-c.done
-}
-
-// Snapshot returns the most recent sample (nil on a nil collector).
-func (c *RuntimeCollector) Snapshot() *RuntimeSnapshot {
-	if c == nil {
-		return nil
-	}
-	return c.snap.Load()
-}
-
-// Ticks reports how many samples have been taken (tests and the
-// /debug surface use it to show the collector is alive).
-func (c *RuntimeCollector) Ticks() uint64 {
-	if c == nil {
-		return 0
-	}
-	return c.ticks.Load()
-}
-
-// SampleNow takes one sample immediately — the watchdog calls this
-// before evaluating memory rules so a 10s-old snapshot cannot mask a
-// fast heap climb. Safe for concurrent use with the ticker: each call
-// builds a fresh snapshot and swaps the pointer.
-func (c *RuntimeCollector) SampleNow() *RuntimeSnapshot {
-	if c == nil {
-		return nil
-	}
-	samples := make([]metrics.Sample, len(c.samples))
-	copy(samples, c.samples)
+// ReadRuntime takes one sample of the process health gauges. Safe for
+// concurrent use: each call reads into its own sample slice.
+func ReadRuntime() RuntimeSnapshot {
+	samples := slices.Clone(runtimeSamples())
 	metrics.Read(samples)
-	s := &RuntimeSnapshot{SampledUnix: time.Now().Unix(), OpenFDs: countOpenFDs()}
+	s := RuntimeSnapshot{SampledUnix: time.Now().Unix(), OpenFDs: countOpenFDs()}
 	for _, sm := range samples {
 		switch sm.Name {
 		case mGoroutines:
@@ -194,8 +106,6 @@ func (c *RuntimeCollector) SampleNow() *RuntimeSnapshot {
 			s.SchedLatency = foldHistogram(sm.Value.Float64Histogram())
 		}
 	}
-	c.snap.Store(s)
-	c.ticks.Add(1)
 	return s
 }
 
@@ -205,9 +115,10 @@ func (c *RuntimeCollector) SampleNow() *RuntimeSnapshot {
 // upper edge; buckets past the last bound count only toward the total
 // (the +Inf bucket). Runtime histograms are cumulative over the
 // process lifetime, so the folded counts render directly as a
-// Prometheus histogram.
-func foldHistogram(h *metrics.Float64Histogram) RuntimeHistogram {
-	out := RuntimeHistogram{Bounds: runtimeBounds, Counts: make([]uint64, len(runtimeBounds))}
+// Prometheus histogram. Sum is a midpoint estimate, good enough for
+// mean lines on a dashboard, never for billing.
+func foldHistogram(h *metrics.Float64Histogram) Histogram {
+	out := Histogram{Bounds: runtimeBounds, Counts: make([]uint64, len(runtimeBounds))}
 	if h == nil {
 		return out
 	}
@@ -228,15 +139,12 @@ func foldHistogram(h *metrics.Float64Histogram) RuntimeHistogram {
 			mHi = mLo
 		}
 		out.Sum += float64(n) * (mLo + mHi) / 2
-		placed := false
 		for b, ub := range runtimeBounds {
 			if hi <= ub {
 				per[b] += n
-				placed = true
 				break
 			}
 		}
-		_ = placed // unplaced counts ride only in Count (the +Inf bucket)
 	}
 	var cum uint64
 	for i, n := range per {

@@ -3,19 +3,15 @@ package obs
 import (
 	"math"
 	"runtime"
+	"runtime/debug"
 	"runtime/metrics"
+	"sync"
 	"testing"
-	"time"
 )
 
 func TestRuntimeCollectorSnapshot(t *testing.T) {
-	runtime.GC()                        // /gc/heap/live reads 0 until a cycle has completed
-	c := NewRuntimeCollector(time.Hour) // never ticks; first sample is synchronous
-	defer c.Stop()
-	s := c.Snapshot()
-	if s == nil {
-		t.Fatal("Snapshot nil after construction — the first sample must be synchronous")
-	}
+	runtime.GC() // /gc/heap/live reads 0 until a cycle has completed
+	s := ReadRuntime()
 	if s.SampledUnix <= 0 {
 		t.Fatalf("SampledUnix = %d", s.SampledUnix)
 	}
@@ -31,7 +27,7 @@ func TestRuntimeCollectorSnapshot(t *testing.T) {
 	if runtime.GOOS == "linux" && s.OpenFDs <= 0 {
 		t.Fatalf("OpenFDs = %d on linux", s.OpenFDs)
 	}
-	for _, h := range []RuntimeHistogram{s.GCPause, s.SchedLatency} {
+	for _, h := range []Histogram{s.GCPause, s.SchedLatency} {
 		if len(h.Bounds) != len(runtimeBounds) || len(h.Counts) != len(runtimeBounds) {
 			t.Fatalf("histogram not on the fixed ladder: %d bounds, %d counts", len(h.Bounds), len(h.Counts))
 		}
@@ -48,35 +44,42 @@ func TestRuntimeCollectorSnapshot(t *testing.T) {
 	}
 }
 
+// TestRuntimeCollectorStartStop: runtime health needs no collector to
+// start or stop — every ReadRuntime is a fresh sample, so a GC cycle
+// and a new memory limit show up in the very next read.
 func TestRuntimeCollectorStartStop(t *testing.T) {
-	c := NewRuntimeCollector(time.Millisecond)
-	c.Start()
-	c.Start() // double start is a no-op
-	deadline := time.Now().Add(5 * time.Second)
-	for c.Ticks() < 3 {
-		if time.Now().After(deadline) {
-			t.Fatalf("collector took too long: %d ticks", c.Ticks())
-		}
-		time.Sleep(time.Millisecond)
+	before := ReadRuntime()
+	runtime.GC()
+	limit := max(before.HeapGoalBytes, 64<<20) * 4
+	old := debug.SetMemoryLimit(limit)
+	defer debug.SetMemoryLimit(old)
+	after := ReadRuntime()
+	if after.GCCycles <= before.GCCycles {
+		t.Fatalf("GCCycles %d -> %d across runtime.GC()", before.GCCycles, after.GCCycles)
 	}
-	c.Stop()
-	n := c.Ticks()
-	time.Sleep(10 * time.Millisecond)
-	if c.Ticks() != n {
-		t.Fatalf("ticks advanced after Stop: %d -> %d", n, c.Ticks())
+	if after.MemLimitBytes != limit {
+		t.Fatalf("MemLimitBytes = %d right after SetMemoryLimit(%d)", after.MemLimitBytes, limit)
 	}
-	c.Stop() // idempotent
 }
 
+// TestRuntimeCollectorNilAndNeverStarted: ReadRuntime has no lifecycle
+// to get wrong — it needs no constructor and is safe from several
+// goroutines at once (each read fills its own sample slice).
 func TestRuntimeCollectorNilAndNeverStarted(t *testing.T) {
-	var nc *RuntimeCollector
-	nc.Start()
-	nc.Stop()
-	if nc.Snapshot() != nil || nc.Ticks() != 0 || nc.SampleNow() != nil {
-		t.Fatal("nil collector must be a no-op")
+	var wg sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := 0; j < 20; j++ {
+				if s := ReadRuntime(); s.Goroutines <= 0 || s.GCPause.Count < s.GCPause.Counts[len(s.GCPause.Counts)-1] {
+					t.Errorf("concurrent read: %+v", s)
+					return
+				}
+			}
+		}()
 	}
-	c := NewRuntimeCollector(time.Hour)
-	c.Stop() // never started: must not hang waiting for the sampler
+	wg.Wait()
 }
 
 func TestFoldHistogram(t *testing.T) {

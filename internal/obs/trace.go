@@ -229,15 +229,31 @@ func (t *Trace) Finish(status int, d time.Duration) *Snapshot {
 	return snap
 }
 
-// StageDurations sums span durations by stage name — the per-stage
-// histogram feed.
-func (s *Snapshot) StageDurations() map[string]time.Duration {
-	if s == nil || len(s.Spans) == 0 {
-		return nil
+// StageDuration is one stage's summed span time within a request.
+type StageDuration struct {
+	Name string
+	D    time.Duration
+}
+
+// StageDurations sums span durations by stage name, in first-seen
+// order, into buf[:0] — the per-stage histogram feed. A request records
+// a dozen distinct stages at most, so a caller passing a stack array of
+// that size allocates nothing, however many spans the request has.
+func (s *Snapshot) StageDurations(buf []StageDuration) []StageDuration {
+	out := buf[:0]
+	if s == nil {
+		return out
 	}
-	out := make(map[string]time.Duration, len(s.Spans))
+next:
 	for _, sp := range s.Spans {
-		out[sp.Name] += time.Duration(sp.DurUS * 1e3)
+		d := time.Duration(sp.DurUS * 1e3)
+		for i := range out {
+			if out[i].Name == sp.Name {
+				out[i].D += d
+				continue next
+			}
+		}
+		out = append(out, StageDuration{sp.Name, d})
 	}
 	return out
 }

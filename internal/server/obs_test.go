@@ -16,6 +16,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"wmxml/internal/obs"
 )
@@ -183,9 +184,9 @@ func TestMetricsExpositionLint(t *testing.T) {
 		`wmxmld_owner_cache_hits_total{owner="acme"} 1`,
 		`wmxmld_build_info{version="lint-test"} 1`,
 		"wmxmld_uptime_seconds",
-		// Self-observing runtime families: the health collector's
-		// process gauges/histograms, the SLO engine's burn gauges (for
-		// the service aggregate and the exercised owner), and the
+		// Self-observing runtime families: the process gauges and
+		// histograms read at scrape time, the SLO burn gauges (for the
+		// service aggregate and the exercised owner), and the
 		// watchdog's bundle counter (present even with the watchdog off).
 		"wmxmld_go_goroutines",
 		"wmxmld_go_heap_live_bytes",
@@ -203,7 +204,7 @@ func TestMetricsExpositionLint(t *testing.T) {
 }
 
 func TestOwnerCardinalityCap(t *testing.T) {
-	m := newMetrics("v")
+	m := newMetrics("v", sloObjectives{}, nil)
 	for i := 0; i < ownerCardinalityCap+10; i++ {
 		m.finishRequest(&obs.Snapshot{Owner: fmt.Sprintf("owner-%03d", i), Op: "detect"}, "/v1/detect", 200, 0)
 	}
@@ -218,7 +219,7 @@ func TestOwnerCardinalityCap(t *testing.T) {
 		t.Fatalf("overflow bucket requests = %v, want 10", other.requests.Value())
 	}
 	var buf bytes.Buffer
-	m.render(&buf)
+	m.render(&buf, 0, 0, 0)
 	if !strings.Contains(buf.String(), `wmxmld_owner_requests_total{owner="other"} 10`) {
 		t.Fatal("overflow series missing from the exposition")
 	}
@@ -334,7 +335,10 @@ func TestAccessLogAndSpanAccounting(t *testing.T) {
 	if snap == nil {
 		t.Fatalf("detect trace %s not in the ring", reqID)
 	}
-	stages := snap.StageDurations()
+	stages := map[string]time.Duration{}
+	for _, st := range snap.StageDurations(nil) {
+		stages[st.Name] = st.D
+	}
 	for _, want := range []string{"parse", "index", "decode", "vote"} {
 		if stages[want] <= 0 {
 			t.Fatalf("cold detect trace missing stage %q: %v", want, stages)

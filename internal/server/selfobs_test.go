@@ -1,9 +1,10 @@
 package server
 
-// Tests for the self-observing runtime: the SLO engine's window math,
-// per-owner overrides and warm-path allocation budget; the anomaly
-// watchdog's bundle ring, cooldown and eviction; the /readyz
-// liveness/readiness split; and a -race scrape loop proving the new
+// Tests for the self-observing runtime: the SLO windows' math,
+// per-owner overrides and the fold's allocation budget; the one owner
+// map under the cardinality cap; the anomaly watchdog's rules, bundle
+// ring, cooldown, eviction and shutdown; the /readyz
+// liveness/readiness split; and a -race scrape loop proving the
 // wmxmld_go_* / wmxmld_slo_* series never tear under concurrency.
 
 import (
@@ -14,6 +15,9 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
+	"runtime/debug"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -23,13 +27,18 @@ import (
 	"wmxml/internal/registry"
 )
 
+// fold records one finished request the way instrument() does.
+func fold(m *metrics, owner, op string, status int, d time.Duration) {
+	m.finishRequest(&obs.Snapshot{Owner: owner, Op: op}, "/v1/"+op, status, d)
+}
+
 func TestSLOEngineBurnRates(t *testing.T) {
 	defaults := sloObjectives{detectP99: time.Millisecond, errorRatio: 0.01}
-	e := newSLOEngine(defaults, nil)
+	m := newMetrics("v", defaults, nil)
 	// 50 detects all over the 1ms objective: the bad fraction is 1.0
 	// against a 1% budget — burn 100 in both windows.
 	for i := 0; i < 50; i++ {
-		e.record("acme", "detect", 200, 10*time.Millisecond)
+		fold(m, "acme", "detect", 200, 10*time.Millisecond)
 	}
 	// 50 more non-detect requests, 10 of them 5xx: error fraction 0.1
 	// over the 100 total events, against a 1% budget — burn 10.
@@ -38,9 +47,9 @@ func TestSLOEngineBurnRates(t *testing.T) {
 		if i < 10 {
 			status = 500
 		}
-		e.record("acme", "verify", status, time.Millisecond)
+		fold(m, "acme", "verify", status, time.Millisecond)
 	}
-	evals := e.evaluateAll(time.Now().Unix())
+	evals := m.evaluateSLO(time.Now().Unix())
 	if len(evals) != 2 || evals[0].Owner != sloTotalOwner || evals[1].Owner != "acme" {
 		t.Fatalf("evaluateAll owners: %+v", evals)
 	}
@@ -101,80 +110,177 @@ func TestSLOOverrideResolution(t *testing.T) {
 	// new objectives.
 	var mu sync.Mutex
 	obj := sloObjectives{detectP99: time.Millisecond}
-	e := newSLOEngine(defaults, func(owner string) (sloObjectives, bool) {
+	m := newMetrics("v", defaults, func(owner string) (sloObjectives, bool) {
 		mu.Lock()
 		defer mu.Unlock()
 		return obj, true
 	})
-	e.record("acme", "detect", 200, 10*time.Millisecond) // slow vs 1ms
-	if ev := e.evaluateAll(time.Now().Unix()); ev[1].Fast.DetectSlow != 1 {
+	fold(m, "acme", "detect", 200, 10*time.Millisecond) // slow vs 1ms
+	if ev := m.evaluateSLO(time.Now().Unix()); ev[1].Fast.DetectSlow != 1 {
 		t.Fatalf("pre-invalidate: %+v", ev[1].Fast)
 	}
 	mu.Lock()
 	obj = sloObjectives{detectP99: time.Minute}
 	mu.Unlock()
-	e.record("acme", "detect", 200, 10*time.Millisecond) // cached 1ms objective still applies
-	if ev := e.evaluateAll(time.Now().Unix()); ev[1].Fast.DetectSlow != 2 {
+	fold(m, "acme", "detect", 200, 10*time.Millisecond) // cached 1ms objective still applies
+	if ev := m.evaluateSLO(time.Now().Unix()); ev[1].Fast.DetectSlow != 2 {
 		t.Fatalf("cached objective should still count slow: %+v", ev[1].Fast)
 	}
-	e.invalidate("acme")
-	e.record("acme", "detect", 200, 10*time.Millisecond) // now under the 1m objective
-	if ev := e.evaluateAll(time.Now().Unix()); ev[1].Fast.DetectSlow != 2 || ev[1].Fast.Detects != 3 {
+	m.invalidateSLO("acme")
+	fold(m, "acme", "detect", 200, 10*time.Millisecond) // now under the 1m objective
+	if ev := m.evaluateSLO(time.Now().Unix()); ev[1].Fast.DetectSlow != 2 || ev[1].Fast.Detects != 3 {
 		t.Fatalf("post-invalidate: %+v", ev[1].Fast)
 	}
 }
 
 func TestSLOCardinalityCap(t *testing.T) {
-	e := newSLOEngine(sloObjectives{errorRatio: 0.01}, nil)
+	m := newMetrics("v", sloObjectives{errorRatio: 0.01}, nil)
 	for i := 0; i < ownerCardinalityCap+10; i++ {
-		e.record(fmt.Sprintf("owner-%03d", i), "detect", 200, 0)
+		fold(m, fmt.Sprintf("owner-%03d", i), "detect", 200, 0)
 	}
-	e.mu.RLock()
-	n := len(e.owners)
-	overflow := e.owners[ownerOverflow]
-	e.mu.RUnlock()
+	m.mu.Lock()
+	n := len(m.owners)
+	overflow := m.owners[ownerOverflow]
+	m.mu.Unlock()
 	if n != ownerCardinalityCap+1 {
-		t.Fatalf("engine grew to %d slots, cap is %d + overflow", n, ownerCardinalityCap)
+		t.Fatalf("owner map grew to %d blocks, cap is %d + overflow", n, ownerCardinalityCap)
 	}
 	if overflow == nil {
-		t.Fatal("no overflow slot")
+		t.Fatal("no overflow block")
 	}
-	if ev, _, _, _ := overflow.fast.sums(time.Now().Unix()); ev != 10 {
+	if ev, _, _, _ := overflow.slo.fast.sums(time.Now().Unix()); ev != 10 {
 		t.Fatalf("overflow events = %d, want 10", ev)
 	}
 }
 
-// TestSLORecordNoAllocs pins the warm path: once an owner's slot
-// exists, folding a request into both windows allocates nothing —
-// the ring-of-buckets design's whole point.
-func TestSLORecordNoAllocs(t *testing.T) {
-	e := newSLOEngine(sloObjectives{detectP99: time.Millisecond, errorRatio: 0.01}, nil)
-	e.record("acme", "detect", 200, 2*time.Millisecond)
-	if n := testing.AllocsPerRun(1000, func() {
-		e.record("acme", "detect", 200, 2*time.Millisecond)
-	}); n != 0 {
-		t.Fatalf("slo record allocates %v per op, want 0", n)
+// TestOwnerFoldAgreesAtCap folds 16 new owners at once across the
+// cardinality cap's boundary: the owners /metrics counts requests for
+// are exactly the owners it reports SLO burn rates for, because both
+// live in one block created once.
+func TestOwnerFoldAgreesAtCap(t *testing.T) {
+	labels := func(text, family string) []string {
+		var out []string
+		for _, line := range strings.Split(text, "\n") {
+			rest, ok := strings.CutPrefix(line, family+`{owner="`)
+			if owner, _, _ := strings.Cut(rest, `"`); ok && owner != sloTotalOwner && !slices.Contains(out, owner) {
+				out = append(out, owner)
+			}
+		}
+		return out
+	}
+	for trial := 0; trial < 200; trial++ {
+		m := newMetrics("v", sloObjectives{errorRatio: 0.01}, nil)
+		for i := 0; i < ownerCardinalityCap-8; i++ {
+			fold(m, fmt.Sprintf("owner-%03d", i), "detect", 200, 0)
+		}
+		var wg sync.WaitGroup
+		for i := 0; i < 16; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				fold(m, fmt.Sprintf("new-%02d", i), "detect", 200, 0)
+			}()
+		}
+		wg.Wait()
+		var buf bytes.Buffer
+		m.render(&buf, 0, 0, 0)
+		counted := labels(buf.String(), "wmxmld_owner_requests_total")
+		burning := labels(buf.String(), "wmxmld_slo_burn_rate")
+		if len(counted) != ownerCardinalityCap+1 || !slices.Equal(counted, burning) {
+			t.Fatalf("trial %d: owner_requests_total names %d owners %v, slo_burn_rate names %v", trial, len(counted), counted, burning)
+		}
 	}
 }
 
-func TestWatchdogCaptureBundle(t *testing.T) {
-	dir := t.TempDir()
-	defaults := sloObjectives{detectP99: time.Millisecond, errorRatio: 0.01}
-	e := newSLOEngine(defaults, nil)
-	for i := 0; i < 20; i++ {
-		e.record("acme", "detect", 200, 10*time.Millisecond)
+// TestSLORecordNoAllocs pins the warm path: once a route's, its stages'
+// and an owner's series exist, folding a finished request — the request
+// counter, the latency and stage histograms, the owner counters and the
+// owner's and the aggregate's SLO windows — allocates nothing, for a
+// request of a few spans and for a multi-receipt sweep of many spans
+// over a few stages.
+func TestSLORecordNoAllocs(t *testing.T) {
+	m := newMetrics("v", sloObjectives{detectP99: time.Millisecond, errorRatio: 0.01}, nil)
+	short := &obs.Snapshot{Owner: "acme", Op: "detect", DocBytes: 4096, CacheHit: true, Spans: []obs.SpanInfo{
+		{Name: "cache", DurUS: 3}, {Name: "decode", DurUS: 150}, {Name: "vote", DurUS: 20}, {Name: "decode", DurUS: 90},
+	}}
+	sweep := &obs.Snapshot{Owner: "acme", Op: "detect", DocBytes: 4096, Spans: []obs.SpanInfo{
+		{Name: "registry", DurUS: 5}, {Name: "cache", DurUS: 3},
+	}}
+	for i := 0; i < 12; i++ { // one plan, decode and vote span per receipt
+		sweep.Spans = append(sweep.Spans,
+			obs.SpanInfo{Name: "plan_compile", DurUS: 40}, obs.SpanInfo{Name: "decode", DurUS: 150}, obs.SpanInfo{Name: "vote", DurUS: 20})
 	}
-	col := obs.NewRuntimeCollector(time.Hour)
-	defer col.Stop()
-	ring := obs.NewTraceRing(4)
-	ring.Add(&obs.Snapshot{RequestID: "r1", Route: "/v1/detect", Status: 200, DurationUS: 12000})
-	met := newMetrics("wd-test")
-	d := newWatchdog(watchdogConfig{
-		dir:        dir,
-		maxBundles: 2,
-		cooldown:   time.Hour,
-		cpuProfile: -1, // keep the test fast; cpu.pprof is optional
-	}, e, col, ring, met, nil)
+	for _, snap := range []*obs.Snapshot{short, sweep} {
+		m.finishRequest(snap, "/v1/detect", 200, 2*time.Millisecond)
+		if n := testing.AllocsPerRun(1000, func() {
+			m.finishRequest(snap, "/v1/detect", 200, 2*time.Millisecond)
+		}); n != 0 {
+			t.Fatalf("the fold of a %d-span request allocates %v per op, want 0", len(snap.Spans), n)
+		}
+	}
+	// Spans of one stage sum into one observation per request.
+	reqs := m.requests[reqKey{"/v1/detect", 200}].Value()
+	if n := m.stages["decode"].count.Load(); n != reqs {
+		t.Fatalf("decode stage observed %d times over %d requests", n, reqs)
+	}
+	if n := m.stages["plan_compile"].count.Load(); n != 1002 {
+		t.Fatalf("plan_compile stage observed %d times over the sweep's 1002 requests", n)
+	}
+}
+
+// newWatchdogServer builds a server whose watchdog writes into a fresh
+// ring and never ticks during the test, which drives check itself.
+func newWatchdogServer(t *testing.T, opts Options) (*Server, string) {
+	t.Helper()
+	opts.Registry = registry.NewMemory()
+	opts.CaptureDir = t.TempDir()
+	opts.WatchdogInterval = time.Hour
+	opts.CaptureCPUProfile = -1 // keep the test fast; cpu.pprof is optional
+	s, err := New(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s.Close)
+	return s, opts.CaptureDir
+}
+
+// ruleBundle returns the rule.json of the bundle in dir that rule
+// fired for owner, failing the test when there is none.
+func ruleBundle(t *testing.T, dir, rule, owner string) firedRule {
+	t.Helper()
+	bundles := listBundles(dir)
+	for _, name := range bundles {
+		if !strings.HasSuffix(name, "-"+rule) {
+			continue
+		}
+		b, err := os.ReadFile(filepath.Join(dir, name, "rule.json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var fr firedRule
+		if err := json.Unmarshal(b, &fr); err != nil {
+			t.Fatalf("%s/rule.json: %v %s", name, err, b)
+		}
+		if fr.Rule == rule && fr.Owner == owner {
+			return fr
+		}
+	}
+	t.Fatalf("bundles %v hold no %s capture for owner %q", bundles, rule, owner)
+	return firedRule{}
+}
+
+func TestWatchdogCaptureBundle(t *testing.T) {
+	s, dir := newWatchdogServer(t, Options{
+		SLODetectP99:    time.Millisecond,
+		TraceRing:       4,
+		CaptureMax:      2,
+		CaptureCooldown: time.Hour,
+	})
+	for i := 0; i < 20; i++ {
+		fold(s.met, "acme", "detect", 200, 10*time.Millisecond)
+	}
+	s.ring.Add(&obs.Snapshot{RequestID: "r1", Route: "/v1/detect", Status: 200, DurationUS: 12000})
+	d := s.dog
 
 	d.check(time.Now())
 	bundles := listBundles(dir)
@@ -199,7 +305,7 @@ func TestWatchdogCaptureBundle(t *testing.T) {
 	// The owner label: the aggregate fires first (owner _total), and
 	// its bundle gates the per-owner one only through its own key —
 	// the acme breach writes its own bundle, distinct cooldown keys.
-	if n := met.captures.Value(); n != uint64(len(listBundles(dir))) {
+	if n := s.met.captures.Value(); n != uint64(len(listBundles(dir))) {
 		t.Fatalf("captures counter %d != bundles on disk %d", n, len(listBundles(dir)))
 	}
 	if strings.Contains(strings.Join(listBundles(dir), " "), ".cap-") {
@@ -226,18 +332,76 @@ func TestWatchdogCaptureBundle(t *testing.T) {
 	}
 }
 
-func TestWatchdogQuietWhenHealthy(t *testing.T) {
-	dir := t.TempDir()
-	e := newSLOEngine(sloObjectives{detectP99: time.Second, errorRatio: 0.5}, nil)
-	for i := 0; i < 100; i++ {
-		e.record("acme", "detect", 200, time.Millisecond)
+// TestWatchdogErrorRatio fires slo-error-ratio: a quarter of the
+// requests answered 5xx burns the 1% error budget 25× in both windows,
+// above the event floor, for the service aggregate (and for acme).
+func TestWatchdogErrorRatio(t *testing.T) {
+	s, dir := newWatchdogServer(t, Options{SLOErrorRatio: 0.01})
+	for i := 0; i < 20; i++ {
+		status := 200
+		if i%4 == 0 {
+			status = 503
+		}
+		fold(s.met, "acme", "verify", status, time.Millisecond)
 	}
-	col := obs.NewRuntimeCollector(time.Hour)
-	defer col.Stop()
-	d := newWatchdog(watchdogConfig{dir: dir, cpuProfile: -1}, e, col, nil, newMetrics("t"), nil)
-	d.check(time.Now())
+	s.dog.check(time.Now())
+	fr := ruleBundle(t, dir, "slo-error-ratio", sloTotalOwner)
+	if fr.Detail["fast_burn"] != 25.0 || fr.Detail["slow_burn"] != 25.0 || fr.Detail["fast_errors"] != 5.0 {
+		t.Fatalf("rule.json detail: %v", fr.Detail)
+	}
+}
+
+// TestWatchdogHeapNearLimit fires heap-near-limit by setting this
+// process's memory limit just above its live heap: check reads runtime
+// health itself, so it sees the new limit at once.
+func TestWatchdogHeapNearLimit(t *testing.T) {
+	s, dir := newWatchdogServer(t, Options{})
+	// Two cycles: the first moves sync.Pool contents to their victim
+	// caches, the second frees them, so the live heap read here is not
+	// about to shrink under the limit.
+	runtime.GC()
+	runtime.GC()
+	limit := obs.ReadRuntime().HeapLiveBytes * 102 / 100
+	old := debug.SetMemoryLimit(limit)
+	defer debug.SetMemoryLimit(old)
+	s.dog.check(time.Now())
+	fr := ruleBundle(t, dir, "heap-near-limit", "")
+	if fr.Detail["gomemlimit_bytes"] != float64(limit) {
+		t.Fatalf("rule.json detail: %v, want gomemlimit_bytes %d", fr.Detail, limit)
+	}
+}
+
+func TestWatchdogQuietWhenHealthy(t *testing.T) {
+	s, dir := newWatchdogServer(t, Options{SLODetectP99: time.Second, SLOErrorRatio: 0.5})
+	for i := 0; i < 100; i++ {
+		fold(s.met, "acme", "detect", 200, time.Millisecond)
+	}
+	s.dog.check(time.Now())
 	if got := listBundles(dir); len(got) != 0 {
 		t.Fatalf("healthy traffic produced bundles: %v", got)
+	}
+}
+
+// TestCloseConcurrent: Close is safe from several goroutines at once,
+// as its doc promises — the watchdog's stop channel closes exactly once.
+// A double close needs two Close calls to interleave, so the test makes
+// many servers to give that interleaving a chance to happen.
+func TestCloseConcurrent(t *testing.T) {
+	dir := t.TempDir()
+	for i := 0; i < 2000; i++ {
+		s, err := New(Options{Registry: registry.NewMemory(), CaptureDir: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var wg sync.WaitGroup
+		for j := 0; j < 8; j++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				s.Close()
+			}()
+		}
+		wg.Wait()
 	}
 }
 
@@ -399,12 +563,13 @@ func TestReadyzRegistryFailure(t *testing.T) {
 	}
 }
 
-// TestMetricsScrapeRace scrapes /metrics in a loop while the runtime
-// collector ticks and requests flow. Run under -race this proves the
-// snapshot-and-render path is data-race-free; the lint on every scrape
-// proves no torn histograms (le="+Inf" == _count) ever surface.
+// TestMetricsScrapeRace scrapes /metrics in a loop while requests
+// flow. Run under -race this proves the snapshot-and-render path is
+// data-race-free; the lint on every scrape proves no torn histograms
+// (le="+Inf" == _count) ever surface, and every scrape carries the
+// runtime health series it reads itself.
 func TestMetricsScrapeRace(t *testing.T) {
-	_, ts := newTestServer(t, Options{HealthInterval: time.Millisecond})
+	_, ts := newTestServer(t, Options{})
 	registerOwner(t, ts.URL, "acme")
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
@@ -431,6 +596,11 @@ func TestMetricsScrapeRace(t *testing.T) {
 			t.Fatalf("scrape %d: %d", i, code)
 		}
 		lintPromText(t, string(body))
+		for _, want := range []string{"\nwmxmld_go_goroutines ", "\nwmxmld_go_heap_live_bytes ", "\nwmxmld_go_gc_pause_seconds_count "} {
+			if !strings.Contains(string(body), want) {
+				t.Fatalf("scrape %d lacks %q", i, strings.TrimSpace(want))
+			}
+		}
 	}
 	close(stop)
 	wg.Wait()

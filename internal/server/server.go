@@ -126,10 +126,6 @@ type Options struct {
 	// SLOErrorRatio is the default tolerated 5xx fraction. 0 means
 	// 0.01 (1%); negative disables the objective.
 	SLOErrorRatio float64
-	// HealthInterval is the runtime health collector's sampling period.
-	// 0 means 10s; negative disables the collector (and the wmxmld_go_*
-	// series).
-	HealthInterval time.Duration
 	// CaptureDir enables the anomaly watchdog: capture bundles are
 	// written into this directory's bounded ring. Empty disables the
 	// watchdog (SLO accounting and /debug/slo still work).
@@ -205,9 +201,6 @@ func (o Options) withDefaults() Options {
 	if o.SLOErrorRatio == 0 {
 		o.SLOErrorRatio = 0.01
 	}
-	if o.HealthInterval == 0 {
-		o.HealthInterval = 10 * time.Second
-	}
 	if o.CaptureCPUProfile == 0 {
 		o.CaptureCPUProfile = 5 * time.Second
 	}
@@ -227,8 +220,6 @@ type Server struct {
 	ring  *obs.TraceRing
 	mux   *http.ServeMux
 
-	health   *obs.RuntimeCollector
-	slo      *sloEngine
 	dog      *watchdog
 	draining atomic.Bool
 
@@ -268,31 +259,22 @@ func New(opts Options) (*Server, error) {
 		cache:    newDocCache(opts.CacheEntries, opts.CacheBytes),
 		bound:    newLRU[boundKey, *deliver.Bound](64, 0),
 		dplan:    newLRU[dplanKey, planEntry](decodePlanEntries, 0),
-		met:      newMetrics(opts.Version),
 		log:      opts.Logger,
 		ring:     obs.NewTraceRing(opts.TraceRing),
 		runtimes: make(map[string]*ownerRuntime),
 	}
-	defaults := sloObjectives{detectP99: opts.SLODetectP99, errorRatio: opts.SLOErrorRatio}
-	if defaults.detectP99 < 0 {
-		defaults.detectP99 = 0
-	}
-	if defaults.errorRatio < 0 {
-		defaults.errorRatio = 0
-	}
-	s.slo = newSLOEngine(defaults, func(owner string) (sloObjectives, bool) {
+	defaults := sloObjectives{detectP99: max(opts.SLODetectP99, 0), errorRatio: max(opts.SLOErrorRatio, 0)}
+	s.met = newMetrics(opts.Version, defaults, func(owner string) (sloObjectives, bool) {
 		o, err := s.reg.GetOwner(owner)
 		if err != nil {
 			return sloObjectives{}, false
 		}
 		return sloObjectivesFrom(defaults, o.SLO), true
 	})
-	s.met.sloEval = func() []SLOOwnerEval { return s.slo.evaluateAll(time.Now().Unix()) }
-	if opts.HealthInterval > 0 {
-		s.health = obs.NewRuntimeCollector(opts.HealthInterval)
-		s.health.Start()
-		s.met.runtimeSnap = s.health.Snapshot
+	if err := s.buildFleet(); err != nil {
+		return nil, err
 	}
+	s.routes()
 	if opts.CaptureDir != "" {
 		s.dog = newWatchdog(watchdogConfig{
 			dir:        opts.CaptureDir,
@@ -300,24 +282,17 @@ func New(opts Options) (*Server, error) {
 			cooldown:   opts.CaptureCooldown,
 			cpuProfile: opts.CaptureCPUProfile,
 			interval:   opts.WatchdogInterval,
-		}, s.slo, s.health, s.ring, s.met, s.log)
-		s.dog.Start()
+		}, s)
 	}
-	if err := s.buildFleet(); err != nil {
-		return nil, err
-	}
-	s.routes()
 	return s, nil
 }
 
-// Close stops the server's background goroutines — the runtime health
-// collector and the anomaly watchdog. Safe to call more than once; the
-// HTTP handlers stay functional afterwards (only self-monitoring
-// halts), so it is safe to Close before the listener fully drains.
-func (s *Server) Close() {
-	s.dog.Stop()
-	s.health.Stop()
-}
+// Close stops the anomaly watchdog, the server's one background
+// goroutine (started only with CaptureDir set). Safe to call more than
+// once and from several goroutines at once; the HTTP handlers stay
+// functional afterwards (only self-monitoring halts), so it is safe to
+// Close before the listener fully drains.
+func (s *Server) Close() { s.dog.Stop() }
 
 // SetDraining flips the readiness state served by GET /readyz. The
 // daemon sets it before closing listeners on graceful shutdown so load
@@ -365,17 +340,17 @@ func debugDisabled(msg string) http.Handler {
 	})
 }
 
-// handleDebugSLO serves the SLO engine's full evaluation — the same
-// computation the wmxmld_slo_* gauges render, per owner with the
-// "_total" service aggregate first.
+// handleDebugSLO serves the full SLO evaluation — the same computation
+// the wmxmld_slo_* gauges render, per owner with the "_total" service
+// aggregate first.
 func (s *Server) handleDebugSLO(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{
 		"defaults": map[string]any{
-			"detect_p99_ms": float64(s.slo.defaults.detectP99.Microseconds()) / 1000,
-			"error_ratio":   s.slo.defaults.errorRatio,
+			"detect_p99_ms": float64(s.met.sloDefaults.detectP99.Microseconds()) / 1000,
+			"error_ratio":   s.met.sloDefaults.errorRatio,
 		},
 		"windows": map[string]any{"fast_seconds": sloFastBuckets * sloFastBucketSecs, "slow_seconds": sloSlowBuckets * sloSlowBucketSecs},
-		"owners":  s.slo.evaluateAll(time.Now().Unix()),
+		"owners":  s.met.evaluateSLO(time.Now().Unix()),
 	})
 }
 
@@ -469,9 +444,9 @@ func (w *statusWriter) Unwrap() http.ResponseWriter { return w.ResponseWriter }
 // lifecycle: a Trace is opened (ingesting any W3C traceparent header —
 // its trace-id becomes the request id — and echoing one back with a
 // fresh span id), carried down through the request context so every
-// layer can attach stage spans, and on completion folded into the
-// route/stage/owner metrics, the SLO windows, the trace ring and the
-// access log.
+// layer can attach stage spans, and on completion folded once into the
+// metrics (route, stage, owner counters and SLO windows), then into the
+// trace ring and the access log.
 //
 // It is also the one place a failed request is answered. A returned
 // error, or a panic recovered as a 500, becomes the {error, request_id}
@@ -503,7 +478,6 @@ func (s *Server) instrument(route string, h handler) http.HandlerFunc {
 		d := time.Since(start)
 		snap := tr.Finish(code, d)
 		s.met.finishRequest(snap, route, code, d)
-		s.slo.record(snap.Owner, snap.Op, code, d)
 		if s.opts.TraceRing >= 0 {
 			s.ring.Add(snap)
 		}
@@ -622,7 +596,6 @@ func (s *Server) acquire(r *http.Request) error {
 	defer t.Stop()
 	select {
 	case s.slots <- struct{}{}:
-		s.met.inflight.Add(1)
 		return nil
 	case <-r.Context().Done():
 		return errf(499, "client went away: %v", r.Context().Err())
@@ -632,10 +605,7 @@ func (s *Server) acquire(r *http.Request) error {
 	}
 }
 
-func (s *Server) release() {
-	<-s.slots
-	s.met.inflight.Add(-1)
-}
+func (s *Server) release() { <-s.slots }
 
 // limitBody caps r's body at n bytes. MaxBytesReader gets the
 // connection's own writer from under the middleware's wrappers, so an
@@ -804,7 +774,7 @@ func (s *Server) runtimeFor(r *http.Request, id string) (*ownerRuntime, error) {
 	s.mu.Unlock()
 	// The record changed under us (out-of-band registry replacement):
 	// drop the cached SLO objectives along with the stale runtime.
-	s.slo.invalidate(id)
+	s.met.invalidateSLO(id)
 	return rt, nil
 }
 
@@ -919,7 +889,7 @@ func (s *Server) handlePutOwner(w http.ResponseWriter, r *http.Request) error {
 	}
 	// Re-registration is how operators tune a tenant's SLO override;
 	// make the new objectives take effect on the next request.
-	s.slo.invalidate(o.ID)
+	s.met.invalidateSLO(o.ID)
 	n := 0
 	if recs, err := s.reg.ListReceipts(o.ID); err == nil {
 		n = len(recs)
@@ -1195,17 +1165,9 @@ func (s *Server) fillDoc(sum [sha256.Size]byte, body []byte, tr *obs.Trace) (cac
 	isp := tr.StartSpan("index")
 	cd := cachedDoc{doc: doc, ix: index.New(doc)}
 	isp.End()
-	s.cachePut(sum, cd, int64(len(body)))
+	evicted := s.cache.Put(sum, cd, int64(len(body)))
+	s.met.cacheEvict.Add(uint64(evicted))
 	return cd, nil
-}
-
-// cachePut inserts a parsed document and keeps the cache gauges honest.
-func (s *Server) cachePut(sum [sha256.Size]byte, cd cachedDoc, weight int64) {
-	if ev := s.cache.Put(sum, cd, weight); ev > 0 {
-		s.met.cacheEvict.Add(uint64(ev))
-	}
-	s.met.cacheSize.Set(int64(s.cache.Len()))
-	s.met.cacheBytes.Set(s.cache.Weight())
 }
 
 // handleDetect runs detection of the suspect XML body against the
@@ -1649,7 +1611,12 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) error {
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	s.met.cacheSize.Set(int64(s.cache.Len()))
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	s.met.render(w)
+	s.writeMetrics(w)
+}
+
+// writeMetrics renders the exposition with the server-state gauges read
+// now: worker slots held and the document cache's size.
+func (s *Server) writeMetrics(w io.Writer) {
+	s.met.render(w, len(s.slots), s.cache.Len(), s.cache.Weight())
 }

@@ -1,7 +1,10 @@
 package server
 
-// The per-owner SLO engine: declared latency/error objectives
-// evaluated over rolling multi-window counters.
+// Per-owner SLOs: declared latency/error objectives evaluated over
+// rolling multi-window counters. Each owner block of the metrics
+// registry (metrics.go) carries its owner's windows, so they share the
+// one cardinality cap; the service-wide "_total" windows sit next to
+// the owner map.
 //
 // Two objectives exist per tenant:
 //
@@ -18,7 +21,7 @@ package server
 // confirms, and the watchdog only fires when both burn. A window is a
 // fixed ring of buckets indexed by wall-clock epoch; recording is an
 // index, an epoch compare and a few integer increments under the
-// owner's mutex — no allocation on the warm path (pinned by
+// block's mutex — no allocation on the warm path (pinned by
 // TestSLORecordNoAllocs), no per-request time-series append.
 //
 // burn_rate is badFraction / budgetFraction: 1.0 means the tenant is
@@ -31,7 +34,7 @@ package server
 // lazily on first sight and invalidated on re-registration.
 
 import (
-	"sort"
+	"strings"
 	"sync"
 	"time"
 
@@ -110,8 +113,9 @@ func (w *sloWindow) sums(now int64) (events, errors, detects, detectSlow uint64)
 	return
 }
 
-// ownerSLO is one tenant's (or the aggregate's) SLO state.
-type ownerSLO struct {
+// sloState is one owner block's (or the aggregate's) SLO state: the
+// resolved objectives and the two windows, guarded by mu.
+type sloState struct {
 	mu       sync.Mutex
 	obj      sloObjectives
 	resolved bool
@@ -119,74 +123,22 @@ type ownerSLO struct {
 	slow     sloWindow
 }
 
-// sloEngine tracks every tenant's objectives and windows. Owner slots
-// are materialized on first sight and capped at ownerCardinalityCap
-// (overflow aggregates under ownerOverflow, mirroring the metrics
-// registry), so a registration flood cannot grow the engine without
-// bound.
-type sloEngine struct {
-	defaults sloObjectives
-	resolve  func(owner string) (sloObjectives, bool)
-
-	mu     sync.RWMutex
-	owners map[string]*ownerSLO
-	total  *ownerSLO
-}
-
-func newSLOEngine(defaults sloObjectives, resolve func(owner string) (sloObjectives, bool)) *sloEngine {
-	e := &sloEngine{
-		defaults: defaults,
-		resolve:  resolve,
-		owners:   make(map[string]*ownerSLO),
-		total:    newOwnerSLO(),
-	}
-	e.total.obj = defaults
-	e.total.resolved = true
-	return e
-}
-
-func newOwnerSLO() *ownerSLO {
-	return &ownerSLO{
+func newSLOState() *sloState {
+	return &sloState{
 		fast: newSLOWindow(sloFastBuckets, sloFastBucketSecs),
 		slow: newSLOWindow(sloSlowBuckets, sloSlowBucketSecs),
 	}
 }
 
-// slotFor returns the tenant's slot, materializing it under the write
-// lock on first sight. The fast path is one read-locked map lookup.
-func (e *sloEngine) slotFor(owner string) *ownerSLO {
-	e.mu.RLock()
-	s := e.owners[owner]
-	e.mu.RUnlock()
-	if s != nil {
-		return s
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if s = e.owners[owner]; s != nil {
-		return s
-	}
-	if len(e.owners) >= ownerCardinalityCap {
-		if s = e.owners[ownerOverflow]; s == nil {
-			s = newOwnerSLO()
-			e.owners[ownerOverflow] = s
-		}
-		return s
-	}
-	s = newOwnerSLO()
-	e.owners[owner] = s
-	return s
-}
-
-// objectives resolves (and caches) the slot's objectives. Caller
-// holds the slot mutex.
-func (e *sloEngine) objectives(owner string, s *ownerSLO) sloObjectives {
+// objectives resolves (and caches) the objectives of the block labelled
+// owner; the overflow block keeps the defaults. Caller holds s.mu.
+func (m *metrics) objectives(owner string, s *sloState) sloObjectives {
 	if s.resolved {
 		return s.obj
 	}
-	s.obj = e.defaults
-	if e.resolve != nil && owner != ownerOverflow {
-		if o, ok := e.resolve(owner); ok {
+	s.obj = m.sloDefaults
+	if m.sloResolve != nil && owner != ownerOverflow {
+		if o, ok := m.sloResolve(owner); ok {
 			s.obj = o
 		}
 	}
@@ -194,37 +146,25 @@ func (e *sloEngine) objectives(owner string, s *ownerSLO) sloObjectives {
 	return s.obj
 }
 
-// invalidate drops a tenant's cached objectives — called after
+// invalidateSLO drops a tenant's cached objectives — called after
 // re-registration so a new "slo" override takes effect on the next
 // request without restarting the daemon.
-func (e *sloEngine) invalidate(owner string) {
-	e.mu.RLock()
-	s := e.owners[owner]
-	e.mu.RUnlock()
-	if s == nil {
+func (m *metrics) invalidateSLO(owner string) {
+	m.mu.Lock()
+	o := m.owners[owner]
+	m.mu.Unlock()
+	if o == nil {
 		return
 	}
-	s.mu.Lock()
-	s.resolved = false
-	s.mu.Unlock()
+	o.slo.mu.Lock()
+	o.slo.resolved = false
+	o.slo.mu.Unlock()
 }
 
-// record folds one finished request into the tenant's and the
-// aggregate's windows. Zero allocations once the slots exist.
-func (e *sloEngine) record(owner, op string, status int, d time.Duration) {
-	if e == nil {
-		return
-	}
-	now := time.Now().Unix()
-	e.recordSlot(e.total, sloTotalOwner, op, status, d, now)
-	if owner != "" {
-		e.recordSlot(e.slotFor(owner), owner, op, status, d, now)
-	}
-}
-
-func (e *sloEngine) recordSlot(s *ownerSLO, owner, op string, status int, d time.Duration, now int64) {
+// recordSLO folds one finished request into a block's windows.
+func (m *metrics) recordSLO(s *sloState, owner, op string, status int, d time.Duration, now int64) {
 	s.mu.Lock()
-	obj := e.objectives(owner, s)
+	obj := m.objectives(owner, s)
 	for _, w := range [2]*sloWindow{&s.fast, &s.slow} {
 		b := w.slot(now)
 		b.events++
@@ -284,10 +224,10 @@ func evalWindow(w *sloWindow, obj sloObjectives, now int64) SLOWindowEval {
 	return out
 }
 
-func (e *sloEngine) evalSlot(owner string, s *ownerSLO, now int64) SLOOwnerEval {
+func (m *metrics) evalSlot(owner string, s *sloState, now int64) SLOOwnerEval {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	obj := e.objectives(owner, s)
+	obj := m.objectives(owner, s)
 	out := SLOOwnerEval{
 		Owner:      owner,
 		ErrorRatio: obj.errorRatio,
@@ -300,29 +240,24 @@ func (e *sloEngine) evalSlot(owner string, s *ownerSLO, now int64) SLOOwnerEval 
 	return out
 }
 
-// evaluateAll evaluates every materialized tenant plus the aggregate,
-// owner-sorted with the aggregate first — the one computation both
-// /metrics and /debug/slo render, so the two surfaces can never
-// disagree about a burn rate.
-func (e *sloEngine) evaluateAll(now int64) []SLOOwnerEval {
-	if e == nil {
-		return nil
-	}
-	e.mu.RLock()
-	names := make([]string, 0, len(e.owners))
-	slots := make([]*ownerSLO, 0, len(e.owners))
-	for k := range e.owners {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	for _, k := range names {
-		slots = append(slots, e.owners[k])
-	}
-	e.mu.RUnlock()
-	out := make([]SLOOwnerEval, 0, len(names)+1)
-	out = append(out, e.evalSlot(sloTotalOwner, e.total, now))
-	for i, k := range names {
-		out = append(out, e.evalSlot(k, slots[i], now))
+// evaluateSLO evaluates the aggregate and then every owner block,
+// owner-sorted — what /debug/slo serves and the watchdog checks.
+func (m *metrics) evaluateSLO(now int64) []SLOOwnerEval {
+	m.mu.Lock()
+	owners := entries(m.owners)
+	m.mu.Unlock()
+	sortByKey(owners, strings.Compare)
+	return m.evalSLO(owners, now)
+}
+
+// evalSLO evaluates the aggregate and the given owner blocks, in order.
+// /metrics passes the blocks it renders the owner counters from, so
+// both name the same owners.
+func (m *metrics) evalSLO(owners []keyed[string, *ownerStats], now int64) []SLOOwnerEval {
+	out := make([]SLOOwnerEval, 0, len(owners)+1)
+	out = append(out, m.evalSlot(sloTotalOwner, m.total, now))
+	for _, o := range owners {
+		out = append(out, m.evalSlot(o.k, o.v.slo, now))
 	}
 	return out
 }

@@ -2,13 +2,14 @@ package server
 
 // The anomaly watchdog: the "what was the process doing when it
 // wasn't healthy?" half of the self-observing runtime. On a ticker it
-// evaluates threshold rules over the SLO engine and the runtime health
-// collector, and when one fires it writes a capture bundle — pprof
-// heap/goroutine/CPU profiles, the slowest-trace ring, a /metrics
-// snapshot and the firing rule itself — into a bounded on-disk ring.
-// The bundle is the evidence an operator (or a postmortem) needs, taken
-// at the moment of the anomaly instead of twenty minutes later when
-// someone gets paged and the heap has already been OOM-killed flat.
+// evaluates threshold rules over the owner blocks' SLO windows and the
+// runtime health it reads at check time, and when one fires it writes a
+// capture bundle — pprof heap/goroutine/CPU profiles, the slowest-trace
+// ring, a /metrics snapshot and the firing rule itself — into a bounded
+// on-disk ring. The bundle is the evidence an operator (or a
+// postmortem) needs, taken at the moment of the anomaly instead of
+// twenty minutes later when someone gets paged and the heap has already
+// been OOM-killed flat.
 //
 // Rules:
 //
@@ -17,9 +18,7 @@ package server
 //     with a minimum event count — the multi-window gate that keeps a
 //     single slow request from triggering a bundle.
 //   - heap-near-limit: live heap at ≥ 90% of GOMEMLIMIT (rule is
-//     inert when no limit is set). The watchdog resamples the runtime
-//     before this check so a fast heap climb cannot hide behind a
-//     stale ticker sample.
+//     inert when no limit is set).
 //   - goroutine-spike: goroutine count over an absolute ceiling.
 //
 // Each (rule, owner) pair has a cooldown so a sustained breach yields
@@ -38,7 +37,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"wmxml/internal/obs"
@@ -70,24 +68,23 @@ type firedRule struct {
 	Cooldown string         `json:"cooldown"`
 }
 
-// watchdog owns the ticker, the cooldown table and the bundle ring.
+// watchdog owns the ticker, the cooldown table and the bundle ring. It
+// reads the server's metrics, trace ring and logger.
 type watchdog struct {
-	cfg  watchdogConfig
-	slo  *sloEngine
-	col  *obs.RuntimeCollector
-	ring *obs.TraceRing
-	met  *metrics
-	log  *obs.Logger
+	cfg watchdogConfig
+	s   *Server
 
 	mu       sync.Mutex
 	lastFire map[string]time.Time
 
-	stop    chan struct{}
-	done    chan struct{}
-	started atomic.Bool
+	stop     chan struct{}
+	stopOnce sync.Once
+	done     chan struct{}
 }
 
-func newWatchdog(cfg watchdogConfig, slo *sloEngine, col *obs.RuntimeCollector, ring *obs.TraceRing, met *metrics, log *obs.Logger) *watchdog {
+// newWatchdog resolves cfg's defaults and starts the evaluation loop;
+// Stop ends it.
+func newWatchdog(cfg watchdogConfig, s *Server) *watchdog {
 	if cfg.maxBundles <= 0 {
 		cfg.maxBundles = 8
 	}
@@ -109,27 +106,16 @@ func newWatchdog(cfg watchdogConfig, slo *sloEngine, col *obs.RuntimeCollector, 
 	if cfg.goroutineMax <= 0 {
 		cfg.goroutineMax = 10000
 	}
-	return &watchdog{
+	d := &watchdog{
 		cfg:      cfg,
-		slo:      slo,
-		col:      col,
-		ring:     ring,
-		met:      met,
-		log:      log,
+		s:        s,
 		lastFire: make(map[string]time.Time),
 		stop:     make(chan struct{}),
 		done:     make(chan struct{}),
 	}
-}
-
-// Start launches the evaluation loop; no-op on nil or double start.
-func (d *watchdog) Start() {
-	if d == nil || !d.started.CompareAndSwap(false, true) {
-		return
-	}
 	go func() {
 		defer close(d.done)
-		t := time.NewTicker(d.cfg.interval)
+		t := time.NewTicker(cfg.interval)
 		defer t.Stop()
 		for {
 			select {
@@ -140,28 +126,22 @@ func (d *watchdog) Start() {
 			}
 		}
 	}()
+	return d
 }
 
-// Stop halts the loop; safe on nil or never-started.
+// Stop halts the loop and waits for it to exit. Safe on nil and from
+// several goroutines at once.
 func (d *watchdog) Stop() {
 	if d == nil {
 		return
 	}
-	if d.started.CompareAndSwap(false, true) {
-		close(d.stop)
-		return
-	}
-	select {
-	case <-d.stop:
-	default:
-		close(d.stop)
-	}
+	d.stopOnce.Do(func() { close(d.stop) })
 	<-d.done
 }
 
 // check evaluates every rule once. Exposed to tests via direct call.
 func (d *watchdog) check(now time.Time) {
-	for _, e := range d.slo.evaluateAll(now.Unix()) {
+	for _, e := range d.s.met.evaluateSLO(now.Unix()) {
 		if e.Fast.Detects >= d.cfg.minEvents &&
 			e.Fast.DetectBurn >= d.cfg.burnThreshold && e.Slow.DetectBurn >= d.cfg.burnThreshold {
 			d.fire(now, "slo-detect-p99", e.Owner, map[string]any{
@@ -179,21 +159,18 @@ func (d *watchdog) check(now time.Time) {
 			})
 		}
 	}
-	// Resample rather than trusting the ticker's snapshot: heap climbs
-	// faster than a 10s sampling period during a leak.
-	if snap := d.col.SampleNow(); snap != nil {
-		if snap.MemLimitBytes > 0 &&
-			float64(snap.HeapLiveBytes) >= d.cfg.heapFraction*float64(snap.MemLimitBytes) {
-			d.fire(now, "heap-near-limit", "", map[string]any{
-				"heap_live_bytes": snap.HeapLiveBytes, "gomemlimit_bytes": snap.MemLimitBytes,
-				"fraction": d.cfg.heapFraction,
-			})
-		}
-		if snap.Goroutines >= d.cfg.goroutineMax {
-			d.fire(now, "goroutine-spike", "", map[string]any{
-				"goroutines": snap.Goroutines, "ceiling": d.cfg.goroutineMax,
-			})
-		}
+	rt := obs.ReadRuntime()
+	if rt.MemLimitBytes > 0 &&
+		float64(rt.HeapLiveBytes) >= d.cfg.heapFraction*float64(rt.MemLimitBytes) {
+		d.fire(now, "heap-near-limit", "", map[string]any{
+			"heap_live_bytes": rt.HeapLiveBytes, "gomemlimit_bytes": rt.MemLimitBytes,
+			"fraction": d.cfg.heapFraction,
+		})
+	}
+	if rt.Goroutines >= d.cfg.goroutineMax {
+		d.fire(now, "goroutine-spike", "", map[string]any{
+			"goroutines": rt.Goroutines, "ceiling": d.cfg.goroutineMax,
+		})
 	}
 }
 
@@ -216,11 +193,11 @@ func (d *watchdog) fire(now time.Time, rule, owner string, detail map[string]any
 	}
 	dir, err := d.capture(now, fr)
 	if err != nil {
-		d.log.Error("capture bundle failed", "rule", rule, "owner", owner, "error", err.Error())
+		d.s.log.Error("capture bundle failed", "rule", rule, "owner", owner, "error", err.Error())
 		return
 	}
-	d.met.captures.Inc()
-	d.log.Warn("capture bundle written", "rule", rule, "owner", owner, "dir", dir)
+	d.s.met.captures.Inc()
+	d.s.log.Warn("capture bundle written", "rule", rule, "owner", owner, "dir", dir)
 }
 
 // capture writes one bundle directory and evicts the ring's oldest.
@@ -248,12 +225,12 @@ func (d *watchdog) capture(now time.Time, fr firedRule) (string, error) {
 	if err := writeJSON("rule.json", fr); err != nil {
 		return "", err
 	}
-	if err := writeJSON("slo.json", d.slo.evaluateAll(now.Unix())); err != nil {
+	if err := writeJSON("slo.json", d.s.met.evaluateSLO(now.Unix())); err != nil {
 		return "", err
 	}
 	if err := writeJSON("traces.json", map[string]any{
-		"slowest": emptyIfNil(d.ring.Slowest()),
-		"recent":  emptyIfNil(d.ring.Recent()),
+		"slowest": emptyIfNil(d.s.ring.Slowest()),
+		"recent":  emptyIfNil(d.s.ring.Recent()),
 	}); err != nil {
 		return "", err
 	}
@@ -261,7 +238,7 @@ func (d *watchdog) capture(now time.Time, fr firedRule) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	d.met.render(mf)
+	d.s.writeMetrics(mf)
 	if err := mf.Close(); err != nil {
 		return "", err
 	}

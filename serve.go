@@ -135,9 +135,6 @@ type ServerOptions struct {
 	// SLOErrorRatio is the default tolerated 5xx fraction
 	// (0 = 0.01; negative disables).
 	SLOErrorRatio float64
-	// HealthInterval is the runtime health collector's sampling period
-	// for the wmxmld_go_* series (0 = 10s; negative disables).
-	HealthInterval time.Duration
 	// CaptureDir enables the anomaly watchdog: on a breached objective
 	// or runtime threshold it writes a capture bundle (pprof profiles,
 	// slowest traces, metrics and SLO snapshots, firing rule) into this
@@ -204,7 +201,6 @@ func newServer(opts ServerOptions) (*server.Server, error) {
 		TraceRing:            opts.TraceRing,
 		SLODetectP99:         opts.SLODetectP99,
 		SLOErrorRatio:        opts.SLOErrorRatio,
-		HealthInterval:       opts.HealthInterval,
 		CaptureDir:           opts.CaptureDir,
 		CaptureMax:           opts.CaptureMax,
 		CaptureCooldown:      opts.CaptureCooldown,
@@ -218,10 +214,10 @@ func newServer(opts ServerOptions) (*server.Server, error) {
 }
 
 // NewServerHandler builds the wmxmld HTTP API as an http.Handler, for
-// embedding into an existing server or test harness. The handler's
-// background self-monitoring (runtime collector, watchdog) has no
-// close path through this form — embedders who need clean teardown
-// should disable them (HealthInterval < 0, no CaptureDir) or run
+// embedding into an existing server or test harness. Without
+// CaptureDir the handler starts no goroutine. With CaptureDir set, its
+// anomaly watchdog runs in the background and has no close path
+// through this form; embedders who need clean teardown should run
 // Serve instead.
 func NewServerHandler(opts ServerOptions) (http.Handler, error) {
 	s, err := newServer(opts)

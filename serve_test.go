@@ -8,6 +8,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"syscall"
 	"testing"
@@ -94,10 +95,9 @@ func TestServeDrainReadiness(t *testing.T) {
 	done := make(chan error, 1)
 	go func() {
 		done <- Serve(ctx, ServerOptions{
-			Addr:           addr,
-			DrainDelay:     2 * time.Second,
-			HealthInterval: -1, // keep the test quiet
-			LogWriter:      io.Discard,
+			Addr:       addr,
+			DrainDelay: 2 * time.Second,
+			LogWriter:  io.Discard,
 		})
 	}()
 	get := func(path string) (int, string) {
@@ -184,7 +184,6 @@ func TestServeBindError(t *testing.T) {
 		{Addr: taken},
 		{Addr: "127.0.0.1:0", DebugAddr: taken},
 	} {
-		opts.HealthInterval = -1
 		opts.LogWriter = io.Discard
 		ctx, cancel := context.WithTimeout(context.Background(), 3*time.Second)
 		err := Serve(ctx, opts)
@@ -192,5 +191,26 @@ func TestServeBindError(t *testing.T) {
 		if !errors.Is(err, syscall.EADDRINUSE) {
 			t.Errorf("Serve(Addr %q, DebugAddr %q) = %v, want a bind error", opts.Addr, opts.DebugAddr, err)
 		}
+	}
+}
+
+// TestNewServerHandlerStartsNoGoroutine: without CaptureDir a handler
+// runs nothing in the background (runtime health is read on scrape), so
+// building handlers leaves no goroutine behind.
+func TestNewServerHandlerStartsNoGoroutine(t *testing.T) {
+	before := runtime.NumGoroutine()
+	for i := 0; i < 10; i++ {
+		if _, err := NewServerHandler(ServerOptions{LogWriter: io.Discard}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Goroutines of earlier tests may still be winding down; wait for
+	// the count to settle rather than reading it once.
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines before 10 NewServerHandler calls, %d after", before, runtime.NumGoroutine())
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }
