@@ -320,7 +320,7 @@ func EmbedIndexed(doc *xmltree.Node, cfg Config, ix *index.Index) (*EmbedResult,
 			// The value became unquotable or the selector vanished;
 			// fall back to the pre-embedding query, which still works
 			// unless the selector value itself was marked.
-			q = u.Query
+			q = u.Query()
 		}
 		recs[i] = QueryRecord{
 			ID:     u.ID,

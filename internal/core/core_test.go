@@ -410,3 +410,40 @@ func TestRecordsContainKeyPredicates(t *testing.T) {
 		}
 	}
 }
+
+// TestEmbedAllocs bounds the objects one embed of a 1k-record document
+// allocates at gamma 10: about 24k, with identity queries built for the
+// carriers only and carrier selection allocation-free. Building every
+// unit's query, or keying a fresh HMAC per decision, costs about 120k
+// and fails the bound, which leaves under 25% headroom.
+func TestEmbedAllocs(t *testing.T) {
+	if raceDetector {
+		t.Skip("the race detector's sync.Pool drops pooled HMAC states")
+	}
+	ds := datagen.Publications(datagen.PubConfig{Books: 1000, Seed: 2005})
+	cfg := Config{
+		Key:      []byte("bench-key"),
+		Mark:     wmark.FromText("bench-mark-2005"),
+		Gamma:    10,
+		Schema:   ds.Schema,
+		Catalog:  ds.Catalog,
+		Identity: identity.Options{Targets: ds.Targets},
+	}
+	const runs = 10
+	docs := make([]*xmltree.Node, runs+1) // AllocsPerRun calls f once more to warm up
+	for i := range docs {
+		docs[i] = ds.Doc.Clone()
+	}
+	next := 0
+	avg := testing.AllocsPerRun(runs, func() {
+		if _, err := EmbedIndexed(docs[next], cfg, nil); err != nil {
+			t.Fatal(err)
+		}
+		next++
+	})
+	const budget = 29000
+	if avg > budget {
+		t.Fatalf("EmbedIndexed on 1000 records allocates %.0f objects/op, budget is %d", avg, budget)
+	}
+	t.Logf("EmbedIndexed on 1000 records: %.0f allocs/op", avg)
+}

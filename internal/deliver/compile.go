@@ -7,7 +7,6 @@ import (
 	"strings"
 
 	"wmxml/internal/core"
-	"wmxml/internal/identity"
 	"wmxml/internal/xmltree"
 	"wmxml/internal/xpath"
 )
@@ -136,28 +135,32 @@ func Compile(doc *xmltree.Node, cfg core.Config, sopts xmltree.SerializeOptions)
 			up.Unemb = [2]int{n, n}
 		}
 		if up.Wrote[0] > 0 || up.Wrote[1] > 0 {
-			fb := u.Query.String()
-			up.Query = [2]string{fb, fb}
-			if u.SelRel != "" {
-				switch selIt, ok := selectorItem(u); {
-				case !ok:
-					// Keep the pre-embedding fallback, exactly like
-					// Rebuild's error path.
-				default:
-					if m, hit := marked[markedKey{selIt.Node, selIt.Attr}]; hit {
-						up.DependsBit = m.bit
-						for b := 0; b < 2; b++ {
-							if q, err := u.RebuildWithValue(m.post[b]); err == nil {
-								up.Query[b] = q.String()
-							}
-						}
-						if up.Query[0] == up.Query[1] {
-							up.DependsBit = -1
-						}
-					} else if q, err := u.RebuildWithValue(selIt.Value()); err == nil {
-						up.Query = [2]string{q.String(), q.String()}
+			// A nil variant keeps the pre-embedding query, exactly like
+			// Rebuild's error path; it is built only if needed.
+			var qs [2]*xpath.Query
+			if selIt, ok := u.SelectorItem(); ok {
+				if m, hit := marked[markedKey{selIt.Node, selIt.Attr}]; hit {
+					up.DependsBit = m.bit
+					for b := 0; b < 2; b++ {
+						qs[b], _ = u.RebuildWithValue(m.post[b])
 					}
+				} else {
+					qs[0], _ = u.RebuildWithValue(selIt.Value())
+					qs[1] = qs[0]
 				}
+			}
+			var fallback *xpath.Query
+			for b, q := range qs {
+				if q == nil {
+					if fallback == nil {
+						fallback = u.Query()
+					}
+					q = fallback
+				}
+				up.Query[b] = q.String()
+			}
+			if up.Query[0] == up.Query[1] {
+				up.DependsBit = -1
 			}
 		}
 		units[si] = up
@@ -179,19 +182,4 @@ func Compile(doc *xmltree.Node, cfg core.Config, sopts xmltree.SerializeOptions)
 		return nil, nil, fmt.Errorf("deliver: compile produced an invalid plan: %w", err)
 	}
 	return p, canonical, nil
-}
-
-// selectorItem resolves the unit's identity selector on the (unmarked)
-// document, mirroring Rebuild's lookup: the unit's first instance,
-// then the first match of the selector-relative path under it.
-func selectorItem(u identity.Unit) (xpath.Item, bool) {
-	inst := u.Instance(0)
-	if inst == nil {
-		return xpath.Item{}, false
-	}
-	selQ, err := xpath.Compile(u.SelRel)
-	if err != nil {
-		return xpath.Item{}, false
-	}
-	return selQ.SelectFirst(inst)
 }

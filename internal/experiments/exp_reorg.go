@@ -178,10 +178,11 @@ func E6RewriteFidelity(p Params) (*Table, error) {
 			fields = append(fields, key)
 		}
 		c[0]++
-		rq, err := rw.RewriteQuery(u.Query)
+		q := u.Query()
+		rq, err := rw.RewriteQuery(q)
 		if err == nil {
 			c[1]++
-			want := valueSet(u.Query.SelectValues(s.ds.Doc))
+			want := valueSet(q.SelectValues(s.ds.Doc))
 			got := valueSet(rq.SelectValues(reorgDoc))
 			if equalSets(want, got) {
 				c[2]++

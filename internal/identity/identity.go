@@ -24,7 +24,9 @@ package identity
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 
 	"wmxml/internal/schema"
@@ -63,14 +65,15 @@ type Options struct {
 
 // Unit is one unit of watermark bandwidth: a logical value with a
 // persistent identity. A Unit may resolve to several physical items when
-// an FD makes them duplicates of one another.
+// an FD makes them duplicates of one another. Its identity query is not
+// built at enumeration: a unit keeps its selector value (or ordinal) and
+// its target's parsed query fragments, and Query assembles the query on
+// demand — only carriers, about 1/gamma of the units, ever need one.
 type Unit struct {
 	// ID is the canonical identity string — the input to the keyed
 	// selection HMACs. It must be stable across document re-organization
 	// (it is derived from semantics, not structure).
 	ID string
-	// Query is the identity query addressing the unit's items.
-	Query *xpath.Query
 	// Items are the physical values currently backing the unit, resolved
 	// against the document the unit was enumerated from.
 	Items []xpath.Item
@@ -86,6 +89,20 @@ type Unit struct {
 	// GroupValue is the FD grouping value when the unit is an FD
 	// canonical group ("" otherwise).
 	GroupValue string
+
+	selValue string // the predicate's value at enumeration (semantic units)
+	ordinal  int    // the predicate's ordinal (positional units)
+	shape    *shape
+}
+
+// Query builds the identity query addressing the unit's items, as of
+// enumeration: /scope[selector='value']/field, or /scope[ordinal]/field
+// for positional units.
+func (u Unit) Query() *xpath.Query {
+	if u.SelRel == "" {
+		return u.shape.query(xpath.Number{Value: float64(u.ordinal)})
+	}
+	return u.shape.query(u.shape.predicate(u.selValue))
 }
 
 // Instance returns the scope instance element owning the i-th item.
@@ -100,6 +117,17 @@ func (u Unit) Instance(i int) *xmltree.Node {
 	return it.Node.Parent
 }
 
+// SelectorItem resolves the unit's selector on its first instance in the
+// document's current state: the value Rebuild names in its predicate.
+// It reports false for positional units and when the selector is gone.
+func (u Unit) SelectorItem() (xpath.Item, bool) {
+	inst := u.Instance(0)
+	if u.SelRel == "" || inst == nil {
+		return xpath.Item{}, false
+	}
+	return u.shape.selQ.SelectFirst(inst)
+}
+
 // Rebuild regenerates the unit's identity query from the *current* state
 // of the document. The encoder calls this after embedding: marking a
 // value that also serves as a selector (an FD determinant marked through
@@ -108,21 +136,13 @@ func (u Unit) Instance(i int) *xmltree.Node {
 // the data and generates a set of identifying queries").
 func (u Unit) Rebuild() (*xpath.Query, error) {
 	if u.SelRel == "" {
-		return u.Query, nil // positional units: structure unchanged by embedding
+		return u.Query(), nil // positional units: structure unchanged by embedding
 	}
-	inst := u.Instance(0)
-	if inst == nil {
-		return nil, fmt.Errorf("identity: unit %q has no instance", u.ID)
-	}
-	selQ, err := xpath.Compile(u.SelRel)
-	if err != nil {
-		return nil, err
-	}
-	it, ok := selQ.SelectFirst(inst)
+	it, ok := u.SelectorItem()
 	if !ok {
 		return nil, fmt.Errorf("identity: selector %q missing on instance of %q", u.SelRel, u.ID)
 	}
-	return buildIdentityQuery(u.Scope, u.SelRel, it.Value(), u.Field)
+	return u.RebuildWithValue(it.Value())
 }
 
 // RebuildWithValue is Rebuild with the selector's post-insertion value
@@ -132,9 +152,12 @@ func (u Unit) Rebuild() (*xpath.Query, error) {
 // either bit choice without mutating the document.
 func (u Unit) RebuildWithValue(selValue string) (*xpath.Query, error) {
 	if u.SelRel == "" {
-		return u.Query, nil
+		return u.Query(), nil
 	}
-	return buildIdentityQuery(u.Scope, u.SelRel, selValue, u.Field)
+	if !quotable(selValue) {
+		return nil, fmt.Errorf("identity: value %q contains both quote kinds", selValue)
+	}
+	return u.shape.query(u.shape.predicate(selValue)), nil
 }
 
 // Target is a parsed target field.
@@ -304,17 +327,15 @@ func (b *Builder) UnitsIndexed(doc *xmltree.Node, ix xpath.DocIndex) ([]Unit, Re
 	rep.Targets = targets
 	var units []Unit
 	for _, tgt := range targets {
-		var tu []Unit
 		var err error
 		if b.opts.Mode == ModePositional {
-			tu, err = b.positionalUnits(doc, tgt, ix, &rep)
+			units, err = b.positionalUnits(units, doc, tgt, ix, &rep)
 		} else {
-			tu, err = b.semanticUnits(doc, tgt, ix, &rep)
+			units, err = b.semanticUnits(units, doc, tgt, ix, &rep)
 		}
 		if err != nil {
 			return nil, rep, err
 		}
-		units = append(units, tu...)
 	}
 	rep.Units = len(units)
 	for _, u := range units {
@@ -326,12 +347,12 @@ func (b *Builder) UnitsIndexed(doc *xmltree.Node, ix xpath.DocIndex) ([]Unit, Re
 	return units, rep, nil
 }
 
-// semanticUnits builds key/FD-based units for one target.
-func (b *Builder) semanticUnits(doc *xmltree.Node, tgt Target, ix xpath.DocIndex, rep *Report) ([]Unit, error) {
+// semanticUnits appends the key/FD-based units of one target to units.
+func (b *Builder) semanticUnits(units []Unit, doc *xmltree.Node, tgt Target, ix xpath.DocIndex, rep *Report) ([]Unit, error) {
 	key, ok := b.catalog.KeyFor(tgt.Scope)
 	if !ok {
 		rep.Skipped["no key for scope "+tgt.Scope] += 1
-		return nil, nil
+		return units, nil
 	}
 	insts, err := semantics.InstancesIndexed(doc, tgt.Scope, ix)
 	if err != nil {
@@ -364,13 +385,17 @@ func (b *Builder) semanticUnits(doc *xmltree.Node, tgt Target, ix xpath.DocIndex
 	}
 
 	if groupRel != "" {
-		return b.fdUnits(insts, tgt, groupRel, groupSelf, fieldQ, rep)
+		return b.fdUnits(units, insts, tgt, groupRel, groupSelf, fieldQ, rep)
 	}
 
-	var units []Unit
+	// A scope that does not parse as a query leaves no unit addressable:
+	// each is skipped like an unquotable value.
+	sh, shapeErr := newShape(tgt.Scope, keyQ, fieldQ)
+	units = slices.Grow(units, len(insts))
 	for _, inst := range insts {
 		kv, ok := keyQ.SelectFirst(inst)
-		if !ok || strings.TrimSpace(kv.Value()) == "" {
+		v := kv.Value()
+		if !ok || strings.TrimSpace(v) == "" {
 			rep.Skipped["missing key value"]++
 			continue
 		}
@@ -379,27 +404,27 @@ func (b *Builder) semanticUnits(doc *xmltree.Node, tgt Target, ix xpath.DocIndex
 			rep.Skipped["missing field "+tgt.Field]++
 			continue
 		}
-		q, err := buildIdentityQuery(tgt.Scope, key.KeyPath, kv.Value(), tgt.Field)
-		if err != nil {
+		if shapeErr != nil || !quotable(v) {
 			rep.Skipped["unquotable value"]++
 			continue
 		}
 		units = append(units, Unit{
-			ID:     canonicalID("key", tgt.Scope, tgt.Field, kv.Value()),
-			Query:  q,
-			Items:  []xpath.Item{item},
-			Type:   tgt.Type,
-			Scope:  tgt.Scope,
-			Field:  tgt.Field,
-			SelRel: key.KeyPath,
+			ID:       canonicalID("key", tgt.Scope, tgt.Field, v),
+			Items:    []xpath.Item{item},
+			Type:     tgt.Type,
+			Scope:    tgt.Scope,
+			Field:    tgt.Field,
+			SelRel:   key.KeyPath,
+			selValue: v,
+			shape:    sh,
 		})
 	}
 	return units, nil
 }
 
-// fdUnits groups instances by the grouping value and emits one unit per
-// group.
-func (b *Builder) fdUnits(insts []*xmltree.Node, tgt Target, groupRel string, groupSelf bool, fieldQ *xpath.Query, rep *Report) ([]Unit, error) {
+// fdUnits groups instances by the grouping value and appends one unit
+// per group to units.
+func (b *Builder) fdUnits(units []Unit, insts []*xmltree.Node, tgt Target, groupRel string, groupSelf bool, fieldQ *xpath.Query, rep *Report) ([]Unit, error) {
 	groupQ, err := xpath.Compile(groupRel)
 	if err != nil {
 		return nil, fmt.Errorf("identity: group path %q: %w", groupRel, err)
@@ -427,29 +452,30 @@ func (b *Builder) fdUnits(insts []*xmltree.Node, tgt Target, groupRel string, gr
 	if groupSelf {
 		kind = "det"
 	}
-	var units []Unit
+	sh, shapeErr := newShape(tgt.Scope, groupQ, fieldQ)
 	for _, v := range vals {
-		q, err := buildIdentityQuery(tgt.Scope, groupRel, v, tgt.Field)
-		if err != nil {
+		if shapeErr != nil || !quotable(v) {
 			rep.Skipped["unquotable value"]++
 			continue
 		}
 		units = append(units, Unit{
 			ID:         canonicalID(kind, tgt.Scope, tgt.Field, v),
-			Query:      q,
 			Items:      groups[v],
 			Type:       tgt.Type,
 			Scope:      tgt.Scope,
 			Field:      tgt.Field,
 			SelRel:     groupRel,
 			GroupValue: v,
+			selValue:   v,
+			shape:      sh,
 		})
 	}
 	return units, nil
 }
 
-// positionalUnits builds ordinal-based units (ablation baseline).
-func (b *Builder) positionalUnits(doc *xmltree.Node, tgt Target, ix xpath.DocIndex, rep *Report) ([]Unit, error) {
+// positionalUnits appends ordinal-based units (ablation baseline) to
+// units.
+func (b *Builder) positionalUnits(units []Unit, doc *xmltree.Node, tgt Target, ix xpath.DocIndex, rep *Report) ([]Unit, error) {
 	insts, err := semantics.InstancesIndexed(doc, tgt.Scope, ix)
 	if err != nil {
 		return nil, err
@@ -458,24 +484,25 @@ func (b *Builder) positionalUnits(doc *xmltree.Node, tgt Target, ix xpath.DocInd
 	if err != nil {
 		return nil, err
 	}
-	var units []Unit
+	sh, shapeErr := newShape(tgt.Scope, nil, fieldQ)
+	units = slices.Grow(units, len(insts))
 	for idx, inst := range insts {
 		item, ok := fieldQ.SelectFirst(inst)
 		if !ok {
 			rep.Skipped["missing field "+tgt.Field]++
 			continue
 		}
-		q, err := buildPositionalQuery(tgt.Scope, idx+1, tgt.Field)
-		if err != nil {
-			return nil, err
+		if shapeErr != nil {
+			return nil, shapeErr
 		}
 		units = append(units, Unit{
-			ID:    canonicalID("pos", tgt.Scope, tgt.Field, fmt.Sprintf("%d", idx+1)),
-			Query: q,
-			Items: []xpath.Item{item},
-			Type:  tgt.Type,
-			Scope: tgt.Scope,
-			Field: tgt.Field,
+			ID:      canonicalID("pos", tgt.Scope, tgt.Field, strconv.Itoa(idx+1)),
+			Items:   []xpath.Item{item},
+			Type:    tgt.Type,
+			Scope:   tgt.Scope,
+			Field:   tgt.Field,
+			ordinal: idx + 1,
+			shape:   sh,
 		})
 	}
 	return units, nil
@@ -488,47 +515,49 @@ func canonicalID(kind, scope, field, value string) string {
 	return kind + "\x1f" + scope + "\x1f" + field + "\x1f" + value
 }
 
-// buildIdentityQuery constructs /scope[selRel='selValue']/field as an AST
-// (proper literal quoting included). It fails when the value contains
-// both quote characters — XPath 1.0 has no escaping.
-func buildIdentityQuery(scope, selRel, selValue, field string) (*xpath.Query, error) {
-	if strings.Contains(selValue, "'") && strings.Contains(selValue, `"`) {
-		return nil, fmt.Errorf("identity: value %q contains both quote kinds", selValue)
-	}
-	selPath, err := xpath.ParsePath(selRel)
-	if err != nil {
-		return nil, err
-	}
-	p, err := xpath.ParsePath("/" + scope)
-	if err != nil {
-		return nil, err
-	}
-	last := &p.Steps[len(p.Steps)-1]
-	last.Predicates = append(last.Predicates, xpath.Binary{
-		Op: "=",
-		L:  xpath.PathExpr{Path: selPath},
-		R:  xpath.String{Value: selValue},
-	})
-	fieldPath, err := xpath.ParsePath(field)
-	if err != nil {
-		return nil, err
-	}
-	p.Steps = append(p.Steps, fieldPath.Steps...)
-	return xpath.FromPath(p), nil
+// quotable reports whether v can be written as an XPath 1.0 string
+// literal, which has no escapes: v must not hold both quote kinds.
+func quotable(v string) bool {
+	return !strings.Contains(v, "'") || !strings.Contains(v, `"`)
 }
 
-// buildPositionalQuery constructs /scope[ordinal]/field.
-func buildPositionalQuery(scope string, ordinal int, field string) (*xpath.Query, error) {
-	p, err := xpath.ParsePath("/" + scope)
+// shape is what every unit of one target shares: the fragments its
+// identity queries are assembled from — "/scope", the selector path and
+// the field path — parsed once per target, and the compiled selector
+// query Rebuild reads the current selector value through.
+type shape struct {
+	scope, sel, field xpath.Path
+	selQ              *xpath.Query // nil for positional units
+}
+
+// newShape parses the target's scope and takes the selector and field
+// paths from their compiled queries; selQ is nil for positional units.
+func newShape(scope string, selQ, fieldQ *xpath.Query) (*shape, error) {
+	scopePath, err := xpath.ParsePath("/" + scope)
 	if err != nil {
 		return nil, err
 	}
-	last := &p.Steps[len(p.Steps)-1]
-	last.Predicates = append(last.Predicates, xpath.Number{Value: float64(ordinal)})
-	fieldPath, err := xpath.ParsePath(field)
-	if err != nil {
-		return nil, err
+	sh := &shape{scope: scopePath, field: fieldQ.Path(), selQ: selQ}
+	if selQ != nil {
+		sh.sel = selQ.Path()
 	}
-	p.Steps = append(p.Steps, fieldPath.Steps...)
-	return xpath.FromPath(p), nil
+	return sh, nil
+}
+
+// predicate is the identity predicate selector='value' (proper literal
+// quoting included; the value must be quotable).
+func (sh *shape) predicate(value string) xpath.Expr {
+	return xpath.Binary{Op: "=", L: xpath.PathExpr{Path: sh.sel}, R: xpath.String{Value: value}}
+}
+
+// query assembles /scope[pred]/field. The fragments are shared by all
+// of the target's units, so the scope's last step gets a fresh predicate
+// slice and FromPath deep-copies the assembled path.
+func (sh *shape) query(pred xpath.Expr) *xpath.Query {
+	steps := make([]xpath.Step, 0, len(sh.scope.Steps)+len(sh.field.Steps))
+	steps = append(steps, sh.scope.Steps...)
+	last := &steps[len(steps)-1]
+	last.Predicates = append(last.Predicates[:len(last.Predicates):len(last.Predicates)], pred)
+	steps = append(steps, sh.field.Steps...)
+	return xpath.FromPath(xpath.Path{Absolute: sh.scope.Absolute, Steps: steps})
 }

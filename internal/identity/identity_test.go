@@ -91,15 +91,15 @@ func TestSemanticUnits(t *testing.T) {
 	}
 	// Every unit's query must resolve to exactly its item.
 	for _, u := range units[:10] {
-		items := u.Query.Select(ds.Doc)
+		items := u.Query().Select(ds.Doc)
 		if len(items) != 1 {
-			t.Fatalf("query %q resolved %d items", u.Query, len(items))
+			t.Fatalf("query %q resolved %d items", u.Query(), len(items))
 		}
 		if items[0] != u.Items[0] {
-			t.Errorf("query %q resolved a different item", u.Query)
+			t.Errorf("query %q resolved a different item", u.Query())
 		}
-		if !strings.Contains(u.Query.String(), "[title=") {
-			t.Errorf("identity query not key-based: %q", u.Query)
+		if !strings.Contains(u.Query().String(), "[title=") {
+			t.Errorf("identity query not key-based: %q", u.Query())
 		}
 	}
 	// IDs are unique.
@@ -131,8 +131,8 @@ func TestFDDependentGrouping(t *testing.T) {
 		if u.GroupValue == "" {
 			t.Errorf("FD unit missing group value")
 		}
-		if !strings.Contains(u.Query.String(), "[editor=") {
-			t.Errorf("FD identity not determinant-based: %q", u.Query)
+		if !strings.Contains(u.Query().String(), "[editor=") {
+			t.Errorf("FD identity not determinant-based: %q", u.Query())
 		}
 		if len(u.Items) >= 2 {
 			groups++
@@ -201,7 +201,7 @@ func TestPositionalUnits(t *testing.T) {
 	if len(units) != 40 {
 		t.Fatalf("units = %d", len(units))
 	}
-	q := units[2].Query
+	q := units[2].Query()
 	if !strings.Contains(q.String(), "book[3]") {
 		t.Errorf("positional query = %q", q)
 	}
@@ -252,27 +252,42 @@ func TestNoKeyForScope(t *testing.T) {
 
 func TestQuotingInIdentityQueries(t *testing.T) {
 	doc := xmltree.MustParseString(`<db>
-	  <book><title>O'Reilly Guide</title><year>2001</year></book>
-	  <book><title>The "Best" Book</title><year>2002</year></book>
-	  <book><title>Both ' and " inside</title><year>2003</year></book>
+	  <book publisher="P1"><title>O'Reilly Guide</title><editor>Ann O'Neil</editor><year>2001</year></book>
+	  <book publisher="P2"><title>The "Best" Book</title><editor>Bo "B" Li</editor><year>2002</year></book>
+	  <book publisher="P3"><title>Both ' and " inside</title><editor>Cy ' and " Wu</editor><year>2003</year></book>
 	</db>`)
 	s := schema.Infer("t", doc)
-	cat := semantics.Catalog{Keys: []semantics.Key{{Scope: "db/book", KeyPath: "title"}}}
-	b := NewBuilder(s, cat, Options{Targets: []string{"db/book/year"}})
-	units, rep, err := b.Units(doc)
-	if err != nil {
-		t.Fatal(err)
+	cat := semantics.Catalog{
+		Keys: []semantics.Key{{Scope: "db/book", KeyPath: "title"}},
+		FDs:  []semantics.FD{{Scope: "db/book", Determinant: "editor", Dependent: "@publisher"}},
 	}
-	// Two quotable titles; the both-quotes one is skipped.
-	if len(units) != 2 {
-		t.Fatalf("units = %d, want 2", len(units))
-	}
-	if rep.Skipped["unquotable value"] != 1 {
-		t.Errorf("skipped = %v", rep.Skipped)
-	}
-	for _, u := range units {
-		if got := u.Query.Select(doc); len(got) != 1 {
-			t.Errorf("query %q resolved %d items", u.Query, len(got))
+	for _, tc := range []struct {
+		target, kind string
+	}{
+		{"db/book/year", "key"},      // key value with both quote kinds
+		{"db/book/@publisher", "fd"}, // FD determinant with both quote kinds
+		{"db/book/editor", "det"},    // det-unit value with both quote kinds
+	} {
+		b := NewBuilder(s, cat, Options{Targets: []string{tc.target}})
+		units, rep, err := b.Units(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Two quotable selector values; the both-quotes one is skipped.
+		if len(units) != 2 {
+			t.Fatalf("%s: units = %d, want 2", tc.target, len(units))
+		}
+		if rep.Skipped["unquotable value"] != 1 {
+			t.Errorf("%s: skipped = %v", tc.target, rep.Skipped)
+		}
+		for _, u := range units {
+			if !strings.HasPrefix(u.ID, tc.kind+"\x1f") {
+				t.Errorf("%s: unit kind of %q, want %s", tc.target, u.ID, tc.kind)
+			}
+			q := u.Query()
+			if got := q.Select(doc); len(got) != 1 || got[0] != u.Items[0] {
+				t.Errorf("%s: query %q resolved %d items", tc.target, q, len(got))
+			}
 		}
 	}
 }
@@ -293,12 +308,12 @@ func TestNestedScopeUnits(t *testing.T) {
 		t.Errorf("physical items = %d", rep.PhysicalItems)
 	}
 	for _, u := range units[:10] {
-		if !strings.HasPrefix(u.Query.String(), "/catalog/publisher/book[title=") {
-			t.Errorf("nested identity query = %q", u.Query)
+		if !strings.HasPrefix(u.Query().String(), "/catalog/publisher/book[title=") {
+			t.Errorf("nested identity query = %q", u.Query())
 		}
-		items := u.Query.Select(ds.Doc)
+		items := u.Query().Select(ds.Doc)
 		if len(items) != 1 || items[0] != u.Items[0] {
-			t.Errorf("nested query %q resolution mismatch (%d items)", u.Query, len(items))
+			t.Errorf("nested query %q resolution mismatch (%d items)", u.Query(), len(items))
 		}
 	}
 }
@@ -360,7 +375,7 @@ func TestQuickUnitQueriesResolveExactly(t *testing.T) {
 			return false
 		}
 		for _, u := range units {
-			items := u.Query.Select(ds.Doc)
+			items := u.Query().Select(ds.Doc)
 			if len(items) != len(u.Items) {
 				return false
 			}

@@ -29,8 +29,8 @@ func TestUnitsIndexedEquivalence(t *testing.T) {
 		}
 		for i := range plain {
 			p, x := plain[i], indexed[i]
-			if p.ID != x.ID || p.Query.String() != x.Query.String() || p.Type != x.Type {
-				t.Fatalf("mode %d unit %d: %q/%q vs %q/%q", mode, i, p.ID, p.Query, x.ID, x.Query)
+			if p.ID != x.ID || p.Query().String() != x.Query().String() || p.Type != x.Type {
+				t.Fatalf("mode %d unit %d: %q/%q vs %q/%q", mode, i, p.ID, p.Query(), x.ID, x.Query())
 			}
 			if len(p.Items) != len(x.Items) {
 				t.Fatalf("mode %d unit %d: item counts differ", mode, i)

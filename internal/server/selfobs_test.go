@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -245,12 +246,17 @@ func newWatchdogServer(t *testing.T, opts Options) (*Server, string) {
 }
 
 // ruleBundle returns the rule.json of the bundle in dir that rule
-// fired for owner, failing the test when there is none.
+// fired for owner, failing the test when there is none. The bundle's
+// name ends in the rule, then the path-escaped owner if there is one.
 func ruleBundle(t *testing.T, dir, rule, owner string) firedRule {
 	t.Helper()
+	suffix := "-" + rule
+	if owner != "" {
+		suffix += "-" + url.PathEscape(owner)
+	}
 	bundles := listBundles(dir)
 	for _, name := range bundles {
-		if !strings.HasSuffix(name, "-"+rule) {
+		if !strings.HasSuffix(name, suffix) {
 			continue
 		}
 		b, err := os.ReadFile(filepath.Join(dir, name, "rule.json"))
@@ -283,12 +289,14 @@ func TestWatchdogCaptureBundle(t *testing.T) {
 	d := s.dog
 
 	d.check(time.Now())
+	// The aggregate (owner _total) and acme breach in the same check:
+	// one bundle each, told apart by the owner in the name.
 	bundles := listBundles(dir)
-	if len(bundles) != 1 {
+	if len(bundles) != 2 {
 		t.Fatalf("bundles after breach: %v", bundles)
 	}
-	if !strings.Contains(bundles[0], "slo-detect-p99") {
-		t.Fatalf("bundle name %q does not carry the firing rule", bundles[0])
+	for _, owner := range []string{sloTotalOwner, "acme"} {
+		ruleBundle(t, dir, "slo-detect-p99", owner)
 	}
 	full := filepath.Join(dir, bundles[0])
 	for _, f := range []string{"rule.json", "slo.json", "traces.json", "metrics.prom", "heap.pprof", "goroutine.pprof"} {
@@ -302,9 +310,6 @@ func TestWatchdogCaptureBundle(t *testing.T) {
 	if err := json.Unmarshal(b, &fr); err != nil || fr.Rule != "slo-detect-p99" {
 		t.Fatalf("rule.json: %v %s", err, b)
 	}
-	// The owner label: the aggregate fires first (owner _total), and
-	// its bundle gates the per-owner one only through its own key —
-	// the acme breach writes its own bundle, distinct cooldown keys.
 	if n := s.met.captures.Value(); n != uint64(len(listBundles(dir))) {
 		t.Fatalf("captures counter %d != bundles on disk %d", n, len(listBundles(dir)))
 	}
@@ -345,9 +350,11 @@ func TestWatchdogErrorRatio(t *testing.T) {
 		fold(s.met, "acme", "verify", status, time.Millisecond)
 	}
 	s.dog.check(time.Now())
-	fr := ruleBundle(t, dir, "slo-error-ratio", sloTotalOwner)
-	if fr.Detail["fast_burn"] != 25.0 || fr.Detail["slow_burn"] != 25.0 || fr.Detail["fast_errors"] != 5.0 {
-		t.Fatalf("rule.json detail: %v", fr.Detail)
+	for _, owner := range []string{sloTotalOwner, "acme"} {
+		fr := ruleBundle(t, dir, "slo-error-ratio", owner)
+		if fr.Detail["fast_burn"] != 25.0 || fr.Detail["slow_burn"] != 25.0 || fr.Detail["fast_errors"] != 5.0 {
+			t.Fatalf("%s rule.json detail: %v", owner, fr.Detail)
+		}
 	}
 }
 

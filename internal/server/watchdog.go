@@ -31,6 +31,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"net/url"
 	"os"
 	"path/filepath"
 	"runtime/pprof"
@@ -42,8 +43,10 @@ import (
 	"wmxml/internal/obs"
 )
 
-// capturePrefix names bundle directories: cap-<UTC stamp>-<rule>, so a
-// lexical sort of the ring directory is a chronological sort.
+// capturePrefix names bundle directories: cap-<UTC stamp>-<rule>, then
+// -<path-escaped owner> for owner-scoped rules, so one check that fires
+// a rule for several owners writes one bundle each, and a lexical sort
+// of the ring directory is a chronological sort.
 const capturePrefix = "cap-"
 
 // watchdogConfig is the resolved rule and ring configuration.
@@ -208,6 +211,9 @@ func (d *watchdog) capture(now time.Time, fr firedRule) (string, error) {
 		return "", err
 	}
 	name := capturePrefix + now.UTC().Format("20060102T150405.000000000") + "-" + fr.Rule
+	if fr.Owner != "" {
+		name += "-" + url.PathEscape(fr.Owner)
+	}
 	tmp := filepath.Join(d.cfg.dir, "."+name)
 	final := filepath.Join(d.cfg.dir, name)
 	if err := os.MkdirAll(tmp, 0o755); err != nil {

@@ -20,8 +20,10 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
+	"hash"
 	"math"
 	"strings"
+	"sync"
 )
 
 // Bits is a watermark as a sequence of bits, each element 0 or 1.
@@ -125,13 +127,24 @@ func (b Bits) String() string {
 	return sb.String()
 }
 
-// Selector performs the keyed decisions of the scheme. It is stateless
-// and safe for concurrent use.
+// Selector performs the keyed decisions of the scheme. It is safe for
+// concurrent use: each call takes a keyed HMAC state from the selector's
+// pool, so a decision allocates nothing once the pool is warm.
 type Selector struct {
 	key     []byte
 	gamma   int
 	markLen int
 	xi      int
+	macs    sync.Pool // of *macState
+}
+
+// macState is one reusable HMAC computation: the keyed hash (Reset
+// restores the key schedule without recomputing it), the input buffer
+// and the sum.
+type macState struct {
+	h   hash.Hash
+	in  []byte
+	sum [sha256.Size]byte
 }
 
 // NewSelector builds a Selector.
@@ -155,7 +168,9 @@ func NewSelector(key []byte, gamma, markLen, xi int) (*Selector, error) {
 	if xi < 1 {
 		return nil, fmt.Errorf("wmark: xi must be >= 1, got %d", xi)
 	}
-	return &Selector{key: append([]byte(nil), key...), gamma: gamma, markLen: markLen, xi: xi}, nil
+	s := &Selector{key: append([]byte(nil), key...), gamma: gamma, markLen: markLen, xi: xi}
+	s.macs.New = func() any { return &macState{h: hmac.New(sha256.New, s.key)} }
+	return s, nil
 }
 
 // Gamma returns the selection ratio.
@@ -167,13 +182,15 @@ func (s *Selector) MarkLen() int { return s.markLen }
 // Xi returns the number of candidate embedding positions.
 func (s *Selector) Xi() int { return s.xi }
 
+// mac is the first 8 bytes, big-endian, of HMAC-SHA256(key, domain‖0‖id).
 func (s *Selector) mac(domain, id string) uint64 {
-	m := hmac.New(sha256.New, s.key)
-	m.Write([]byte(domain))
-	m.Write([]byte{0})
-	m.Write([]byte(id))
-	sum := m.Sum(nil)
-	return binary.BigEndian.Uint64(sum[:8])
+	m := s.macs.Get().(*macState)
+	m.h.Reset()
+	m.in = append(append(append(m.in[:0], domain...), 0), id...)
+	m.h.Write(m.in)
+	v := binary.BigEndian.Uint64(m.h.Sum(m.sum[:0]))
+	s.macs.Put(m)
+	return v
 }
 
 // Selected reports whether the identity id is a watermark carrier.
