@@ -221,16 +221,16 @@ func Embed(doc *xmltree.Node, cfg Config) (*EmbedResult, error) {
 
 // docIndex materializes the shared per-document index: an explicit one
 // wins, otherwise one is built unless the config disables indexing. The
-// xpath.DocIndex return is nil (untyped) when there is no index, so
-// SelectIndexed degrades cleanly.
-func docIndex(doc *xmltree.Node, cfg Config, ix *index.Index) (*index.Index, xpath.DocIndex) {
+// result is nil (untyped) when there is no index, so SelectIndexed
+// degrades cleanly.
+func docIndex(doc *xmltree.Node, cfg Config, ix *index.Index) xpath.DocIndex {
 	if ix == nil && !cfg.DisableIndex {
 		ix = index.New(doc)
 	}
 	if ix == nil {
-		return nil, nil
+		return nil
 	}
-	return ix, ix
+	return ix
 }
 
 // EmbedIndexed is Embed reusing a caller-provided document index (built
@@ -239,36 +239,19 @@ func docIndex(doc *xmltree.Node, cfg Config, ix *index.Index) (*index.Index, xpa
 // shares one index per document across embed and verify. A nil ix
 // builds one internally (unless cfg.DisableIndex is set).
 func EmbedIndexed(doc *xmltree.Node, cfg Config, ix *index.Index) (*EmbedResult, error) {
-	cfg = cfg.withDefaults()
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
-	sel, err := cfg.selector()
-	if err != nil {
-		return nil, err
-	}
-	if cfg.ValidateInput {
-		if vs := cfg.Schema.Validate(doc); len(vs) > 0 {
-			return nil, fmt.Errorf("core: document invalid against schema %q: %s (and %d more)",
-				cfg.Schema.Name, vs[0], len(vs)-1)
-		}
-	}
-	ix, dix := docIndex(doc, cfg, ix)
-	builder := identity.NewBuilder(cfg.Schema, cfg.Catalog, cfg.Identity)
-	units, rep, err := builder.UnitsIndexed(doc, dix)
+	sites, rep, err := EnumerateEmbedSites(doc, cfg, ix)
 	if err != nil {
 		return nil, err
 	}
 	res := &EmbedResult{Bandwidth: rep}
 
-	// Phase 1: select carriers and embed values. Site selection is the
-	// shared enumeration (selectSites) so a precompiled delivery plan
-	// and a direct embedding agree site-for-site. Units address disjoint
-	// tree nodes (distinct targets are distinct fields; within a target,
-	// key instances and FD groups partition the items), so per-site work
+	// Phase 1: embed values into the selected carriers. Site selection is
+	// the shared enumeration so a precompiled delivery plan and a direct
+	// embedding agree site-for-site. Units address disjoint tree nodes
+	// (distinct targets are distinct fields; within a target, key
+	// instances and FD groups partition the items), so per-site work
 	// parallelizes without locks; per-site tallies are indexed by site
 	// and folded in order afterwards, keeping the result deterministic.
-	sites := selectSites(units, sel, cfg)
 	type unitEmbed struct {
 		wrote, unembeddable int
 	}
@@ -304,9 +287,9 @@ func EmbedIndexed(doc *xmltree.Node, cfg Config, ix *index.Index) (*EmbedResult,
 			selected = append(selected, sites[i].Unit)
 		}
 	}
-	// Embedding changed document values, so any key-value tables built
-	// during enumeration are stale; the structural tables stay valid
-	// (value writes do not move elements).
+	// Embedding changed document values, so the caller's index has stale
+	// key-value tables; the structural tables stay valid (value writes do
+	// not move elements). An index built internally is already gone.
 	ix.Invalidate()
 
 	// Phase 2: generate Q from the post-insertion document (marking can
@@ -433,13 +416,15 @@ func (cr *CompiledRecord) RewriteFailed() bool { return cr.rewriteFailed }
 // record is not runnable.
 func (cr *CompiledRecord) Query() *xpath.Query { return cr.q }
 
-// DecodeInto executes the record's query against doc and folds one vote
-// (or extraction miss) per selected item into v. It returns the number
-// of selected items; the zero-selection miss bookkeeping is the
-// caller's, because only the caller knows whether "nothing here" is
-// final (whole document) or partial (one chunk of many).
-func (cr *CompiledRecord) DecodeInto(doc *xmltree.Node, dix xpath.DocIndex, v *wmark.Votes) int {
-	items := cr.q.SelectIndexed(doc, dix)
+// DecodeInto executes the record's query against doc through sc (see
+// xpath.Scratch for the aliasing contract: the selected items are
+// consumed before sc's next use) and folds one vote (or extraction miss)
+// per selected item into v. It returns the number of selected items; the
+// zero-selection miss bookkeeping is the caller's, because only the
+// caller knows whether "nothing here" is final (whole document) or
+// partial (one chunk of many).
+func (cr *CompiledRecord) DecodeInto(doc *xmltree.Node, dix xpath.DocIndex, v *wmark.Votes, sc *xpath.Scratch) int {
+	items := cr.q.SelectIndexedScratch(doc, dix, sc)
 	for _, item := range items {
 		bit, ok := cr.alg.Extract(item.Value(), cr.params)
 		if !ok {
@@ -616,22 +601,17 @@ func (d *BlindDecoder) Config() Config { return d.cfg }
 // participating unit with none is a query miss — but for a unit split
 // across chunks only the caller can total that across its parts).
 func (d *BlindDecoder) DecodeUnit(u identity.Unit, v *wmark.Votes) (ran, extracted bool) {
-	if !d.sel.Selected(u.ID) {
+	s, ok := carrier(u, d.sel, d.cfg.XiByTarget)
+	if !ok || s.Alg == nil {
 		return false, false
 	}
-	alg := wa.ForType(u.Type)
-	if alg == nil {
-		return false, false
-	}
-	idx := d.sel.BitIndex(u.ID)
-	params := wa.Params{BitPosition: d.sel.PositionIn(u.ID, d.cfg.XiByTarget[u.Scope+"/"+u.Field])}
 	for _, item := range u.Items {
-		bit, ok := alg.Extract(item.Value(), params)
+		bit, ok := s.Alg.Extract(item.Value(), s.Params)
 		if !ok {
 			v.AddMiss()
 			continue
 		}
-		v.Add(idx, bit)
+		v.Add(s.BitIndex, bit)
 		extracted = true
 	}
 	return true, extracted
@@ -646,7 +626,7 @@ func DecodeBlindIndexed(doc *xmltree.Node, cfg Config, ix *index.Index) (*Decode
 		return nil, err
 	}
 	cfg = dec.cfg
-	_, dix := docIndex(doc, cfg, ix)
+	dix := docIndex(doc, cfg, ix)
 	builder := identity.NewBuilder(cfg.Schema, cfg.Catalog, cfg.Identity)
 	units, _, err := builder.UnitsIndexed(doc, dix)
 	if err != nil {

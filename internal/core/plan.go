@@ -75,7 +75,7 @@ func decodeRecord(cr *CompiledRecord, doc *xmltree.Node, dix xpath.DocIndex, acc
 		// No extraction plug-in for the type: the record is inert.
 	default:
 		acc.queriesRun++
-		if cr.DecodeIntoScratch(doc, dix, acc.votes, sc) == 0 {
+		if cr.DecodeInto(doc, dix, acc.votes, sc) == 0 {
 			acc.queryMisses++
 			acc.votes.AddMiss()
 		}
@@ -88,7 +88,7 @@ func decodeRecord(cr *CompiledRecord, doc *xmltree.Node, dix xpath.DocIndex, acc
 // bit-for-bit identical to DecodeWithQueriesIndexed with the plan's
 // config and records.
 func (p *DecodePlan) Decode(doc *xmltree.Node, ix *index.Index) *DecodeResult {
-	_, dix := docIndex(doc, p.cfg, ix)
+	dix := docIndex(doc, p.cfg, ix)
 	n := len(p.compiled)
 	workers := detectWorkers(p.cfg.Concurrency, n)
 	if workers <= 1 {
@@ -139,9 +139,9 @@ func (p *DecodePlan) Detect(doc *xmltree.Node, ix *index.Index) *DetectResult {
 }
 
 // DetectTraced is Detect emitting "decode" and "vote" stage spans on
-// tr. A nil tr records nothing and adds no allocations over Detect
-// (pinned by TestDecodePlanTracedNoopAllocs) — this is the entry point
-// instrumented callers use unconditionally.
+// tr. A nil tr records nothing and adds no allocations over an untraced
+// Decode and ScoreDecode (pinned by TestDecodePlanTracedNoopAllocs) —
+// this is the entry point instrumented callers use unconditionally.
 func (p *DecodePlan) DetectTraced(doc *xmltree.Node, ix *index.Index, tr *obs.Trace) *DetectResult {
 	dsp := tr.StartSpan("decode")
 	dec := p.Decode(doc, ix)
@@ -150,29 +150,4 @@ func (p *DecodePlan) DetectTraced(doc *xmltree.Node, ix *index.Index, tr *obs.Tr
 	res := ScoreDecode(dec, p.cfg)
 	vsp.End()
 	return res
-}
-
-// DecodeTraced is Decode wrapped in a "decode" stage span on tr (nil
-// tr records nothing).
-func (p *DecodePlan) DecodeTraced(doc *xmltree.Node, ix *index.Index, tr *obs.Trace) *DecodeResult {
-	dsp := tr.StartSpan("decode")
-	dec := p.Decode(doc, ix)
-	dsp.End()
-	return dec
-}
-
-// DecodeIntoScratch is DecodeInto evaluating the query through sc's
-// reusable buffers (see xpath.Scratch for the aliasing contract — the
-// selected items are consumed before sc's next use).
-func (cr *CompiledRecord) DecodeIntoScratch(doc *xmltree.Node, dix xpath.DocIndex, v *wmark.Votes, sc *xpath.Scratch) int {
-	items := cr.q.SelectIndexedScratch(doc, dix, sc)
-	for _, item := range items {
-		bit, ok := cr.alg.Extract(item.Value(), cr.params)
-		if !ok {
-			v.AddMiss()
-			continue
-		}
-		v.Add(cr.bitIndex, bit)
-	}
-	return len(items)
 }

@@ -188,20 +188,20 @@ func TestDecodePlanWarmAllocs(t *testing.T) {
 
 // TestDecodePlanTracedNoopAllocs pins the cost of the tracing hooks
 // when tracing is off: DetectTraced with a nil *obs.Trace must cost no
-// more than two allocations over the plain warm Detect. The span calls
-// compile to nil-receiver checks; budget +2 absorbs run-to-run noise,
-// not real work.
+// more than two allocations over the same decode and score without the
+// span calls. The span calls compile to nil-receiver checks; budget +2
+// absorbs run-to-run noise, not real work.
 func TestDecodePlanTracedNoopAllocs(t *testing.T) {
 	fx := planFixture(t, 200)
 	fx.plan.Detect(fx.doc, fx.ix) // warm pools and lazy kv tables
 	base := testing.AllocsPerRun(100, func() {
-		fx.plan.Detect(fx.doc, fx.ix)
+		ScoreDecode(fx.plan.Decode(fx.doc, fx.ix), fx.plan.Config())
 	})
 	traced := testing.AllocsPerRun(100, func() {
 		fx.plan.DetectTraced(fx.doc, fx.ix, nil)
 	})
 	if traced > base+2 {
-		t.Fatalf("nil-trace DetectTraced allocates %.1f objects/op vs %.1f plain — telemetry must be free when off", traced, base)
+		t.Fatalf("nil-trace DetectTraced allocates %.1f objects/op vs %.1f untraced — telemetry must be free when off", traced, base)
 	}
-	t.Logf("warm detect: %.1f allocs/op plain, %.1f with nil trace", base, traced)
+	t.Logf("warm detect: %.1f allocs/op untraced, %.1f with nil trace", base, traced)
 }

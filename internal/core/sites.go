@@ -53,31 +53,34 @@ func EnumerateEmbedSites(doc *xmltree.Node, cfg Config, ix *index.Index) ([]Embe
 				cfg.Schema.Name, vs[0], len(vs)-1)
 		}
 	}
-	_, dix := docIndex(doc, cfg, ix)
+	dix := docIndex(doc, cfg, ix)
 	builder := identity.NewBuilder(cfg.Schema, cfg.Catalog, cfg.Identity)
 	units, rep, err := builder.UnitsIndexed(doc, dix)
 	if err != nil {
 		return nil, identity.Report{}, err
 	}
-	return selectSites(units, sel, cfg), rep, nil
-}
-
-// selectSites filters units down to the key-selected carriers and
-// attaches each one's embedding parameters — the single code path
-// behind EnumerateEmbedSites and EmbedIndexed, so a compiled plan and a
-// direct embedding can never disagree about site choice.
-func selectSites(units []identity.Unit, sel *wmark.Selector, cfg Config) []EmbedSite {
 	var sites []EmbedSite
 	for _, u := range units {
-		if !sel.Selected(u.ID) {
-			continue
+		if s, ok := carrier(u, sel, cfg.XiByTarget); ok {
+			sites = append(sites, s)
 		}
-		sites = append(sites, EmbedSite{
-			Unit:     u,
-			BitIndex: sel.BitIndex(u.ID),
-			Params:   wa.Params{BitPosition: sel.PositionIn(u.ID, cfg.XiByTarget[u.Scope+"/"+u.Field])},
-			Alg:      wa.ForType(u.Type),
-		})
 	}
-	return sites
+	return sites, rep, nil
+}
+
+// carrier applies the keyed selection to u and, for a selected unit,
+// derives the mark bit it carries, its low-order position and the
+// plug-in for its type. Insertion (EnumerateEmbedSites, which embedding
+// and delivery plans share) and blind decoding (BlindDecoder.DecodeUnit)
+// both derive carriers here, so they cannot disagree about one.
+func carrier(u identity.Unit, sel *wmark.Selector, xiByTarget map[string]int) (EmbedSite, bool) {
+	if !sel.Selected(u.ID) {
+		return EmbedSite{}, false
+	}
+	return EmbedSite{
+		Unit:     u,
+		BitIndex: sel.BitIndex(u.ID),
+		Params:   wa.Params{BitPosition: sel.PositionIn(u.ID, xiByTarget[u.Scope+"/"+u.Field])},
+		Alg:      wa.ForType(u.Type),
+	}, true
 }

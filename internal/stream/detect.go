@@ -86,12 +86,13 @@ func Decode(ctx context.Context, r io.Reader, cfg core.Config, records []core.Qu
 		doc := skeleton(sp.Root(), c.items)
 		ix := newChunkIndex(doc, cfg)
 		votes := wmark.NewVotes(markLen)
+		var sc xpath.Scratch
 		for i := range compiled {
 			cr := &compiled[i]
 			if !cr.Runnable() {
 				continue
 			}
-			if n := cr.DecodeInto(doc, ix, votes); n > 0 {
+			if n := cr.DecodeInto(doc, ix, votes, &sc); n > 0 {
 				hits[i].Add(int64(n))
 			}
 		}

@@ -61,157 +61,11 @@ func (it Item) Name() string {
 }
 
 // Eval evaluates the path against root (usually a document node) and
-// returns the matching items in document order without duplicates.
+// returns the matching items in document order without duplicates. The
+// result is the caller's: it runs on a Scratch of its own.
 func (p Path) Eval(root *xmltree.Node) []Item {
-	start := root
-	if p.Absolute {
-		if d := root.Document(); d != nil {
-			start = d
-		} else {
-			// Detached subtree: treat its top element as the document
-			// element, i.e. an absolute path must still name it.
-			top := root
-			for top.Parent != nil {
-				top = top.Parent
-			}
-			start = &xmltree.Node{Kind: xmltree.DocumentNode, Children: []*xmltree.Node{top}}
-		}
-	}
-	return evalSteps([]Item{{Node: start}}, p.Steps)
-}
-
-// evalSteps drives a context through a sequence of steps, sharing one
-// dedup buffer across steps.
-func evalSteps(ctx []Item, steps []Step) []Item {
-	var seen map[Item]bool
-	for _, step := range steps {
-		ctx, seen = evalStep(ctx, step, seen)
-		if len(ctx) == 0 {
-			return nil
-		}
-	}
-	return ctx
-}
-
-// evalStep evaluates one step. A single-item context — the dominant case
-// for rooted identity queries — needs no duplicate tracking: every axis
-// produces each item at most once from one context item. Multi-item
-// contexts reuse the caller's dedup map across steps instead of
-// allocating one per step.
-func evalStep(ctx []Item, step Step, seen map[Item]bool) ([]Item, map[Item]bool) {
-	if len(ctx) == 1 {
-		group := stepFrom(ctx[0], step)
-		return applyPredicates(group, step.Predicates), seen
-	}
-	if seen == nil {
-		seen = make(map[Item]bool)
-	} else {
-		clear(seen)
-	}
-	var out []Item
-	for _, c := range ctx {
-		group := stepFrom(c, step)
-		group = applyPredicates(group, step.Predicates)
-		for _, it := range group {
-			if !seen[it] {
-				seen[it] = true
-				out = append(out, it)
-			}
-		}
-	}
-	return out, seen
-}
-
-// stepFrom produces the raw node-set of one step from a single context
-// item, before predicates.
-func stepFrom(c Item, step Step) []Item {
-	if c.Attr != "" {
-		// Attributes have no children; only self survives.
-		if step.Axis == AxisSelf {
-			return []Item{c}
-		}
-		return nil
-	}
-	n := c.Node
-	switch step.Axis {
-	case AxisChild:
-		var out []Item
-		for _, ch := range n.Children {
-			if ch.Kind == xmltree.ElementNode && (step.Name == "*" || ch.Name == step.Name) {
-				out = append(out, Item{Node: ch})
-			}
-		}
-		return out
-	case AxisDescendant:
-		var out []Item
-		for _, ch := range n.Children {
-			xmltree.Walk(ch, func(x *xmltree.Node) bool {
-				if x.Kind == xmltree.ElementNode && (step.Name == "*" || x.Name == step.Name) {
-					out = append(out, Item{Node: x})
-				}
-				return true
-			})
-		}
-		return out
-	case AxisAttribute:
-		var out []Item
-		if n.Kind != xmltree.ElementNode {
-			return nil
-		}
-		if step.Name == "*" {
-			for _, a := range n.Attrs {
-				out = append(out, Item{Node: n, Attr: a.Name})
-			}
-			return out
-		}
-		if n.HasAttr(step.Name) {
-			out = append(out, Item{Node: n, Attr: step.Name})
-		}
-		return out
-	case AxisSelf:
-		return []Item{c}
-	case AxisParent:
-		if n.Parent != nil {
-			return []Item{{Node: n.Parent}}
-		}
-		return nil
-	case AxisText:
-		var out []Item
-		for _, ch := range n.Children {
-			if ch.Kind == xmltree.TextNode {
-				out = append(out, Item{Node: ch})
-			}
-		}
-		return out
-	default:
-		return nil
-	}
-}
-
-func applyPredicates(group []Item, preds []Expr) []Item {
-	for _, pred := range preds {
-		if len(group) == 0 {
-			return nil
-		}
-		var filtered []Item
-		size := len(group)
-		for i, it := range group {
-			ec := evalCtx{item: it, position: i + 1, size: size}
-			v := evalExpr(pred, ec)
-			if num, ok := v.(float64); ok {
-				// A bare numeric predicate means position()=N.
-				if float64(ec.position) == num {
-					filtered = append(filtered, it)
-				}
-				continue
-			}
-			if truth(v) {
-				filtered = append(filtered, it)
-			}
-		}
-		group = filtered
-	}
-	return group
+	var sc Scratch
+	return sc.walk(p, root)
 }
 
 // evalCtx is the dynamic context of predicate evaluation.
@@ -240,6 +94,8 @@ func evalExpr(e Expr, ec evalCtx) any {
 	}
 }
 
+// evalRelative evaluates a predicate's sub-path. It runs while the
+// enclosing step's buffers are in use, so it takes a Scratch of its own.
 func evalRelative(p Path, ec evalCtx) []Item {
 	if p.Absolute {
 		if ec.item.Node == nil {
@@ -247,7 +103,8 @@ func evalRelative(p Path, ec evalCtx) []Item {
 		}
 		return p.Eval(ec.item.Node)
 	}
-	return evalSteps([]Item{ec.item}, p.Steps)
+	var sc Scratch
+	return sc.from(ec.item, p.Steps)
 }
 
 func evalBinary(b Binary, ec evalCtx) any {

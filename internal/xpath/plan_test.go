@@ -91,6 +91,9 @@ var planQueries = []string{
 func TestPlanEquivalence(t *testing.T) {
 	doc := parsePlanDoc(t)
 	ix := index.New(doc)
+	// One Scratch serves the whole table, as a pooled one serves every
+	// query of a warm decode.
+	var sc xpath.Scratch
 	for _, src := range planQueries {
 		q, err := xpath.Compile(src)
 		if err != nil {
@@ -105,6 +108,9 @@ func TestPlanEquivalence(t *testing.T) {
 		if again := q.SelectIndexed(doc, ix); !reflect.DeepEqual(want, again) {
 			t.Errorf("%q: cached indexed mismatch", src)
 		}
+		if got := q.SelectIndexedScratch(doc, ix, &sc); !sameItems(want, got) {
+			t.Errorf("%q: scratch mismatch\nwalk:    %v\nscratch: %v", src, itemValues(want), itemValues(got))
+		}
 	}
 }
 
@@ -114,6 +120,7 @@ func TestPlanRelativeFromInstance(t *testing.T) {
 	doc := parsePlanDoc(t)
 	ix := index.New(doc)
 	inst := doc.Root().ChildElementsNamed("book")[1]
+	var sc xpath.Scratch
 	for _, src := range []string{"title", "author", "@id", "..", "."} {
 		q, err := xpath.Compile(src)
 		if err != nil {
@@ -124,12 +131,19 @@ func TestPlanRelativeFromInstance(t *testing.T) {
 		if !reflect.DeepEqual(want, got) {
 			t.Errorf("%q from instance: mismatch", src)
 		}
+		if got := q.SelectIndexedScratch(inst, ix, &sc); !sameItems(want, got) {
+			t.Errorf("%q from instance: scratch mismatch", src)
+		}
 	}
 	// Absolute queries from an instance restart at the document and may
 	// use the index.
 	q := xpath.MustCompile("/db/book[title='Beta']/year")
-	if !reflect.DeepEqual(q.Select(inst), q.SelectIndexed(inst, ix)) {
+	want := q.Select(inst)
+	if !reflect.DeepEqual(want, q.SelectIndexed(inst, ix)) {
 		t.Error("absolute query from instance: mismatch")
+	}
+	if !sameItems(want, q.SelectIndexedScratch(inst, ix, &sc)) {
+		t.Error("absolute query from instance: scratch mismatch")
 	}
 }
 
@@ -156,6 +170,7 @@ func TestPlanDetachedSubtree(t *testing.T) {
 	doc := parsePlanDoc(t)
 	sub := doc.Root().ChildElementsNamed("book")[0].Clone()
 	ix := index.New(sub)
+	var sc xpath.Scratch
 	for _, src := range []string{"/book/title", "/book[title='Alpha']/year", "//author"} {
 		q := xpath.MustCompile(src)
 		want := q.Select(sub)
@@ -163,7 +178,35 @@ func TestPlanDetachedSubtree(t *testing.T) {
 		if !reflect.DeepEqual(want, got) {
 			t.Errorf("%q on detached subtree: walk %v indexed %v", src, itemValues(want), itemValues(got))
 		}
+		if got := q.SelectIndexedScratch(sub, ix, &sc); !sameItems(want, got) {
+			t.Errorf("%q on detached subtree: walk %v scratch %v", src, itemValues(want), itemValues(got))
+		}
 	}
+}
+
+// FuzzPlanEquivalence asserts that every accepted query selects the same
+// items in the same order over planDoc through the tree walk, the
+// index-served plan and the plan on one Scratch reused across inputs.
+func FuzzPlanEquivalence(f *testing.F) {
+	for _, src := range planQueries {
+		f.Add(src)
+	}
+	doc := parsePlanDoc(f)
+	ix := index.New(doc)
+	var sc xpath.Scratch
+	f.Fuzz(func(t *testing.T, src string) {
+		q, err := xpath.Compile(src)
+		if err != nil {
+			return
+		}
+		want := q.Select(doc)
+		if got := q.SelectIndexed(doc, ix); !sameItems(want, got) {
+			t.Fatalf("%q: walk %v indexed %v", src, itemValues(want), itemValues(got))
+		}
+		if got := q.SelectIndexedScratch(doc, ix, &sc); !sameItems(want, got) {
+			t.Fatalf("%q: walk %v scratch %v", src, itemValues(want), itemValues(got))
+		}
+	})
 }
 
 func TestPlanClassification(t *testing.T) {
@@ -223,6 +266,19 @@ func TestPlanNilIndex(t *testing.T) {
 			t.Fatalf("nil-ish index: got %v", itemValues(got))
 		}
 	}
+}
+
+// sameItems compares two results item for item.
+func sameItems(a, b []xpath.Item) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
 }
 
 func itemValues(items []xpath.Item) []string {

@@ -1,66 +1,77 @@
 package xpath
 
-// Scratch-buffer evaluation: the allocation-free twin of eval.go.
-//
-// The warm detect path evaluates one identity query per carrier against
-// a cached, indexed document — thousands of Plan.Eval calls per request,
-// each allocating a context slice, per-step result slices, and predicate
-// filter slices that all die microseconds later. A Scratch keeps two
-// reusable Item buffers (steps ping-pong between them so a step never
-// reads the buffer it writes) plus a dedup map, and the *Into variants
-// below append into them instead of allocating.
-//
-// Correctness contract: EvalScratch returns bit-for-bit the same items
-// in the same order as Eval. The scratch path reuses the exact predicate
-// and comparison machinery from eval.go; only the buffer management
-// differs, and the equivalence suite in scratch_test.go pins the two
-// paths together.
-//
-// Lifetime: the returned slice aliases the Scratch's buffers and is valid
-// only until the next call that uses the same Scratch. Callers must copy
-// or fully consume results first. A Scratch is not safe for concurrent
-// use; pool one per worker (core keeps them in a sync.Pool).
+// Aliasing contract: a result evaluated through a caller's Scratch
+// aliases the Scratch's buffers and is valid only until its next use, so
+// the caller copies or consumes it first. A Scratch is not safe for
+// concurrent use; keep one per goroutine (core pools them). Path.Eval,
+// Plan.Eval and Query.SelectIndexed each evaluate on a fresh Scratch, so
+// their results belong to the caller.
 
 import "wmxml/internal/xmltree"
 
-// Scratch holds reusable evaluation buffers for one evaluator at a time.
-// The zero value is ready to use.
+// Scratch holds the step evaluator's reusable buffers: two Item slices
+// that steps alternate between, so a step never writes the one it reads,
+// and the dedup set of multi-item contexts. The zero value is ready to
+// use.
 type Scratch struct {
 	a, b []Item
 	seen map[Item]bool
 }
 
-// evalStepsScratch drives a context (which must occupy sc.a) through the
-// steps, alternating between sc.a and sc.b.
-func (sc *Scratch) evalSteps(ctx []Item, steps []Step) []Item {
-	intoB := true
+// walk evaluates p from root by walking the tree.
+func (sc *Scratch) walk(p Path, root *xmltree.Node) []Item {
+	start := root
+	if p.Absolute {
+		if d := root.Document(); d != nil {
+			start = d
+		} else {
+			// Detached subtree: treat its top element as the document
+			// element, i.e. an absolute path must still name it.
+			top := root
+			for top.Parent != nil {
+				top = top.Parent
+			}
+			start = &xmltree.Node{Kind: xmltree.DocumentNode, Children: []*xmltree.Node{top}}
+		}
+	}
+	return sc.from(Item{Node: start}, p.Steps)
+}
+
+// from drives the single-item context {start} through steps. The first
+// step reads start directly, so the context is never materialized.
+func (sc *Scratch) from(start Item, steps []Step) []Item {
+	if len(steps) == 0 {
+		sc.a = append(sc.a[:0], start)
+		return sc.a
+	}
+	first := steps[0]
+	sc.a = applyPredicatesInPlace(stepInto(sc.a[:0], start, first), first.Predicates)
+	if len(sc.a) == 0 {
+		return nil
+	}
+	return sc.evalSteps(steps[1:])
+}
+
+// evalSteps drives the context in sc.a through steps. Each step writes
+// into sc.b and the buffers then swap, so a step never writes the buffer
+// it reads.
+func (sc *Scratch) evalSteps(steps []Step) []Item {
 	for _, step := range steps {
-		var dst []Item
-		if intoB {
-			dst = sc.b[:0]
-		} else {
-			dst = sc.a[:0]
-		}
-		dst = sc.evalStepInto(dst, ctx, step)
-		if intoB {
-			sc.b = dst[:len(dst):cap(dst)]
-		} else {
-			sc.a = dst[:len(dst):cap(dst)]
-		}
-		ctx = dst
-		intoB = !intoB
-		if len(ctx) == 0 {
+		sc.b = sc.evalStepInto(sc.b[:0], sc.a, step)
+		sc.a, sc.b = sc.b, sc.a
+		if len(sc.a) == 0 {
 			return nil
 		}
 	}
-	return ctx
+	return sc.a
 }
 
-// evalStepInto is evalStep writing into dst. dst must not alias ctx.
+// evalStepInto appends one step's result from ctx to dst, which must not
+// alias ctx. A single-item context — the dominant case for rooted
+// identity queries — needs no duplicate tracking: every axis produces
+// each item at most once from one context item.
 func (sc *Scratch) evalStepInto(dst, ctx []Item, step Step) []Item {
 	if len(ctx) == 1 {
-		// Single-item context: no duplicate tracking needed (mirrors
-		// evalStep's fast path).
 		dst = stepInto(dst, ctx[0], step)
 		return applyPredicatesInPlace(dst, step.Predicates)
 	}
@@ -88,7 +99,8 @@ func (sc *Scratch) evalStepInto(dst, ctx []Item, step Step) []Item {
 	return dst
 }
 
-// stepInto is stepFrom appending into dst instead of allocating.
+// stepInto appends the raw node-set of one step from a single context
+// item, before predicates.
 func stepInto(dst []Item, c Item, step Step) []Item {
 	if c.Attr != "" {
 		// Attributes have no children; only self survives.
@@ -149,13 +161,10 @@ func stepInto(dst []Item, c Item, step Step) []Item {
 	}
 }
 
-// applyPredicatesInPlace is applyPredicates filtering the group in place.
-// The write index never overtakes the read index, so left-compaction
-// while iterating is safe; callers must own the slice's backing array.
-// Predicate *expressions* still evaluate through the shared machinery in
-// eval.go (nested sub-paths there may allocate, but the warm identity
-// queries route their one predicate through the key-value index and
-// arrive here with preds empty).
+// applyPredicatesInPlace filters group by each predicate in turn,
+// compacting it left. The write index never overtakes the read index, so
+// compaction while iterating is safe; callers must own the slice's
+// backing array.
 func applyPredicatesInPlace(group []Item, preds []Expr) []Item {
 	for _, pred := range preds {
 		if len(group) == 0 {
@@ -181,56 +190,4 @@ func applyPredicatesInPlace(group []Item, preds []Expr) []Item {
 		group = group[:w]
 	}
 	return group
-}
-
-// EvalScratch is Eval using sc's buffers for every intermediate and the
-// final result. The returned slice aliases sc and is valid only until
-// sc's next use; a nil sc degrades to Eval. Fallback shapes (walk plans,
-// uncovered roots, grouped positional predicates) take the allocating
-// tree walk exactly as Eval does — the scratch optimization only targets
-// index-served shapes, which is all the hot path emits.
-func (pl *Plan) EvalScratch(root *xmltree.Node, ix DocIndex, sc *Scratch) []Item {
-	if sc == nil {
-		return pl.Eval(root, ix)
-	}
-	if pl.kind != planIndexed || ix == nil || !pl.rootOK(root, ix) {
-		return pl.path.Eval(root)
-	}
-	var nodes []*xmltree.Node
-	if pl.useKV {
-		nodes = ix.Lookup(pl.scope, pl.selRel, pl.selValue)
-	} else {
-		nodes = ix.ScopeElements(pl.scope)
-	}
-	if len(nodes) == 0 {
-		return nil
-	}
-	ctx := sc.a[:0]
-	for _, e := range nodes {
-		ctx = append(ctx, Item{Node: e})
-	}
-	sc.a = ctx[:len(ctx):cap(ctx)]
-	if len(pl.preds) > 0 {
-		// Position-dependent predicates are evaluated per parent group by
-		// the tree walk; the flattened candidate list only matches when
-		// there is provably a single group.
-		if !pl.predsPosFree && !pl.singleGroup(ix) {
-			return pl.path.Eval(root)
-		}
-		ctx = applyPredicatesInPlace(ctx, pl.preds)
-		if len(ctx) == 0 {
-			return nil
-		}
-	}
-	return sc.evalSteps(ctx, pl.tail)
-}
-
-// SelectIndexedScratch is SelectIndexed evaluating through sc's reusable
-// buffers. The returned slice aliases sc and is valid only until sc's
-// next use; a nil index or nil sc degrades to the allocating paths.
-func (q *Query) SelectIndexedScratch(root *xmltree.Node, ix DocIndex, sc *Scratch) []Item {
-	if ix == nil {
-		return q.path.Eval(root)
-	}
-	return q.Plan().EvalScratch(root, ix, sc)
 }

@@ -67,10 +67,17 @@ func (q *Query) Select(root *xmltree.Node) []Item {
 // serve) degrades to the tree-walking Select; results are identical
 // either way.
 func (q *Query) SelectIndexed(root *xmltree.Node, ix DocIndex) []Item {
+	return q.SelectIndexedScratch(root, ix, new(Scratch))
+}
+
+// SelectIndexedScratch is SelectIndexed evaluating through sc (see
+// Scratch for the aliasing contract). A nil index walks the tree without
+// compiling the query's plan.
+func (q *Query) SelectIndexedScratch(root *xmltree.Node, ix DocIndex, sc *Scratch) []Item {
 	if ix == nil {
-		return q.path.Eval(root)
+		return sc.walk(q.path, root)
 	}
-	return q.Plan().Eval(root, ix)
+	return q.Plan().EvalScratch(root, ix, sc)
 }
 
 // SelectValuesIndexed is SelectValues accelerated by a document index
