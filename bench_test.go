@@ -325,31 +325,6 @@ func BenchmarkPipelineDetect(b *testing.B) {
 	}
 }
 
-// BenchmarkCoreConcurrency measures the per-document Concurrency option
-// on one large document (single big doc, no batch parallelism).
-func BenchmarkCoreConcurrency(b *testing.B) {
-	ds := benchDataset(b, 3000)
-	for _, conc := range pipelineWorkerSweep {
-		b.Run(fmt.Sprintf("embed/concurrency=%d", conc), func(b *testing.B) {
-			sys, err := New(Options{
-				Key: "bench-key", Mark: "bench-mark-2005", Schema: ds.Schema,
-				Catalog: ds.Catalog, Targets: ds.Targets, Gamma: 10, Concurrency: conc,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				doc := ds.Doc.Clone()
-				b.StartTimer()
-				if _, err := sys.Embed(doc); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 func BenchmarkDOMClone(b *testing.B) {
 	ds := benchDataset(b, 1000)
 	b.ResetTimer()

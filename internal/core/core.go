@@ -70,15 +70,6 @@ type Config struct {
 	// ValidateInput, when set, validates the document against Schema
 	// before embedding and refuses invalid input.
 	ValidateInput bool
-	// Concurrency bounds the worker goroutines used for the per-unit
-	// work inside Embed, DetectWithQueries and DetectBlind: carrier
-	// selection and value writing on the encoder side, query execution
-	// and bit extraction on the decoder side. 0 and 1 run sequentially
-	// on the calling goroutine; N > 1 uses up to N workers. The result
-	// is bit-for-bit identical to a sequential run at any setting:
-	// units of distinct targets and of distinct key/FD groups address
-	// disjoint tree nodes, and decoder votes merge commutatively.
-	Concurrency int
 	// DisableIndex turns off the per-document index and compiled query
 	// plans, forcing every query through the tree-walking evaluator.
 	// Results are bit-for-bit identical either way; the knob exists for
@@ -246,45 +237,34 @@ func EmbedIndexed(doc *xmltree.Node, cfg Config, ix *index.Index) (*EmbedResult,
 	res := &EmbedResult{Bandwidth: rep}
 
 	// Phase 1: embed values into the selected carriers. Site selection is
-	// the shared enumeration so a precompiled delivery plan and a direct
-	// embedding agree site-for-site. Units address disjoint tree nodes
-	// (distinct targets are distinct fields; within a target, key
-	// instances and FD groups partition the items), so per-site work
-	// parallelizes without locks; per-site tallies are indexed by site
-	// and folded in order afterwards, keeping the result deterministic.
-	type unitEmbed struct {
-		wrote, unembeddable int
-	}
-	tallies := make([]unitEmbed, len(sites))
-	forEachWorker(cfg.Concurrency, len(sites), func(_, i int) {
-		site := sites[i]
+	// the shared enumeration, so a precompiled delivery plan and a direct
+	// embedding agree site for site.
+	var selected []identity.Unit
+	for _, site := range sites {
 		if site.Alg == nil {
-			tallies[i].unembeddable = len(site.Unit.Items)
-			return
+			res.Unembeddable += len(site.Unit.Items)
+			continue
 		}
 		bit := cfg.Mark[site.BitIndex]
+		wrote := 0
 		for _, item := range site.Unit.Items {
 			v := item.Value()
 			if !site.Alg.CanEmbed(v) {
-				tallies[i].unembeddable++
+				res.Unembeddable++
 				continue
 			}
 			nv, err := site.Alg.Embed(v, bit, site.Params)
 			if err != nil {
-				tallies[i].unembeddable++
+				res.Unembeddable++
 				continue
 			}
 			item.SetValue(nv)
-			tallies[i].wrote++
+			wrote++
 		}
-	})
-	var selected []identity.Unit
-	for i, t := range tallies {
-		res.Unembeddable += t.unembeddable
-		if t.wrote > 0 {
+		if wrote > 0 {
 			res.Carriers++
-			res.Embedded += t.wrote
-			selected = append(selected, sites[i].Unit)
+			res.Embedded += wrote
+			selected = append(selected, site.Unit)
 		}
 	}
 	// Embedding changed document values, so the caller's index has stale
@@ -293,11 +273,10 @@ func EmbedIndexed(doc *xmltree.Node, cfg Config, ix *index.Index) (*EmbedResult,
 	ix.Invalidate()
 
 	// Phase 2: generate Q from the post-insertion document (marking can
-	// change selector values of det-units). All writes are done, so the
-	// rebuilds are read-only and parallelize freely.
+	// change selector values of det-units), so it starts once every
+	// value is written.
 	recs := make([]QueryRecord, len(selected))
-	forEachWorker(cfg.Concurrency, len(selected), func(_, i int) {
-		u := selected[i]
+	for i, u := range selected {
 		q, err := u.Rebuild()
 		if err != nil {
 			// The value became unquotable or the selector vanished;
@@ -311,7 +290,7 @@ func EmbedIndexed(doc *xmltree.Node, cfg Config, ix *index.Index) (*EmbedResult,
 			Type:   u.Type.String(),
 			Target: u.Scope + "/" + u.Field,
 		}
-	})
+	}
 	if len(recs) > 0 {
 		res.Records = recs
 	}
@@ -437,11 +416,11 @@ func (cr *CompiledRecord) DecodeInto(doc *xmltree.Node, dix xpath.DocIndex, v *w
 }
 
 // CompileRecords compiles a query set for decoding under cfg. Rewriting
-// (when rw is non-nil) happens here, once per record. Unparseable types
-// and queries are reported lowest-record-first, as a sequential
-// left-to-right pass would; rewrite failures are not errors — they mark
-// the record RewriteFailed, mirroring detection's tolerance for
-// partially translatable query sets.
+// (when rw is non-nil) happens here, once per record. The first
+// unparseable type or query, in record order, is returned as the error;
+// rewrite failures are not errors — they mark the record RewriteFailed,
+// mirroring detection's tolerance for partially translatable query
+// sets.
 func CompileRecords(cfg Config, records []QueryRecord, rw Rewriter) ([]CompiledRecord, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.validate(); err != nil {
@@ -452,29 +431,25 @@ func CompileRecords(cfg Config, records []QueryRecord, rw Rewriter) ([]CompiledR
 		return nil, err
 	}
 	out := make([]CompiledRecord, len(records))
-	errs := make([]error, len(records))
-	forEachWorker(cfg.Concurrency, len(records), func(_, i int) {
-		rec := records[i]
+	for i, rec := range records {
 		out[i].Record = rec
 		dt, err := schema.ParseDataType(rec.Type)
 		if err != nil {
-			errs[i] = fmt.Errorf("core: record %q: %w", rec.ID, err)
-			return
+			return nil, fmt.Errorf("core: record %q: %w", rec.ID, err)
 		}
 		alg := wa.ForType(dt)
 		if alg == nil {
-			return
+			continue
 		}
 		q, err := xpath.Compile(rec.Query)
 		if err != nil {
-			errs[i] = fmt.Errorf("core: record query %q: %w", rec.Query, err)
-			return
+			return nil, fmt.Errorf("core: record query %q: %w", rec.Query, err)
 		}
 		if rw != nil {
 			rq, err := rw.RewriteQuery(q)
 			if err != nil {
 				out[i].rewriteFailed = true
-				return
+				continue
 			}
 			q = rq
 		}
@@ -482,9 +457,6 @@ func CompileRecords(cfg Config, records []QueryRecord, rw Rewriter) ([]CompiledR
 		out[i].q = q
 		out[i].bitIndex = sel.BitIndex(rec.ID)
 		out[i].params = wa.Params{BitPosition: sel.PositionIn(rec.ID, cfg.XiByTarget[rec.Target])}
-	})
-	if err := firstError(errs); err != nil {
-		return nil, err
 	}
 	return out, nil
 }
@@ -495,56 +467,13 @@ func CompileRecords(cfg Config, records []QueryRecord, rw Rewriter) ([]CompiledR
 // not compared. A nil ix builds an index internally (unless
 // cfg.DisableIndex is set).
 func DecodeWithQueriesIndexed(doc *xmltree.Node, cfg Config, records []QueryRecord, rw Rewriter, ix *index.Index) (*DecodeResult, error) {
-	// Compile-and-throw-away form of the plan API: queries only read the
-	// suspect document, so records fan out over workers inside
-	// DecodePlan.Decode; each worker accumulates into its own vote
-	// counter and the counters merge commutatively, reproducing the
-	// sequential tally exactly. Callers decoding the same receipt
-	// repeatedly should compile the plan once and keep it.
+	// Compile-and-throw-away form of the plan API. Callers decoding the
+	// same receipt repeatedly should compile the plan once and keep it.
 	plan, err := CompileDecodePlan(cfg, records, rw)
 	if err != nil {
 		return nil, err
 	}
 	return plan.Decode(doc, ix), nil
-}
-
-// detectAcc is one decoder worker's private tally.
-type detectAcc struct {
-	votes                                  *wmark.Votes
-	queriesRun, queryMisses, rewriteErrors int
-}
-
-// detectWorkers caps the decoder worker count at the number of work
-// items; <= 1 (including the zero default) stays sequential.
-func detectWorkers(concurrency, n int) int {
-	w := concurrency
-	if w < 1 {
-		w = 1
-	}
-	if w > n {
-		w = n
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
-}
-
-// mergeAccs folds per-worker tallies into one decode result.
-func mergeAccs(accs []*detectAcc) *DecodeResult {
-	res := &DecodeResult{
-		Votes:         accs[0].votes,
-		QueriesRun:    accs[0].queriesRun,
-		QueryMisses:   accs[0].queryMisses,
-		RewriteErrors: accs[0].rewriteErrors,
-	}
-	for _, acc := range accs[1:] {
-		res.Votes.Merge(acc.votes)
-		res.QueriesRun += acc.queriesRun
-		res.QueryMisses += acc.queryMisses
-		res.RewriteErrors += acc.rewriteErrors
-	}
-	return res
 }
 
 // DetectBlind re-derives the carriers from the suspect document itself
@@ -632,35 +561,16 @@ func DecodeBlindIndexed(doc *xmltree.Node, cfg Config, ix *index.Index) (*Decode
 	if err != nil {
 		return nil, err
 	}
-	// Blind detection only reads the document, so units fan out over
-	// workers exactly like query records do in DetectWithQueries. Extra
-	// workers' vote tables come from the pool (worker 0's becomes the
-	// result and must stay fresh).
-	workers := detectWorkers(cfg.Concurrency, len(units))
-	accs := make([]*detectAcc, workers)
-	for w := range accs {
-		if w == 0 {
-			accs[w] = &detectAcc{votes: wmark.NewVotes(len(cfg.Mark))}
-		} else {
-			v := votesPool.Get().(*wmark.Votes)
-			v.Reset(len(cfg.Mark))
-			accs[w] = &detectAcc{votes: v}
-		}
-	}
-	forEachWorker(workers, len(units), func(worker, i int) {
-		acc := accs[worker]
-		ran, extracted := dec.DecodeUnit(units[i], acc.votes)
+	res := &DecodeResult{Votes: wmark.NewVotes(len(cfg.Mark))}
+	for _, u := range units {
+		ran, extracted := dec.DecodeUnit(u, res.Votes)
 		if !ran {
-			return
+			continue
 		}
-		acc.queriesRun++
+		res.QueriesRun++
 		if !extracted {
-			acc.queryMisses++
+			res.QueryMisses++
 		}
-	})
-	res := mergeAccs(accs)
-	for w := 1; w < len(accs); w++ {
-		votesPool.Put(accs[w].votes)
 	}
 	return res, nil
 }

@@ -109,21 +109,6 @@ func TestIndexedDetectEquivalence(t *testing.T) {
 	detectBoth(t, reorg, cfg, records, qrw, "reorganized")
 }
 
-func TestIndexedDetectEquivalenceConcurrent(t *testing.T) {
-	ds := datagen.Publications(datagen.PubConfig{Books: 200, Editors: 20, Publishers: 5, Seed: 6})
-	cfg := pubConfig(ds, "conc-key", "conc-mark")
-	doc, records := embedBoth(t, ds, cfg)
-	want := detectBoth(t, doc, cfg, records, nil, "sequential")
-	for _, workers := range []int{2, 4, 8} {
-		c := cfg
-		c.Concurrency = workers
-		got := detectBoth(t, doc, c, records, nil, "concurrent")
-		if !reflect.DeepEqual(want, got) {
-			t.Fatalf("concurrency %d: %+v != %+v", workers, got, want)
-		}
-	}
-}
-
 func TestIndexedBlindEquivalence(t *testing.T) {
 	ds := datagen.Publications(datagen.PubConfig{Books: 250, Editors: 25, Publishers: 5, Seed: 13})
 	cfg := pubConfig(ds, "blind-key", "blind-mark")

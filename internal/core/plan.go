@@ -14,7 +14,8 @@ package core
 // tracing correlates it against every recipient's code).
 //
 // A DecodePlan is immutable after compilation and safe for concurrent
-// use: every mutable buffer lives in package-level sync.Pools.
+// use: each Decode takes its xpath scratch from a package-level
+// sync.Pool and builds its own vote table.
 
 import (
 	"sync"
@@ -55,32 +56,10 @@ func (p *DecodePlan) MarkLen() int { return len(p.cfg.Mark) }
 // Records returns the number of compiled query records.
 func (p *DecodePlan) Records() int { return len(p.compiled) }
 
-// scratchPool recycles per-worker xpath evaluation buffers across
-// decode calls (a Scratch serves one goroutine at a time).
+// scratchPool recycles xpath evaluation buffers across decode calls (a
+// Scratch serves one goroutine at a time; concurrent decodes of one
+// plan each take their own).
 var scratchPool = sync.Pool{New: func() any { return new(xpath.Scratch) }}
-
-// votesPool recycles the extra workers' vote accumulators. Worker 0's
-// table is never pooled: it becomes DecodeResult.Votes and outlives the
-// call.
-var votesPool = sync.Pool{New: func() any { return new(wmark.Votes) }}
-
-// decodeRecord folds one compiled record into acc — the shared
-// per-record switch of the sequential and concurrent paths.
-func decodeRecord(cr *CompiledRecord, doc *xmltree.Node, dix xpath.DocIndex, acc *detectAcc, sc *xpath.Scratch) {
-	switch {
-	case cr.rewriteFailed:
-		acc.rewriteErrors++
-		acc.votes.AddMiss()
-	case cr.alg == nil:
-		// No extraction plug-in for the type: the record is inert.
-	default:
-		acc.queriesRun++
-		if cr.DecodeInto(doc, dix, acc.votes, sc) == 0 {
-			acc.queryMisses++
-			acc.votes.AddMiss()
-		}
-	}
-}
 
 // Decode executes the plan against doc and returns the raw vote table.
 // ix must be an index over doc (or nil to build one per call; pass the
@@ -89,47 +68,25 @@ func decodeRecord(cr *CompiledRecord, doc *xmltree.Node, dix xpath.DocIndex, acc
 // config and records.
 func (p *DecodePlan) Decode(doc *xmltree.Node, ix *index.Index) *DecodeResult {
 	dix := docIndex(doc, p.cfg, ix)
-	n := len(p.compiled)
-	workers := detectWorkers(p.cfg.Concurrency, n)
-	if workers <= 1 {
-		// Sequential warm path: one scratch, one accumulator, no fan-out
-		// bookkeeping. This is what the server's detect workers run.
-		sc := scratchPool.Get().(*xpath.Scratch)
-		acc := detectAcc{votes: wmark.NewVotes(len(p.cfg.Mark))}
-		for i := range p.compiled {
-			decodeRecord(&p.compiled[i], doc, dix, &acc, sc)
-		}
-		scratchPool.Put(sc)
-		return &DecodeResult{
-			Votes:         acc.votes,
-			QueriesRun:    acc.queriesRun,
-			QueryMisses:   acc.queryMisses,
-			RewriteErrors: acc.rewriteErrors,
+	sc := scratchPool.Get().(*xpath.Scratch)
+	res := &DecodeResult{Votes: wmark.NewVotes(len(p.cfg.Mark))}
+	for i := range p.compiled {
+		cr := &p.compiled[i]
+		switch {
+		case cr.rewriteFailed:
+			res.RewriteErrors++
+			res.Votes.AddMiss()
+		case cr.alg == nil:
+			// No extraction plug-in for the type: the record is inert.
+		default:
+			res.QueriesRun++
+			if cr.DecodeInto(doc, dix, res.Votes, sc) == 0 {
+				res.QueryMisses++
+				res.Votes.AddMiss()
+			}
 		}
 	}
-	accs := make([]*detectAcc, workers)
-	scratches := make([]*xpath.Scratch, workers)
-	markLen := len(p.cfg.Mark)
-	for w := range accs {
-		if w == 0 {
-			accs[w] = &detectAcc{votes: wmark.NewVotes(markLen)}
-		} else {
-			v := votesPool.Get().(*wmark.Votes)
-			v.Reset(markLen)
-			accs[w] = &detectAcc{votes: v}
-		}
-		scratches[w] = scratchPool.Get().(*xpath.Scratch)
-	}
-	forEachWorker(workers, n, func(worker, i int) {
-		decodeRecord(&p.compiled[i], doc, dix, accs[worker], scratches[worker])
-	})
-	res := mergeAccs(accs)
-	for w := range accs {
-		if w > 0 {
-			votesPool.Put(accs[w].votes)
-		}
-		scratchPool.Put(scratches[w])
-	}
+	scratchPool.Put(sc)
 	return res
 }
 

@@ -48,10 +48,8 @@ func sameDecode(t *testing.T, got, want *DecodeResult) {
 // index (and therefore the scratch evaluator) disabled — the
 // tree-walking path the fast machinery must agree with exactly.
 type planFixtureOut struct {
-	cfg      Config
 	doc      *xmltree.Node
 	ix       *index.Index
-	records  []QueryRecord
 	plan     *DecodePlan
 	baseline *DecodeResult
 }
@@ -75,7 +73,7 @@ func planFixture(t *testing.T, books int) planFixtureOut {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return planFixtureOut{cfg: cfg, doc: doc, ix: index.New(doc), records: er.Records, plan: plan, baseline: baseline}
+	return planFixtureOut{doc: doc, ix: index.New(doc), plan: plan, baseline: baseline}
 }
 
 func TestDecodePlanMatchesBaseline(t *testing.T) {
@@ -89,15 +87,6 @@ func TestDecodePlanMatchesBaseline(t *testing.T) {
 	if !det.Detected || det.MatchFraction != 1.0 {
 		t.Fatalf("plan verdict: %+v", det.Result)
 	}
-	// The concurrent decode path (workers > 1, pooled vote tables)
-	// must produce the same table.
-	ccfg := fx.cfg
-	ccfg.Concurrency = 4
-	cplan, err := CompileDecodePlan(ccfg, fx.records, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameDecode(t, cplan.Decode(fx.doc, fx.ix), fx.baseline)
 }
 
 func TestDecodePlanConcurrentDecodesIdentical(t *testing.T) {

@@ -101,10 +101,6 @@ type Options struct {
 	// the chance that ANY innocent recipient is accused in one trace
 	// stays below Alpha.
 	Alpha float64
-	// Concurrency bounds per-call worker goroutines (core semantics).
-	Concurrency int
-	// DisableIndex forces the tree-walking evaluator (benchmarks only).
-	DisableIndex bool
 }
 
 // System derives codes, fingerprints copies and traces leaks for one
@@ -153,8 +149,6 @@ func New(opts Options) (*System, error) {
 		Identity: identity.Options{
 			Targets: opts.Targets,
 		},
-		Concurrency:  opts.Concurrency,
-		DisableIndex: opts.DisableIndex,
 	}
 	return s, nil
 }

@@ -24,22 +24,22 @@ package server
 // must treat a truncated response as poisoned).
 //
 // Plans are bound to the owner configuration they were compiled under.
-// After a key, mark or gamma rotation, stored plans describe the OLD
+// After a key, mark, gamma or spec change, stored plans describe the OLD
 // embedding; recompile (POST the document to /v1/deliver/plan again —
 // same digest, new plan) before delivering. A geometry change surfaces
 // as a payload-length error; a same-geometry rotation does not, which
-// is exactly the idempotence embedding itself has.
+// is exactly the idempotence embedding itself has. Delivery receipt ids
+// hash the plan a copy was spliced from, so a delivery from a stale
+// plan and one after the recompile store separate receipts, each
+// describing its own copy.
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"time"
-
-	"crypto/sha256"
-	"encoding/hex"
 
 	"wmxml/internal/core"
 	"wmxml/internal/deliver"
@@ -59,6 +59,28 @@ var canonSerializeOpts = xmltree.SerializeOptions{Indent: "  "}
 // so the per-delivery work is only the splice. Any evicted entry is one
 // registry fetch away.
 type boundKey struct{ owner, digest string }
+
+// boundPlan is a bound delivery plan with the sha256 of its JSON
+// encoding, the content its delivery receipt ids hash. A plan compiled
+// before a re-registration and its recompile splice different copies
+// of one document, so their receipts must not share an id.
+type boundPlan struct {
+	*deliver.Bound
+	sum []byte
+}
+
+// bindPlan binds plan (encoded as planJSON) to its canonical bytes and
+// caches the result under (owner, plan digest).
+func (s *Server) bindPlan(ownerID string, plan *deliver.Plan, planJSON, canonical []byte) (*boundPlan, error) {
+	b, err := plan.Bind(canonical)
+	if err != nil {
+		return nil, err
+	}
+	sum := sha256.Sum256(planJSON)
+	bp := &boundPlan{Bound: b, sum: sum[:]}
+	s.bound.Put(boundKey{ownerID, plan.Digest}, bp, 0)
+	return bp, nil
+}
 
 // planResponse acknowledges a plan compile.
 type planResponse struct {
@@ -113,9 +135,9 @@ func (s *Server) handleDeliverPlan(w http.ResponseWriter, r *http.Request) error
 	if err := s.reg.PutPlan(rec); err != nil {
 		return errf(http.StatusInternalServerError, "store plan: %v", err)
 	}
-	if b, berr := plan.Bind(canonical); berr == nil {
-		s.bound.Put(boundKey{ownerID, plan.Digest}, b, 0)
-	}
+	// Caching is best effort: a plan that does not bind here is refused
+	// again, with its error, when a delivery loads it.
+	_, _ = s.bindPlan(ownerID, plan, planJSON, canonical)
 	s.met.planCompiles.Inc()
 	carriers := 0
 	for _, u := range plan.Units {
@@ -138,7 +160,7 @@ func (s *Server) handleDeliverPlan(w http.ResponseWriter, r *http.Request) error
 
 // boundFor resolves (owner, digest) to a bound plan: cache first, then
 // the registry record (validated and bound on the way in).
-func (s *Server) boundFor(ownerID, digest string) (*deliver.Bound, error) {
+func (s *Server) boundFor(ownerID, digest string) (*boundPlan, error) {
 	if b, ok := s.bound.Get(boundKey{ownerID, digest}); ok {
 		return b, nil
 	}
@@ -156,11 +178,10 @@ func (s *Server) boundFor(ownerID, digest string) (*deliver.Bound, error) {
 	if err != nil {
 		return nil, errf(http.StatusInternalServerError, "stored plan: %v", err)
 	}
-	b, err := plan.Bind(rec.Canonical)
+	b, err := s.bindPlan(ownerID, plan, rec.Plan, rec.Canonical)
 	if err != nil {
 		return nil, errf(http.StatusInternalServerError, "stored plan: %v", err)
 	}
-	s.bound.Put(boundKey{ownerID, digest}, b, 0)
 	return b, nil
 }
 
@@ -184,7 +205,7 @@ func (s *Server) handleDeliver(w http.ResponseWriter, r *http.Request) error {
 		return s.handleDeliverStream(w, r, rt, digest, rcpt)
 	}
 
-	var b *deliver.Bound
+	var b *boundPlan
 	if digest != "" {
 		// Pure splice: no body, no parse, no worker slot.
 		b, err = s.cachedBound(tr, ownerID, digest)
@@ -207,7 +228,7 @@ func (s *Server) handleDeliver(w http.ResponseWriter, r *http.Request) error {
 	if err != nil {
 		return errf(http.StatusInternalServerError, "splice: %v", err)
 	}
-	receiptID := deliverReceiptID(rt.owner, rcpt.ID, plan.Digest)
+	receiptID := deriveReceiptID("d", rt.owner, rcpt.ID, b.sum)
 	if err := s.registerDelivery(r, receiptID, rcpt, res); err != nil {
 		return err
 	}
@@ -219,7 +240,7 @@ func (s *Server) handleDeliver(w http.ResponseWriter, r *http.Request) error {
 }
 
 // cachedBound is boundFor under a "cache" span, counted as a plan hit.
-func (s *Server) cachedBound(tr *obs.Trace, ownerID, digest string) (*deliver.Bound, error) {
+func (s *Server) cachedBound(tr *obs.Trace, ownerID, digest string) (*boundPlan, error) {
 	csp := tr.StartSpan("cache")
 	b, err := s.boundFor(ownerID, digest)
 	if err != nil {
@@ -235,7 +256,7 @@ func (s *Server) cachedBound(tr *obs.Trace, ownerID, digest string) (*deliver.Bo
 // the stored plan when one matches the canonical digest, a fresh compile
 // (stored and cached) otherwise. The parse and compile hold a worker
 // slot.
-func (s *Server) bodyBound(w http.ResponseWriter, r *http.Request, rt *ownerRuntime, ownerID string) (*deliver.Bound, error) {
+func (s *Server) bodyBound(w http.ResponseWriter, r *http.Request, rt *ownerRuntime, ownerID string) (*boundPlan, error) {
 	tr := obs.FromContext(r.Context())
 	body, err := s.admit(w, r)
 	if err != nil {
@@ -260,19 +281,20 @@ func (s *Server) bodyBound(w http.ResponseWriter, r *http.Request, rt *ownerRunt
 	if err != nil {
 		return nil, errf(http.StatusUnprocessableEntity, "compile plan: %v", err)
 	}
+	planJSON, err := plan.Marshal()
+	if err != nil {
+		return nil, errf(http.StatusInternalServerError, "encode plan: %v", err)
+	}
 	// Storing the plan is best effort: this delivery splices from the
 	// bound plan either way, and a later one recompiles on a miss.
-	if planJSON, err := plan.Marshal(); err == nil {
-		_ = s.reg.PutPlan(registry.PlanRecord{
-			Owner: ownerID, Digest: plan.Digest, Doc: r.URL.Query().Get("doc"),
-			CreatedUnix: time.Now().Unix(), Canonical: canonical, Plan: planJSON,
-		})
-	}
-	b, err := plan.Bind(canonical)
+	_ = s.reg.PutPlan(registry.PlanRecord{
+		Owner: ownerID, Digest: plan.Digest, Doc: r.URL.Query().Get("doc"),
+		CreatedUnix: time.Now().Unix(), Canonical: canonical, Plan: planJSON,
+	})
+	b, err := s.bindPlan(ownerID, plan, planJSON, canonical)
 	if err != nil {
 		return nil, errf(http.StatusInternalServerError, "bind plan: %v", err)
 	}
-	s.bound.Put(boundKey{ownerID, plan.Digest}, b, 0)
 	s.met.planCompiles.Inc()
 	return b, nil
 }
@@ -280,9 +302,10 @@ func (s *Server) bodyBound(w http.ResponseWriter, r *http.Request, rt *ownerRunt
 // handleDeliverStream splices a recipient copy in constant memory: the
 // body is the canonical document (any size up to MaxStreamBytes), the
 // response is the spliced copy, and the plan's digest check runs as the
-// stream drains. A digest mismatch fails the request after the status
-// line is long gone, so instrument() cuts the connection — streaming
-// clients must discard output on a short read.
+// stream drains. A digest mismatch, or a body over MaxStreamBytes (a
+// 413 counted like the other stream routes'), fails the request after
+// the status line is long gone, so instrument() cuts the connection —
+// streaming clients must discard output on a short read.
 func (s *Server) handleDeliverStream(w http.ResponseWriter, r *http.Request, rt *ownerRuntime, digest string, rcpt registry.Recipient) error {
 	tr := obs.FromContext(r.Context())
 	if digest == "" {
@@ -298,7 +321,7 @@ func (s *Server) handleDeliverStream(w http.ResponseWriter, r *http.Request, rt 
 	if err != nil {
 		return errf(http.StatusConflict, "plan does not fit this owner's configuration (recompile after a rotation): %v", err)
 	}
-	receiptID := deliverReceiptID(rt.owner, rcpt.ID, digest)
+	receiptID := deriveReceiptID("d", rt.owner, rcpt.ID, b.sum)
 	if err := s.registerDelivery(r, receiptID, rcpt, res); err != nil {
 		return err
 	}
@@ -309,12 +332,11 @@ func (s *Server) handleDeliverStream(w http.ResponseWriter, r *http.Request, rt 
 	// the error there is ignorable).
 	_ = http.NewResponseController(w).EnableFullDuplex()
 	w.WriteHeader(http.StatusOK)
-	src := io.LimitReader(r.Body, s.opts.MaxStreamBytes)
 	ssp := tr.StartSpan("splice")
-	err = plan.ApplyReader(w, src, payload)
+	err = plan.ApplyReader(w, s.capBody(r), payload)
 	ssp.End()
 	if err != nil {
-		return errf(http.StatusUnprocessableEntity, "splice stream: %v", err)
+		return s.streamErr(w, r, err)
 	}
 	s.met.delivers.Inc()
 	return nil
@@ -328,15 +350,6 @@ func setDeliverHeaders(h http.Header, receiptID, recipient, digest string, res *
 	h.Set("X-Wmxml-Digest", digest)
 	h.Set("X-Wmxml-Carriers", fmt.Sprint(res.Carriers))
 	h.Set("X-Wmxml-Values-Written", fmt.Sprint(res.Embedded))
-}
-
-// deliverReceiptID derives the delivery receipt id: bound to the owner
-// configuration, the recipient and the document digest, so retrying the
-// same delivery dedupes and rotations get fresh receipts.
-func deliverReceiptID(o registry.Owner, recipient, digest string) string {
-	idh := sha256.New()
-	fmt.Fprintf(idh, "dl\x1f%s\x1f%s\x1f%s\x1f%d\x1f%s\x1f%s", o.ID, o.Key, o.Mark, o.Gamma, recipient, digest)
-	return "d-" + hex.EncodeToString(idh.Sum(nil))[:32]
 }
 
 // registerDelivery records the recipient (a tracing candidate from this
@@ -357,16 +370,12 @@ func (s *Server) registerDelivery(r *http.Request, receiptID string, rcpt regist
 		// nothing to store (and the registry would reject an empty one).
 		return nil
 	}
-	rec := registry.Receipt{
+	return s.storeReceipt(registry.Receipt{
 		ID: receiptID, Owner: rcpt.Owner, Doc: r.URL.Query().Get("doc"), Recipient: rcpt.ID,
 		CreatedUnix:    time.Now().Unix(),
 		Records:        res.Records,
 		BandwidthUnits: res.Bandwidth.Units,
 		Carriers:       res.Carriers,
 		ValuesWritten:  res.Embedded,
-	}
-	if err := s.reg.AddReceipt(rec); err != nil && !errors.Is(err, registry.ErrDuplicate) {
-		return errf(http.StatusInternalServerError, "store receipt: %v", err)
-	}
-	return nil
+	})
 }

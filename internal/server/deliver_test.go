@@ -196,6 +196,45 @@ func TestServerDeliverStream(t *testing.T) {
 	}
 }
 
+// TestServerDeliverStreamBodyOverCap: a streamed delivery caps its
+// body at MaxStreamBytes like the other stream routes. A body of
+// exactly the cap delivers; one byte more is a 413, counted in
+// wmxmld_body_too_large_total, and since the status line is already out
+// the copy is cut short instead of completing.
+func TestServerDeliverStreamBodyOverCap(t *testing.T) {
+	orig := pubsXML(t, 80, 3)
+	s, ts := newTestServer(t, Options{MaxStreamBytes: int64(len(orig))})
+	registerOwner(t, ts.URL, "acme")
+	pv := compilePlan(t, ts.URL, "acme", orig)
+	route := "&digest=" + pv.Digest + "&mode=stream&register=0"
+	want, _ := deliverCopy(t, ts.URL, "acme", "r1", "&digest="+pv.Digest+"&register=0", nil)
+	if got, _ := deliverCopy(t, ts.URL, "acme", "r1", route, orig); !bytes.Equal(got, want) {
+		t.Fatal("a body of exactly MaxStreamBytes did not deliver the copy")
+	}
+
+	req, err := http.NewRequest("POST", ts.URL+"/v1/deliver?owner=acme&recipient=r1"+route,
+		bytes.NewReader(append(append([]byte{}, orig...), "\n<!-- trailing -->\n"...)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Authorization", "Bearer key-acme")
+	if resp, err := http.DefaultClient.Do(req); err == nil {
+		var sink bytes.Buffer
+		_, rerr := sink.ReadFrom(resp.Body)
+		resp.Body.Close()
+		if rerr == nil && bytes.Equal(sink.Bytes(), want) {
+			t.Fatal("an over-cap stream delivered a complete copy")
+		}
+	}
+	if n := s.met.tooLarge.Value(); n != 1 {
+		t.Errorf("wmxmld_body_too_large_total = %d, want 1", n)
+	}
+	_, mb, _ := do(t, "GET", ts.URL+"/metrics", nil)
+	if want := `wmxmld_requests_total{route="/v1/deliver",code="413"} 1`; !strings.Contains(string(mb), want) {
+		t.Errorf("metrics lack %s", want)
+	}
+}
+
 func TestServerDeliverErrors(t *testing.T) {
 	_, ts := newTestServer(t, Options{})
 	registerOwner(t, ts.URL, "acme")

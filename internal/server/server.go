@@ -61,7 +61,6 @@ import (
 	"wmxml/internal/config"
 	"wmxml/internal/core"
 	"wmxml/internal/datagen"
-	"wmxml/internal/deliver"
 	"wmxml/internal/fingerprint"
 	"wmxml/internal/identity"
 	"wmxml/internal/index"
@@ -213,7 +212,7 @@ type Server struct {
 	reg   registry.Store
 	slots chan struct{}
 	cache *docCache
-	bound *lru[boundKey, *deliver.Bound]
+	bound *lru[boundKey, *boundPlan]
 	dplan *lru[dplanKey, planEntry]
 	met   *metrics
 	log   *obs.Logger
@@ -257,7 +256,7 @@ func New(opts Options) (*Server, error) {
 		reg:      opts.Registry,
 		slots:    make(chan struct{}, opts.Workers),
 		cache:    newDocCache(opts.CacheEntries, opts.CacheBytes),
-		bound:    newLRU[boundKey, *deliver.Bound](64, 0),
+		bound:    newLRU[boundKey, *boundPlan](64, 0),
 		dplan:    newLRU[dplanKey, planEntry](decodePlanEntries, 0),
 		log:      opts.Logger,
 		ring:     obs.NewTraceRing(opts.TraceRing),
@@ -990,8 +989,8 @@ func (s *Server) pathOwner(r *http.Request) (string, error) {
 
 // handleEmbed watermarks the XML request body under the owner's key and
 // mark, stores the receipt, and returns the marked document. The
-// receipt id is derived from the owner and body hash, so retrying the
-// same embed is idempotent.
+// receipt id is derived from the owner configuration and the body
+// (deriveReceiptID), so retrying the same embed is idempotent.
 func (s *Server) handleEmbed(w http.ResponseWriter, r *http.Request) error {
 	tr := obs.FromContext(r.Context())
 	tr.SetOp("embed")
@@ -1012,17 +1011,7 @@ func (s *Server) handleEmbed(w http.ResponseWriter, r *http.Request) error {
 	if err != nil {
 		return err
 	}
-	// The receipt id binds the body to the owner configuration that
-	// marked it: retrying the identical embed dedupes (deterministic
-	// embedding makes the receipts byte-identical), while re-embedding
-	// after a key/mark/gamma rotation gets a fresh receipt instead of
-	// silently colliding with the stale one. 128 id bits keep the
-	// accidental-collision probability negligible at any realistic
-	// receipt count.
-	idh := sha256.New()
-	fmt.Fprintf(idh, "%s\x1f%s\x1f%s\x1f%d\x1f", rt.owner.ID, rt.owner.Key, rt.owner.Mark, rt.owner.Gamma)
-	idh.Write(body)
-	receiptID := "r-" + hex.EncodeToString(idh.Sum(nil))[:32]
+	receiptID := deriveReceiptID("r", rt.owner, "", body)
 
 	isp := tr.StartSpan("index")
 	ix := index.New(doc)
@@ -1056,6 +1045,27 @@ func (s *Server) handleEmbed(w http.ResponseWriter, r *http.Request) error {
 	w.WriteHeader(http.StatusOK)
 	xmltree.Serialize(w, doc, xmltree.SerializeOptions{Indent: "  "})
 	return nil
+}
+
+// deriveReceiptID derives a receipt id from everything that decides
+// the receipt's records: the owner's id and embedding configuration
+// (key, mark, gamma, dataset and spec), the recipient ("" for an owner
+// embed) and the content (the request body, a streamed body's digest or
+// the sha256 of the delivery plan a copy was spliced from). prefix names
+// the route ("r" embed, "f" fingerprint, "s" stream embed, "d" deliver)
+// and is hashed too. Retrying a request under an unchanged owner record
+// dedupes, since deterministic embedding makes the receipts identical;
+// re-embedding after a rotation or a spec change gets a fresh id
+// instead of colliding with the stale receipt. CreatedUnix and SLO
+// change no records and are left out. Each field is quoted, so none can
+// run into the next. 128 id bits keep accidental collisions negligible
+// at any realistic receipt count.
+func deriveReceiptID(prefix string, o registry.Owner, recipient string, content []byte) string {
+	h := sha256.New()
+	fmt.Fprintf(h, "%s\x1f%q\x1f%q\x1f%q\x1f%d\x1f%q\x1f%q\x1f%q\x1f",
+		prefix, o.ID, o.Key, o.Mark, o.Gamma, o.Dataset, []byte(o.Spec), recipient)
+	h.Write(content)
+	return prefix + "-" + hex.EncodeToString(h.Sum(nil))[:32]
 }
 
 // storeReceipt appends a receipt to the registry. Its id is derived from
@@ -1401,12 +1411,7 @@ func (s *Server) handleFingerprint(w http.ResponseWriter, r *http.Request) error
 	if err != nil {
 		return err
 	}
-	// Like embed's receipt id, but bound to the recipient too: retrying
-	// the same fingerprint dedupes, different recipients never collide.
-	idh := sha256.New()
-	fmt.Fprintf(idh, "fp\x1f%s\x1f%s\x1f%s\x1f%d\x1f%s\x1f", rt.owner.ID, rt.owner.Key, rt.owner.Mark, rt.owner.Gamma, rcpt.ID)
-	idh.Write(body)
-	receiptID := "f-" + hex.EncodeToString(idh.Sum(nil))[:32]
+	receiptID := deriveReceiptID("f", rt.owner, rcpt.ID, body)
 
 	esp := tr.StartSpan("embed")
 	res, err := rt.fp.Embed(doc, rcpt.ID)

@@ -7,10 +7,13 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
+	"wmxml/internal/config"
+	"wmxml/internal/core"
 	"wmxml/internal/datagen"
 	"wmxml/internal/registry"
 	"wmxml/internal/xmltree"
@@ -297,6 +300,101 @@ func TestServerKeyRotationNewReceipt(t *testing.T) {
 	code, body, _ = doAs(t, "rotated-key", "POST", ts.URL+"/v1/detect?owner=acme", marked2)
 	if code != http.StatusOK || !strings.Contains(string(body), `"detected": true`) {
 		t.Fatalf("detect after rotation: %d %s", code, body)
+	}
+}
+
+// pubsSpecOwner renders owner id (key "key-<id>") registered with the
+// pubs document type as an explicit spec carrying targets.
+func pubsSpecOwner(t *testing.T, id string, targets []string) []byte {
+	t.Helper()
+	ds, err := datagen.Preset("pubs", 1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec, err := config.FromParts("pubs", ds.Schema, ds.Catalog, targets, nil).Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return []byte(fmt.Sprintf(`{"id":%q,"key":"key-%s","mark":"(C) %s","spec":%s,"gamma":3}`, id, id, id, spec))
+}
+
+// TestServerSpecChangeNewReceipt: receipt ids cover the owner's spec,
+// not only its key, mark and gamma. Re-registering with a new spec and
+// re-embedding the same bytes stores a fresh receipt (the stale id's
+// records differ, so reusing it would be refused as a collision), and a
+// retry under an unchanged record keeps its id. Delivery ids cover the
+// plan too: a delivery from the plan compiled before the
+// re-registration and one after the recompile each store the records of
+// the copy they hand out.
+func TestServerSpecChangeNewReceipt(t *testing.T) {
+	s, ts := newTestServer(t, Options{})
+	ds, err := datagen.Preset("pubs", 1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	register := func(targets []string) {
+		t.Helper()
+		if code, body, _ := doAs(t, "key-acme", "POST", ts.URL+"/v1/owners", pubsSpecOwner(t, "acme", targets)); code != http.StatusOK {
+			t.Fatalf("register: %d %s", code, body)
+		}
+	}
+	embed := func(doc []byte) string {
+		t.Helper()
+		code, body, hdr := doAs(t, "key-acme", "POST", ts.URL+"/v1/embed?owner=acme", doc)
+		if code != http.StatusOK {
+			t.Fatalf("embed: %d %s", code, body)
+		}
+		return hdr.Get("X-Wmxml-Receipt")
+	}
+	// deliver delivers r1's copy from the stored plan and returns it
+	// with the stored receipt's id and records.
+	deliver := func(digest string) ([]byte, []core.QueryRecord, string) {
+		t.Helper()
+		out, hdr := deliverCopy(t, ts.URL, "acme", "r1", "&digest="+digest, nil)
+		id := hdr.Get("X-Wmxml-Receipt")
+		rec, err := s.reg.GetReceipt("acme", id)
+		if err != nil {
+			t.Fatalf("delivery receipt %s: %v", id, err)
+		}
+		return out, rec.Records, id
+	}
+	doc := pubsXML(t, 80, 21)
+
+	register(ds.Targets)
+	oldEmbed := embed(doc)
+	if retry := embed(doc); retry != oldEmbed {
+		t.Fatalf("retry under an unchanged owner changed the receipt id: %s -> %s", oldEmbed, retry)
+	}
+	digest := compilePlan(t, ts.URL, "acme", doc).Digest
+	oldCopy, oldRecords, oldDeliver := deliver(digest)
+
+	register([]string{"db/book/year"})
+	if newEmbed := embed(doc); newEmbed == oldEmbed {
+		t.Fatalf("re-embed after a spec change reused receipt id %s", oldEmbed)
+	}
+	// The stale plan still splices the old spec's copy, and its receipt
+	// says so.
+	staleCopy, staleRecords, _ := deliver(digest)
+	if !bytes.Equal(staleCopy, oldCopy) || !slices.Equal(staleRecords, oldRecords) {
+		t.Fatal("a delivery from the stale plan stored records that do not describe its copy")
+	}
+	compilePlan(t, ts.URL, "acme", doc)
+	delivered, records, newDeliver := deliver(digest)
+	if newDeliver == oldDeliver || slices.Equal(records, oldRecords) {
+		t.Fatalf("redelivery after a spec change kept receipt %s (records changed: %v)", oldDeliver, !slices.Equal(records, oldRecords))
+	}
+	// A full fingerprint embed of r1 under the new spec safeguards the
+	// records that describe the delivered copy.
+	code, fpCopy, hdr := doAs(t, "key-acme", "POST", ts.URL+"/v1/fingerprint?owner=acme&recipient=r1", doc)
+	if code != http.StatusOK {
+		t.Fatalf("fingerprint: %d %s", code, fpCopy)
+	}
+	fpRec, err := s.reg.GetReceipt("acme", hdr.Get("X-Wmxml-Receipt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(delivered, fpCopy) || !slices.Equal(records, fpRec.Records) {
+		t.Fatal("delivery receipt does not describe the delivered copy")
 	}
 }
 

@@ -30,7 +30,6 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
-	"hash"
 	"io"
 	"net/http"
 	"strings"
@@ -93,16 +92,16 @@ func (c *capReader) Read(p []byte) (int, error) {
 	return n, c.err
 }
 
-// streamBody is the request body of a streaming route: capped at
-// MaxStreamBytes and hashed into digest as it is read.
-func (s *Server) streamBody(r *http.Request, digest hash.Hash) io.Reader {
-	return io.TeeReader(&capReader{r: r.Body, n: s.opts.MaxStreamBytes, limit: s.opts.MaxStreamBytes}, digest)
+// capBody is the request body of a streaming route, capped at
+// MaxStreamBytes.
+func (s *Server) capBody(r *http.Request) io.Reader {
+	return &capReader{r: r.Body, n: s.opts.MaxStreamBytes, limit: s.opts.MaxStreamBytes}
 }
 
 // streamErr maps a streaming failure to a status: parse problems in
 // the request body are the client's (400), everything else is 422. The
 // cause stays in the chain, so a body over MaxStreamBytes still answers
-// 413; it is counted here, on both stream routes, whether or not output
+// 413; it is counted here, on every stream route, whether or not output
 // has started. Over the cap the unread rest of the body must not reach
 // the next request on this connection: once the stream has returned
 // (and with it every stream goroutine), one read through
@@ -130,7 +129,7 @@ func (s *Server) handleEmbedStream(w http.ResponseWriter, r *http.Request, rt *o
 	// chunk: the library would fall back to the in-memory parse, which
 	// must never happen on a MaxStreamBytes-sized body — that is the
 	// OOM this endpoint exists to prevent.
-	reason, err := stream.EmbedFallbackReason(rt.cfg, s.streamOptions())
+	reason, err := stream.EmbedFallbackReason(rt.cfg)
 	if err != nil {
 		return errf(http.StatusUnprocessableEntity, "stream: %v", err)
 	}
@@ -154,7 +153,7 @@ func (s *Server) handleEmbedStream(w http.ResponseWriter, r *http.Request, rt *o
 	h.Set("Trailer", "X-Wmxml-Receipt, X-Wmxml-Carriers, X-Wmxml-Values-Written, X-Wmxml-Stream-Chunks, X-Wmxml-Stream-Error")
 	lw := &latchWriter{w: w}
 
-	res, err := stream.Embed(r.Context(), s.streamBody(r, digest), lw, rt.cfg, s.streamOptions())
+	res, err := stream.Embed(r.Context(), io.TeeReader(s.capBody(r), digest), lw, rt.cfg, s.streamOptions())
 	if err != nil {
 		herr := s.streamErr(w, r, err)
 		if !lw.wrote {
@@ -167,11 +166,8 @@ func (s *Server) handleEmbedStream(w http.ResponseWriter, r *http.Request, rt *o
 	}
 
 	// The spooled digest binds the receipt to the exact bytes received,
-	// under the owner configuration that marked them — the streaming
-	// analogue of the buffered endpoint's body-hash receipt id.
-	idh := sha256.New()
-	fmt.Fprintf(idh, "stream\x1f%s\x1f%s\x1f%s\x1f%d\x1f%x\x1f", rt.owner.ID, rt.owner.Key, rt.owner.Mark, rt.owner.Gamma, digest.Sum(nil))
-	receiptID := "s-" + hex.EncodeToString(idh.Sum(nil))[:32]
+	// as the buffered endpoint's id binds the body.
+	receiptID := deriveReceiptID("s", rt.owner, "", digest.Sum(nil))
 	err = s.storeReceipt(registry.Receipt{
 		ID: receiptID, Owner: ownerID, Doc: r.URL.Query().Get("doc"),
 		CreatedUnix:    time.Now().Unix(),
@@ -235,7 +231,7 @@ func (s *Server) handleDetectStream(w http.ResponseWriter, r *http.Request, rt *
 
 	// Same guard as streamed embed: never take the in-memory fallback
 	// on a stream-sized body.
-	reason, err := stream.DetectFallbackReason(rt.cfg, records, nil, s.streamOptions())
+	reason, err := stream.DetectFallbackReason(rt.cfg, records, nil)
 	if err != nil {
 		return errf(http.StatusUnprocessableEntity, "stream: %v", err)
 	}
@@ -244,7 +240,7 @@ func (s *Server) handleDetectStream(w http.ResponseWriter, r *http.Request, rt *
 	}
 
 	digest := sha256.New()
-	body := s.streamBody(r, digest)
+	body := io.TeeReader(s.capBody(r), digest)
 	var (
 		res   *core.DetectResult
 		stats stream.Stats

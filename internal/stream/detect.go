@@ -56,7 +56,7 @@ type fdUnitOutcome struct {
 // predicates, upward axes) fall back to the in-memory path.
 func Decode(ctx context.Context, r io.Reader, cfg core.Config, records []core.QueryRecord, rw core.Rewriter, opts Options) (*DecodeResult, error) {
 	opts = opts.withDefaults()
-	p, err := buildPlan(cfg, opts)
+	p, err := buildPlan(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -139,7 +139,7 @@ func Detect(ctx context.Context, r io.Reader, cfg core.Config, records []core.Qu
 // core.DecodeBlindIndexed would produce on the materialized document.
 func DecodeBlind(ctx context.Context, r io.Reader, cfg core.Config, opts Options) (*DecodeResult, error) {
 	opts = opts.withDefaults()
-	p, err := buildPlan(cfg, opts)
+	p, err := buildPlan(cfg)
 	if err != nil {
 		return nil, err
 	}

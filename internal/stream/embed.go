@@ -26,8 +26,8 @@ type EmbedResult struct {
 // under cfg would take the in-memory path ("" when the chunked path
 // runs). Servers use it to refuse stream-sized bodies that would
 // silently materialize.
-func EmbedFallbackReason(cfg core.Config, opts Options) (string, error) {
-	p, err := buildPlan(cfg, opts.withDefaults())
+func EmbedFallbackReason(cfg core.Config) (string, error) {
+	p, err := buildPlan(cfg)
 	if err != nil {
 		return "", err
 	}
@@ -39,8 +39,8 @@ func EmbedFallbackReason(cfg core.Config, opts Options) (string, error) {
 
 // DetectFallbackReason is EmbedFallbackReason for streamed detection
 // with the given query set (nil records = blind).
-func DetectFallbackReason(cfg core.Config, records []core.QueryRecord, rw core.Rewriter, opts Options) (string, error) {
-	p, err := buildPlan(cfg, opts.withDefaults())
+func DetectFallbackReason(cfg core.Config, records []core.QueryRecord, rw core.Rewriter) (string, error) {
+	p, err := buildPlan(cfg)
 	if err != nil {
 		return "", err
 	}
@@ -70,7 +70,7 @@ func DetectFallbackReason(cfg core.Config, records []core.QueryRecord, rw core.R
 // exactly fall back to the in-memory path (Stats says which ran).
 func Embed(ctx context.Context, r io.Reader, w io.Writer, cfg core.Config, opts Options) (*EmbedResult, error) {
 	opts = opts.withDefaults()
-	p, err := buildPlan(cfg, opts)
+	p, err := buildPlan(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -82,7 +82,7 @@ func Embed(ctx context.Context, r io.Reader, w io.Writer, cfg core.Config, opts 
 	}
 
 	sp := xmltree.NewStreamParser(r, opts.Parse)
-	ss := xmltree.NewStreamSerializer(w, opts.Serialize)
+	ss := xmltree.NewStreamSerializer(w, serializeOpts)
 
 	var perChunk []*core.EmbedResult // indexed sparsely by emit order
 	work := func(c *chunk) error {
@@ -145,7 +145,7 @@ func embedSlurp(ctx context.Context, r io.Reader, w io.Writer, cfg core.Config, 
 	if err != nil {
 		return nil, err
 	}
-	if err := xmltree.Serialize(w, doc, opts.Serialize); err != nil {
+	if err := xmltree.Serialize(w, doc, serializeOpts); err != nil {
 		return nil, err
 	}
 	return &EmbedResult{

@@ -200,19 +200,6 @@ func TestStreamEquivalenceProperty(t *testing.T) {
 	}
 }
 
-// TestStreamEquivalenceConcurrentCore re-checks one configuration with
-// per-chunk core concurrency enabled on top of chunk workers.
-func TestStreamEquivalenceConcurrentCore(t *testing.T) {
-	ds, err := datagen.Preset("pubs", 150, 11)
-	if err != nil {
-		t.Fatal(err)
-	}
-	src := serializeDataset(t, ds)
-	cfg := cfgFor(ds, "kk", "(C) concurrent", 2)
-	cfg.Concurrency = 4
-	checkEquivalence(t, src, cfg, Options{ChunkSize: 16, Workers: 4})
-}
-
 // TestStreamFallbacks verifies each non-chunkable configuration routes
 // through the in-memory path and still produces identical output.
 func TestStreamFallbacks(t *testing.T) {

@@ -64,22 +64,15 @@ type Options struct {
 	// Workers bounds the chunk workers running concurrently
 	// (0 = min(GOMAXPROCS, 8); 1 = sequential).
 	Workers int
-	// RecordElements overrides auto-detection of the top-level record
-	// element names. Empty auto-detects from the embedding spec's unit
-	// paths: the path segment directly below the root of every target
-	// scope.
-	RecordElements []string
 	// Parse controls tokenization (depth cap, whitespace, comments) —
 	// identical semantics to the in-memory xmltree.Parse.
 	Parse xmltree.ParseOptions
-	// Serialize controls embed output. The zero value renders exactly
-	// like wmxml.SerializeXML (two-space indent, XML declaration) so the
-	// streamed bytes match the in-memory pipeline's.
-	Serialize xmltree.SerializeOptions
-	// SerializeSet marks Serialize as explicitly configured; when false
-	// the wmxml.SerializeXML default (Indent "  ") applies.
-	SerializeSet bool
 }
+
+// serializeOpts renders embed output exactly like wmxml.SerializeXML
+// (two-space indent, XML declaration), so the streamed bytes match the
+// in-memory pipeline's.
+var serializeOpts = xmltree.SerializeOptions{Indent: "  "}
 
 func (o Options) withDefaults() Options {
 	if o.ChunkSize <= 0 {
@@ -90,9 +83,6 @@ func (o Options) withDefaults() Options {
 		if o.Workers > 8 {
 			o.Workers = 8
 		}
-	}
-	if !o.SerializeSet {
-		o.Serialize = xmltree.SerializeOptions{Indent: "  "}
 	}
 	return o
 }
@@ -118,8 +108,9 @@ type plan struct {
 	fallback string // non-empty: must use the in-memory path
 }
 
-// buildPlan resolves cfg's targets and derives the record element set.
-func buildPlan(cfg core.Config, opts Options) (*plan, error) {
+// buildPlan resolves cfg's targets and derives the record element set:
+// the path segment directly below the root of every target scope.
+func buildPlan(cfg core.Config) (*plan, error) {
 	cfg = cfg.WithDefaults()
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -132,17 +123,6 @@ func buildPlan(cfg core.Config, opts Options) (*plan, error) {
 	p := &plan{records: make(map[string]bool), targets: targets}
 	if cfg.Identity.Mode == identity.ModePositional {
 		p.fallback = "positional identity mode: ordinals are document-global"
-		return p, nil
-	}
-	if len(opts.RecordElements) > 0 {
-		for _, n := range opts.RecordElements {
-			if n != "" {
-				p.records[n] = true
-			}
-		}
-		if len(p.records) == 0 {
-			p.fallback = "no usable record elements configured"
-		}
 		return p, nil
 	}
 	if len(targets) == 0 {

@@ -233,25 +233,6 @@ func NewVotes(n int) *Votes {
 	return &Votes{ones: make([]int, n), zeros: make([]int, n)}
 }
 
-// Reset clears the accumulator for reuse, resizing to n bits without
-// reallocating when capacity allows — what lets the decoder pool worker
-// accumulators instead of allocating fresh ones per document.
-func (v *Votes) Reset(n int) {
-	if cap(v.ones) < n {
-		v.ones = make([]int, n)
-		v.zeros = make([]int, n)
-	} else {
-		v.ones = v.ones[:n]
-		v.zeros = v.zeros[:n]
-		for i := range v.ones {
-			v.ones[i] = 0
-			v.zeros[i] = 0
-		}
-	}
-	v.total = 0
-	v.misses = 0
-}
-
 // Add records a vote: carrier for bit index idx observed value bit.
 func (v *Votes) Add(idx int, bit uint8) {
 	if idx < 0 || idx >= len(v.ones) {
@@ -271,9 +252,9 @@ func (v *Votes) Add(idx int, bit uint8) {
 func (v *Votes) AddMiss() { v.misses++ }
 
 // Merge folds the votes of o into v. Vote counts are commutative sums,
-// so merging per-worker accumulators in any order yields exactly the
-// votes a sequential pass would have produced — this is what makes the
-// concurrent decoder bit-for-bit equivalent to the sequential one.
+// so merging per-chunk accumulators yields exactly the votes one pass
+// over the whole document would have produced — this is what makes the
+// streaming decoder bit-for-bit equivalent to the in-memory one.
 // Accumulators of mismatched length are ignored (caller error).
 func (v *Votes) Merge(o *Votes) {
 	if o == nil || len(o.ones) != len(v.ones) {

@@ -184,48 +184,3 @@ func TestPipelineCancellation(t *testing.T) {
 		}
 	}
 }
-
-// TestSystemConcurrencyOption: the public Concurrency knob must not
-// change results (deep equivalence is pinned in internal/core; this
-// guards the wiring).
-func TestSystemConcurrencyOption(t *testing.T) {
-	ds := PublicationsDataset(150, 9)
-	mk := func(conc int) (*System, *Document) {
-		t.Helper()
-		sys, err := New(Options{
-			Key: "conc-key", Mark: "(C) CONC", Gamma: 4, Concurrency: conc,
-			Schema: ds.Schema, Catalog: ds.Catalog, Targets: ds.Targets,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return sys, ds.Doc.Clone()
-	}
-	seqSys, seqDoc := mk(1)
-	seqRec, err := seqSys.Embed(seqDoc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	parSys, parDoc := mk(8)
-	parRec, err := parSys.Embed(parDoc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if SerializeXMLString(seqDoc) != SerializeXMLString(parDoc) {
-		t.Error("concurrent embed produced a different document")
-	}
-	if len(seqRec.Records) != len(parRec.Records) {
-		t.Fatalf("record counts differ: %d != %d", len(seqRec.Records), len(parRec.Records))
-	}
-	seqDet, err := seqSys.Detect(seqDoc, seqRec.Records, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	parDet, err := parSys.Detect(parDoc, parRec.Records, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if *seqDet != *parDet {
-		t.Errorf("detections differ: %+v != %+v", *seqDet, *parDet)
-	}
-}

@@ -184,13 +184,6 @@ type Options struct {
 	DisableFDs bool
 	// ValidateInput validates documents against Schema before embedding.
 	ValidateInput bool
-	// Concurrency bounds the worker goroutines used inside a single
-	// Embed/Detect call for per-carrier work (0 or 1: sequential;
-	// N > 1: up to N workers). Results are bit-for-bit identical at any
-	// setting. Large single documents benefit from N > 1; corpus runs
-	// usually keep this at 1 and parallelize across documents with a
-	// Pipeline instead, since the two multiply.
-	Concurrency int
 	// DisableIndex turns off the per-document index and compiled query
 	// plans, forcing every query through the tree-walking evaluator.
 	// Results are bit-for-bit identical either way; for benchmarking
@@ -233,7 +226,6 @@ func New(opts Options) (*System, error) {
 			DisableFDs: opts.DisableFDs,
 		},
 		ValidateInput: opts.ValidateInput,
-		Concurrency:   opts.Concurrency,
 		DisableIndex:  opts.DisableIndex,
 	}
 	return &System{cfg: cfg}, nil
@@ -585,8 +577,6 @@ type FingerprintOptions struct {
 	// Alpha is the per-trace false-accusation budget (0 = 1e-3),
 	// Bonferroni-split over the candidates.
 	Alpha float64
-	// Concurrency bounds per-call worker goroutines.
-	Concurrency int
 }
 
 func (o FingerprintOptions) internal() fingerprint.Options {
@@ -601,7 +591,6 @@ func (o FingerprintOptions) internal() fingerprint.Options {
 		SegmentBits: o.SegmentBits,
 		Replicas:    o.Replicas,
 		Alpha:       o.Alpha,
-		Concurrency: o.Concurrency,
 	}
 }
 
@@ -764,10 +753,6 @@ type StreamOptions struct {
 	// Workers bounds the chunk workers running concurrently
 	// (0 = min(GOMAXPROCS, 8)).
 	Workers int
-	// RecordElements overrides auto-detection of the record element
-	// names (normally derived from the targets' scopes — e.g. "book"
-	// for a "db/book/year" target).
-	RecordElements []string
 	// MaxDepth caps XML nesting while scanning (0 = the xmltree
 	// default).
 	MaxDepth int
@@ -775,10 +760,9 @@ type StreamOptions struct {
 
 func (o StreamOptions) internal() stream.Options {
 	return stream.Options{
-		ChunkSize:      o.ChunkSize,
-		Workers:        o.Workers,
-		RecordElements: o.RecordElements,
-		Parse:          xmltree.ParseOptions{MaxDepth: o.MaxDepth},
+		ChunkSize: o.ChunkSize,
+		Workers:   o.Workers,
+		Parse:     xmltree.ParseOptions{MaxDepth: o.MaxDepth},
 	}
 }
 
