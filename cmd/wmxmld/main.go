@@ -18,7 +18,6 @@
 //	       [--registry-shards 8] [--registry-url URL]
 //	       [--registry-cache-ttl 0s] [--cluster-key KEY]
 //	       [--fleet-nodes URL,URL,...] [--fleet-self URL]
-//	       [--owner-refresh 0s]
 //
 // Fleet mode: N stateless wmxmld nodes serve one tenant set. One node
 // holds the authoritative registry and exports it with --cluster-key
@@ -28,8 +27,10 @@
 // owner-scoped requests landing on the wrong node are proxied to the
 // owner's consistent-hash home node, so each owner's parsed documents
 // warm exactly one cache. Clients may contact any node. On remote
-// nodes set --owner-refresh (and --registry-cache-ttl) to keep
-// registry round trips off the request hot path.
+// nodes set --registry-cache-ttl to keep registry round trips off the
+// request hot path: each request reads its owner record once, from that
+// cache within the TTL, so a rotated key stops authorizing within one
+// TTL.
 //
 // API (see README "Running the service" for a curl walkthrough):
 //
@@ -140,7 +141,6 @@ func main() {
 	clusterKey := fs.String("cluster-key", "", "shared fleet secret; serves the node-to-node registry API under /internal/registry/ and authenticates remote registry clients")
 	fleetNodes := fs.String("fleet-nodes", "", "comma-separated addresses of every fleet node; enables consistent-hash owner routing")
 	fleetSelf := fs.String("fleet-self", "", "this node's own address as listed in --fleet-nodes")
-	ownerRefresh := fs.Duration("owner-refresh", 0, "max staleness of a compiled owner runtime before re-reading its registry record (0 = every request)")
 	if err := fs.Parse(os.Args[1:]); err != nil {
 		os.Exit(2)
 	}
@@ -257,7 +257,6 @@ func main() {
 		CaptureCooldown:      *captureCooldown,
 		CaptureCPUProfile:    *captureCPU,
 		DrainDelay:           *drainDelay,
-		OwnerRefresh:         *ownerRefresh,
 		ClusterKey:           *clusterKey,
 		FleetNodes:           nodes,
 		FleetSelf:            *fleetSelf,

@@ -240,30 +240,6 @@ func (b *Bound) AppendCopy(dst []byte, payload wmark.Bits) ([]byte, error) {
 	return append(dst, b.orig[pos:]...), nil
 }
 
-// WriteCopy writes the recipient copy for payload to w.
-func (b *Bound) WriteCopy(w io.Writer, payload wmark.Bits) (int64, error) {
-	if err := b.plan.checkPayload(payload); err != nil {
-		return 0, err
-	}
-	var written int64
-	pos := 0
-	wr := func(p []byte) error {
-		n, err := w.Write(p)
-		written += int64(n)
-		return err
-	}
-	for _, s := range b.plan.Sites {
-		if err := wr(b.orig[pos:s.Start]); err != nil {
-			return written, err
-		}
-		if err := wr([]byte(s.Alt[payloadIndex(payload[s.Bit])])); err != nil {
-			return written, err
-		}
-		pos = s.End
-	}
-	return written, wr(b.orig[pos:])
-}
-
 // Receipt reconstructs the embedding receipt a direct core embed of
 // payload would have produced: tallies, bandwidth and the recipient's
 // query set Q, without parsing anything.

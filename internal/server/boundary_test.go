@@ -196,16 +196,18 @@ func TestPanicBoundary(t *testing.T) {
 	})
 }
 
-// TestStoreReceiptCollision: the three routes that store an
-// owner-derived receipt id share one duplicate rule. An identical retry
-// is idempotent and answers with the same receipt; a stored receipt
-// under that id whose records differ is a collision, refused with a 500
-// (or, once streamed output has started, the error trailer).
+// TestStoreReceiptCollision: the routes that store an owner-derived
+// receipt id share one duplicate rule. An identical retry is idempotent
+// and answers with the same receipt; a stored receipt under that id
+// whose records differ is a collision, refused with a 500 (or, once a
+// streamed embed's output has started, the error trailer). Both
+// delivery shapes record before they splice, so theirs is a 500.
 func TestStoreReceiptCollision(t *testing.T) {
 	fs := &faultStore{Store: registry.NewMemory()}
 	_, ts := newTestServer(t, Options{Registry: fs})
 	registerOwner(t, ts.URL, "acme")
 	doc := pubsXML(t, 30, 5)
+	pv := compilePlan(t, ts.URL, "acme", doc) // doc is already canonical
 	for _, tc := range []struct {
 		name string
 		// post runs the route and returns the status, the receipt id and
@@ -226,6 +228,14 @@ func TestStoreReceiptCollision(t *testing.T) {
 				t.Fatal(err)
 			}
 			return code, trailer.Get("X-Wmxml-Receipt"), trailer.Get("X-Wmxml-Stream-Error")
+		}},
+		{"deliver", func() (int, string, string) {
+			code, _, hdr := doAs(t, "key-acme", "POST", ts.URL+"/v1/deliver?owner=acme&recipient=d1&digest="+pv.Digest, nil)
+			return code, hdr.Get("X-Wmxml-Receipt"), ""
+		}},
+		{"deliver stream", func() (int, string, string) {
+			code, _, hdr := doAs(t, "key-acme", "POST", ts.URL+"/v1/deliver?owner=acme&recipient=d2&mode=stream&digest="+pv.Digest, doc)
+			return code, hdr.Get("X-Wmxml-Receipt"), ""
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -248,5 +258,69 @@ func TestStoreReceiptCollision(t *testing.T) {
 				t.Fatalf("collision: %d, receipt %q", code, got)
 			}
 		})
+	}
+}
+
+// TestZeroCarrierCopies: a document with no carriers (<db/> under the
+// pubs preset) is still a copy, and every route that hands one out
+// answers it alike: 200, the same X-Wmxml-* fields with Carriers 0, and
+// neither a receipt nor an error, as a header or a trailer. No receipt
+// is stored, since there is no query set to safeguard, and nothing
+// counts as a 500.
+func TestZeroCarrierCopies(t *testing.T) {
+	_, ts := newTestServer(t, Options{})
+	registerOwner(t, ts.URL, "acme")
+	doc := []byte("<db/>")
+	pv := compilePlan(t, ts.URL, "acme", doc)
+	// With no mark sites, any recipient's copy is the canonical document.
+	canonical, _ := deliverCopy(t, ts.URL, "acme", "z0", "&digest="+pv.Digest, nil)
+	for _, tc := range []struct {
+		name, route, recipient string
+		body                   []byte
+	}{
+		{"embed", "/v1/embed?owner=acme", "", doc},
+		{"fingerprint", "/v1/fingerprint?owner=acme&recipient=z1", "z1", doc},
+		{"stream embed", "/v1/embed?owner=acme&mode=stream", "", doc},
+		{"deliver body", "/v1/deliver?owner=acme&recipient=z2", "z2", doc},
+		{"deliver digest", "/v1/deliver?owner=acme&recipient=z3&digest=" + pv.Digest, "z3", nil},
+		{"deliver stream", "/v1/deliver?owner=acme&recipient=z4&mode=stream&digest=" + pv.Digest, "z4", canonical},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			req, err := http.NewRequest("POST", ts.URL+tc.route, bytes.NewReader(tc.body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			req.Header.Set("Authorization", "Bearer key-acme")
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			body, err := io.ReadAll(resp.Body) // trailers arrive after the body
+			if err != nil || resp.StatusCode != http.StatusOK {
+				t.Fatalf("%d %s (%v)", resp.StatusCode, body, err)
+			}
+			field := func(k string) string { return resp.Header.Get(k) + resp.Trailer.Get(k) }
+			if field("X-Wmxml-Carriers") != "0" || field("X-Wmxml-Values-Written") != "0" || field("X-Wmxml-Bandwidth-Units") == "" {
+				t.Errorf("carriers %q, values written %q, bandwidth units %q; want 0, 0 and a count",
+					field("X-Wmxml-Carriers"), field("X-Wmxml-Values-Written"), field("X-Wmxml-Bandwidth-Units"))
+			}
+			if field("X-Wmxml-Recipient") != tc.recipient {
+				t.Errorf("recipient %q, want %q", field("X-Wmxml-Recipient"), tc.recipient)
+			}
+			if id, serr := field("X-Wmxml-Receipt"), field("X-Wmxml-Stream-Error"); id != "" || serr != "" {
+				t.Errorf("receipt %q, stream error %q; want neither", id, serr)
+			}
+		})
+	}
+	_, list, _ := doAs(t, "key-acme", "GET", ts.URL+"/v1/owners/acme/receipts", nil)
+	var receipts struct {
+		Receipts []json.RawMessage `json:"receipts"`
+	}
+	if err := json.Unmarshal(list, &receipts); err != nil || len(receipts.Receipts) != 0 {
+		t.Errorf("receipts stored for zero-carrier copies: %s (%v)", list, err)
+	}
+	if _, prom, _ := do(t, "GET", ts.URL+"/metrics", nil); strings.Contains(string(prom), `code="500"`) {
+		t.Error("a zero-carrier copy counted as a 500")
 	}
 }

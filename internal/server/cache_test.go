@@ -256,8 +256,8 @@ func TestSingleflightErrorPropagates(t *testing.T) {
 	}
 }
 
-// countingStore wraps a Store and counts GetOwner calls, to observe the
-// OwnerRefresh fast path skipping registry reads.
+// countingStore wraps a Store and counts GetOwner calls, to observe how
+// often a request reads its owner record.
 type countingStore struct {
 	registry.Store
 	mu       sync.Mutex
@@ -277,33 +277,38 @@ func (c *countingStore) calls() int {
 	return c.getOwner
 }
 
-// TestOwnerRefreshSkipsRegistry: with OwnerRefresh set, repeat requests
-// inside the window reuse the compiled runtime without re-reading the
-// owner record — the point of the knob when the registry is remote —
-// while the credential check still runs against the cached record.
-func TestOwnerRefreshSkipsRegistry(t *testing.T) {
+// TestOwnerReadOncePerRequest: an owner-scoped request reads its owner
+// record once, in runtimeFor. The metrics fold takes the owner's SLO
+// objectives from the compiled runtime rather than reading the record
+// again, also on the first requests after start, which build the
+// runtime; the record's override reaches the owner's SLO block that
+// way. The response body is read to its end, which net/http sends only
+// after the request has been folded.
+func TestOwnerReadOncePerRequest(t *testing.T) {
 	cs := &countingStore{Store: registry.NewMemory()}
-	_, ts := newTestServer(t, Options{Registry: cs, OwnerRefresh: time.Hour})
-	registerOwner(t, ts.URL, "acme")
-	code, doc, _ := doAs(t, "key-acme", "POST", ts.URL+"/v1/embed?owner=acme&doc=d.xml", pubsXML(t, 60, 1))
-	if code != http.StatusOK {
-		t.Fatalf("embed: %d %s", code, doc)
+	owner := registry.Owner{ID: "acme", Key: "key-acme", Mark: "(C) acme", Dataset: "pubs", Gamma: 3, CreatedUnix: 1,
+		SLO: &registry.SLOOverride{DetectP99MS: 5}}
+	if err := cs.PutOwner(owner); err != nil {
+		t.Fatal(err)
 	}
-
-	if code, body, _ := doAs(t, "key-acme", "POST", ts.URL+"/v1/detect?owner=acme", doc); code != http.StatusOK {
-		t.Fatalf("first detect: %d %s", code, body)
-	}
-	base := cs.calls()
-	for i := 0; i < 10; i++ {
-		if code, body, _ := doAs(t, "key-acme", "POST", ts.URL+"/v1/detect?owner=acme", doc); code != http.StatusOK {
-			t.Fatalf("detect %d: %d %s", i, code, body)
+	s, ts := newTestServer(t, Options{Registry: cs})
+	doc := pubsXML(t, 60, 1)
+	for _, route := range []string{"/v1/embed", "/v1/verify"} {
+		before := cs.calls()
+		if code, body, _ := doAs(t, "key-acme", "POST", ts.URL+route+"?owner=acme", doc); code != http.StatusOK {
+			t.Fatalf("%s: %d %s", route, code, body)
+		}
+		if n := cs.calls() - before; n != 1 {
+			t.Errorf("%s read the owner record %d times, want 1", route, n)
 		}
 	}
-	if got := cs.calls(); got != base {
-		t.Errorf("10 in-window detects read the owner record %d times, want 0", got-base)
+	got := -1.0
+	for _, ev := range s.met.evaluateSLO(time.Now().Unix()) {
+		if ev.Owner == "acme" {
+			got = ev.DetectP99MS
+		}
 	}
-	// Authentication is not relaxed by the staleness bound.
-	if code, _, _ := doAs(t, "wrong-key", "POST", ts.URL+"/v1/detect?owner=acme", doc); code != http.StatusUnauthorized {
-		t.Errorf("stale-path detect with wrong key = %d, want 401", code)
+	if got != 5 {
+		t.Errorf("acme's detect_p99 objective is %vms (-1: no block), want the record's 5ms", got)
 	}
 }

@@ -37,11 +37,9 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"errors"
-	"fmt"
 	"net/http"
 	"time"
 
-	"wmxml/internal/core"
 	"wmxml/internal/deliver"
 	"wmxml/internal/obs"
 	"wmxml/internal/registry"
@@ -187,7 +185,10 @@ func (s *Server) boundFor(ownerID, digest string) (*boundPlan, error) {
 
 // handleDeliver splices one recipient's fingerprinted copy from a
 // delivery plan. See the package comment for the three request shapes
-// (stored digest, document body, mode=stream).
+// (stored digest, document body, mode=stream); they share everything up
+// to the splice. The copy is recorded (recipient, receipt, headers)
+// before any of it is written, so a registry failure is still a clean
+// error response in both the buffered and the streamed shape.
 func (s *Server) handleDeliver(w http.ResponseWriter, r *http.Request) error {
 	tr := obs.FromContext(r.Context())
 	tr.SetOp("deliver")
@@ -201,15 +202,15 @@ func (s *Server) handleDeliver(w http.ResponseWriter, r *http.Request) error {
 		return err
 	}
 	digest := r.URL.Query().Get("digest")
-	if r.URL.Query().Get("mode") == "stream" {
-		return s.handleDeliverStream(w, r, rt, digest, rcpt)
-	}
-
+	stream := r.URL.Query().Get("mode") == "stream"
 	var b *boundPlan
-	if digest != "" {
-		// Pure splice: no body, no parse, no worker slot.
+	switch {
+	case digest != "":
+		// Pure splice: no body parse, no worker slot.
 		b, err = s.cachedBound(tr, ownerID, digest)
-	} else {
+	case stream:
+		return errf(http.StatusBadRequest, "mode=stream requires the digest query parameter (compile the plan first)")
+	default:
 		b, err = s.bodyBound(w, r, rt, ownerID)
 	}
 	if err != nil {
@@ -222,20 +223,41 @@ func (s *Server) handleDeliver(w http.ResponseWriter, r *http.Request) error {
 	if err != nil {
 		return errf(http.StatusConflict, "plan does not fit this owner's configuration (recompile after a rotation): %v", err)
 	}
-	ssp := tr.StartSpan("splice")
-	out, err := b.AppendCopy(nil, payload)
-	ssp.End()
-	if err != nil {
-		return errf(http.StatusInternalServerError, "splice: %v", err)
-	}
-	receiptID := deriveReceiptID("d", rt.owner, rcpt.ID, b.sum)
-	if err := s.registerDelivery(r, receiptID, rcpt, res); err != nil {
+	if err := s.recordCopy(w, r, rt, "d", rcpt, b.sum, res); err != nil {
 		return err
 	}
+	h := w.Header()
+	h.Set("Content-Type", "application/xml")
+	h.Set("X-Wmxml-Digest", plan.Digest)
+	if stream {
+		// The body is the canonical document (any size up to
+		// MaxStreamBytes), spliced in constant memory while it is still
+		// being read; HTTP/1.x servers close the request body on the
+		// first response write unless full-duplex is enabled (HTTP/2
+		// allows it natively — the error there is ignorable). The plan's
+		// digest check runs as the stream drains: a mismatch, or a body
+		// over MaxStreamBytes (a 413 counted like the other stream
+		// routes'), fails the request after the status line is long
+		// gone, so instrument() cuts the connection — streaming clients
+		// must discard output on a short read.
+		_ = http.NewResponseController(w).EnableFullDuplex()
+		w.WriteHeader(http.StatusOK)
+		ssp := tr.StartSpan("splice")
+		err = plan.ApplyReader(w, s.capBody(r), payload)
+		ssp.End()
+		if err != nil {
+			return s.streamErr(w, r, err)
+		}
+	} else {
+		// Plan.Receipt accepted the payload length, the one thing
+		// AppendCopy checks, so the splice cannot fail.
+		ssp := tr.StartSpan("splice")
+		out, _ := b.AppendCopy(nil, payload)
+		ssp.End()
+		w.WriteHeader(http.StatusOK)
+		w.Write(out)
+	}
 	s.met.delivers.Inc()
-	setDeliverHeaders(w.Header(), receiptID, rcpt.ID, plan.Digest, res)
-	w.WriteHeader(http.StatusOK)
-	w.Write(out)
 	return nil
 }
 
@@ -297,85 +319,4 @@ func (s *Server) bodyBound(w http.ResponseWriter, r *http.Request, rt *ownerRunt
 	}
 	s.met.planCompiles.Inc()
 	return b, nil
-}
-
-// handleDeliverStream splices a recipient copy in constant memory: the
-// body is the canonical document (any size up to MaxStreamBytes), the
-// response is the spliced copy, and the plan's digest check runs as the
-// stream drains. A digest mismatch, or a body over MaxStreamBytes (a
-// 413 counted like the other stream routes'), fails the request after
-// the status line is long gone, so instrument() cuts the connection —
-// streaming clients must discard output on a short read.
-func (s *Server) handleDeliverStream(w http.ResponseWriter, r *http.Request, rt *ownerRuntime, digest string, rcpt registry.Recipient) error {
-	tr := obs.FromContext(r.Context())
-	if digest == "" {
-		return errf(http.StatusBadRequest, "mode=stream requires the digest query parameter (compile the plan first)")
-	}
-	b, err := s.cachedBound(tr, rcpt.Owner, digest)
-	if err != nil {
-		return err
-	}
-	plan := b.Plan()
-	payload := rt.fp.Payload(rcpt.ID)
-	res, err := plan.Receipt(payload)
-	if err != nil {
-		return errf(http.StatusConflict, "plan does not fit this owner's configuration (recompile after a rotation): %v", err)
-	}
-	receiptID := deriveReceiptID("d", rt.owner, rcpt.ID, b.sum)
-	if err := s.registerDelivery(r, receiptID, rcpt, res); err != nil {
-		return err
-	}
-	setDeliverHeaders(w.Header(), receiptID, rcpt.ID, digest, res)
-	// The response streams while the request body is still being read;
-	// HTTP/1.x servers close the request body on the first response
-	// write unless full-duplex is enabled (HTTP/2 allows it natively —
-	// the error there is ignorable).
-	_ = http.NewResponseController(w).EnableFullDuplex()
-	w.WriteHeader(http.StatusOK)
-	ssp := tr.StartSpan("splice")
-	err = plan.ApplyReader(w, s.capBody(r), payload)
-	ssp.End()
-	if err != nil {
-		return s.streamErr(w, r, err)
-	}
-	s.met.delivers.Inc()
-	return nil
-}
-
-// setDeliverHeaders sets the response headers of a delivered copy.
-func setDeliverHeaders(h http.Header, receiptID, recipient, digest string, res *core.EmbedResult) {
-	h.Set("Content-Type", "application/xml")
-	h.Set("X-Wmxml-Receipt", receiptID)
-	h.Set("X-Wmxml-Recipient", recipient)
-	h.Set("X-Wmxml-Digest", digest)
-	h.Set("X-Wmxml-Carriers", fmt.Sprint(res.Carriers))
-	h.Set("X-Wmxml-Values-Written", fmt.Sprint(res.Embedded))
-}
-
-// registerDelivery records the recipient (a tracing candidate from this
-// moment on) and the delivery receipt with the plan-simulated query set
-// — the same Q a full fingerprint embed would have safeguarded — under
-// a "registry" span. ?register=0 skips it.
-func (s *Server) registerDelivery(r *http.Request, receiptID string, rcpt registry.Recipient, res *core.EmbedResult) error {
-	if r.URL.Query().Get("register") == "0" {
-		return nil
-	}
-	rgsp := obs.FromContext(r.Context()).StartSpan("registry")
-	defer rgsp.End()
-	if err := s.reg.PutRecipient(rcpt); err != nil {
-		return errf(http.StatusInternalServerError, "store recipient: %v", err)
-	}
-	if len(res.Records) == 0 {
-		// A plan with no carrier units has no query set to safeguard;
-		// nothing to store (and the registry would reject an empty one).
-		return nil
-	}
-	return s.storeReceipt(registry.Receipt{
-		ID: receiptID, Owner: rcpt.Owner, Doc: r.URL.Query().Get("doc"), Recipient: rcpt.ID,
-		CreatedUnix:    time.Now().Unix(),
-		Records:        res.Records,
-		BandwidthUnits: res.Bandwidth.Units,
-		Carriers:       res.Carriers,
-		ValuesWritten:  res.Embedded,
-	})
 }

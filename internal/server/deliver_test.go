@@ -106,11 +106,11 @@ func TestServerDeliverEndToEnd(t *testing.T) {
 		t.Errorf("want 2 d- receipts for r1/r2, found %d in %s", found, recb)
 	}
 
-	// register=0 splices without leaving a trail.
-	deliverCopy(t, ts.URL, "acme", "ghost", "&digest="+pv.Digest+"&register=0", nil)
+	// Every delivery registers its recipient.
+	deliverCopy(t, ts.URL, "acme", "r3", "&digest="+pv.Digest, nil)
 	_, rb2, _ := doAs(t, "key-acme", "GET", ts.URL+"/v1/owners/acme/recipients", nil)
-	if strings.Contains(string(rb2), "ghost") {
-		t.Error("register=0 delivery registered the recipient anyway")
+	if !strings.Contains(string(rb2), `"r3"`) {
+		t.Errorf("third delivery did not register its recipient: %s", rb2)
 	}
 
 	// Counters moved.
@@ -180,7 +180,7 @@ func TestServerDeliverStream(t *testing.T) {
 	mutated := append([]byte{}, orig...)
 	mutated[len(mutated)/2] ^= 0x01
 	req, err := http.NewRequest("POST",
-		ts.URL+"/v1/deliver?owner=acme&recipient=r1&digest="+pv.Digest+"&mode=stream&register=0",
+		ts.URL+"/v1/deliver?owner=acme&recipient=r1&digest="+pv.Digest+"&mode=stream",
 		bytes.NewReader(mutated))
 	if err != nil {
 		t.Fatal(err)
@@ -206,8 +206,8 @@ func TestServerDeliverStreamBodyOverCap(t *testing.T) {
 	s, ts := newTestServer(t, Options{MaxStreamBytes: int64(len(orig))})
 	registerOwner(t, ts.URL, "acme")
 	pv := compilePlan(t, ts.URL, "acme", orig)
-	route := "&digest=" + pv.Digest + "&mode=stream&register=0"
-	want, _ := deliverCopy(t, ts.URL, "acme", "r1", "&digest="+pv.Digest+"&register=0", nil)
+	route := "&digest=" + pv.Digest + "&mode=stream"
+	want, _ := deliverCopy(t, ts.URL, "acme", "r1", "&digest="+pv.Digest, nil)
 	if got, _ := deliverCopy(t, ts.URL, "acme", "r1", route, orig); !bytes.Equal(got, want) {
 		t.Fatal("a body of exactly MaxStreamBytes did not deliver the copy")
 	}

@@ -136,10 +136,9 @@ type metrics struct {
 	owners   map[string]*ownerStats
 	total    *sloState // the service-wide SLO windows (owner "_total")
 
-	// sloDefaults are the objectives an owner without an override gets;
-	// sloResolve (nil = defaults only) looks up an owner's own.
+	// sloDefaults are the objectives a block starts with, and those an
+	// owner without an override keeps.
 	sloDefaults sloObjectives
-	sloResolve  func(owner string) (sloObjectives, bool)
 
 	queueFull      counter // admissions rejected: queue wait exceeded
 	tooLarge       counter // requests rejected: body over the cap
@@ -168,17 +167,14 @@ type metrics struct {
 	version        string
 }
 
-func newMetrics(version string, sloDefaults sloObjectives, sloResolve func(owner string) (sloObjectives, bool)) *metrics {
-	total := newSLOState()
-	total.obj, total.resolved = sloDefaults, true
+func newMetrics(version string, sloDefaults sloObjectives) *metrics {
 	return &metrics{
 		requests:    make(map[reqKey]*counter),
 		latency:     make(map[string]*histogram),
 		stages:      make(map[string]*histogram),
 		owners:      make(map[string]*ownerStats),
-		total:       total,
+		total:       newSLOState(sloDefaults),
 		sloDefaults: sloDefaults,
-		sloResolve:  sloResolve,
 		startUnix:   time.Now().Unix(),
 		version:     version,
 	}
@@ -214,16 +210,8 @@ func (m *metrics) finishRequest(snap *obs.Snapshot, route string, code int, d ti
 		hs = append(hs, sh)
 	}
 	var o *ownerStats
-	label := snap.Owner
-	if label != "" {
-		if o = m.owners[label]; o == nil && len(m.owners) >= ownerCardinalityCap {
-			label = ownerOverflow
-			o = m.owners[label]
-		}
-		if o == nil {
-			o = &ownerStats{slo: newSLOState()}
-			m.owners[label] = o
-		}
+	if snap.Owner != "" {
+		o, _ = m.block(snap.Owner)
 	}
 	m.mu.Unlock()
 
@@ -233,7 +221,7 @@ func (m *metrics) finishRequest(snap *obs.Snapshot, route string, code int, d ti
 		hs[i].Observe(st.D)
 	}
 	now := time.Now().Unix()
-	m.recordSLO(m.total, sloTotalOwner, snap.Op, code, d, now)
+	recordSLO(m.total, snap.Op, code, d, now)
 	if o == nil {
 		return
 	}
@@ -245,7 +233,24 @@ func (m *metrics) finishRequest(snap *obs.Snapshot, route string, code int, d ti
 	if i := slices.Index(ownerOps[:], snap.Op); i >= 0 && code < 400 {
 		o.ops[i].Inc()
 	}
-	m.recordSLO(o.slo, label, snap.Op, code, d, now)
+	recordSLO(o.slo, snap.Op, code, d, now)
+}
+
+// block returns owner's block and its label, creating the block on
+// first sight: owner itself under the cardinality cap, the overflow
+// block (label ownerOverflow) past it. Caller holds m.mu.
+func (m *metrics) block(owner string) (*ownerStats, string) {
+	label := owner
+	o := m.owners[label]
+	if o == nil && len(m.owners) >= ownerCardinalityCap {
+		label = ownerOverflow
+		o = m.owners[label]
+	}
+	if o == nil {
+		o = &ownerStats{slo: newSLOState(m.sloDefaults)}
+		m.owners[label] = o
+	}
+	return o, label
 }
 
 // keyed is one map entry, so a reader can copy a map under the lock

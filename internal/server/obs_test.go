@@ -204,7 +204,7 @@ func TestMetricsExpositionLint(t *testing.T) {
 }
 
 func TestOwnerCardinalityCap(t *testing.T) {
-	m := newMetrics("v", sloObjectives{}, nil)
+	m := newMetrics("v", sloObjectives{})
 	for i := 0; i < ownerCardinalityCap+10; i++ {
 		m.finishRequest(&obs.Snapshot{Owner: fmt.Sprintf("owner-%03d", i), Op: "detect"}, "/v1/detect", 200, 0)
 	}

@@ -35,7 +35,7 @@ func fold(m *metrics, owner, op string, status int, d time.Duration) {
 
 func TestSLOEngineBurnRates(t *testing.T) {
 	defaults := sloObjectives{detectP99: time.Millisecond, errorRatio: 0.01}
-	m := newMetrics("v", defaults, nil)
+	m := newMetrics("v", defaults)
 	// 50 detects all over the 1ms objective: the bad fraction is 1.0
 	// against a 1% budget — burn 100 in both windows.
 	for i := 0; i < 50; i++ {
@@ -107,35 +107,28 @@ func TestSLOOverrideResolution(t *testing.T) {
 		t.Fatalf("negative fields must disable: %+v", got)
 	}
 
-	// Lazy resolution caches until invalidate; re-resolution sees the
-	// new objectives.
-	var mu sync.Mutex
-	obj := sloObjectives{detectP99: time.Millisecond}
-	m := newMetrics("v", defaults, func(owner string) (sloObjectives, bool) {
-		mu.Lock()
-		defer mu.Unlock()
-		return obj, true
-	})
+	// A block starts with the defaults; the objectives its owner's
+	// runtime hands it apply from then on, and a re-registration's
+	// replace them.
+	m := newMetrics("v", defaults)
+	fold(m, "acme", "detect", 200, 10*time.Millisecond) // fast vs the 250ms default
+	if ev := m.evaluateSLO(time.Now().Unix()); ev[1].Fast.DetectSlow != 0 {
+		t.Fatalf("defaults: %+v", ev[1].Fast)
+	}
+	m.setObjectives("acme", &registry.SLOOverride{DetectP99MS: 1})
 	fold(m, "acme", "detect", 200, 10*time.Millisecond) // slow vs 1ms
-	if ev := m.evaluateSLO(time.Now().Unix()); ev[1].Fast.DetectSlow != 1 {
-		t.Fatalf("pre-invalidate: %+v", ev[1].Fast)
+	if ev := m.evaluateSLO(time.Now().Unix()); ev[1].Fast.DetectSlow != 1 || ev[1].DetectP99MS != 1 {
+		t.Fatalf("handed objectives: %+v", ev[1])
 	}
-	mu.Lock()
-	obj = sloObjectives{detectP99: time.Minute}
-	mu.Unlock()
-	fold(m, "acme", "detect", 200, 10*time.Millisecond) // cached 1ms objective still applies
-	if ev := m.evaluateSLO(time.Now().Unix()); ev[1].Fast.DetectSlow != 2 {
-		t.Fatalf("cached objective should still count slow: %+v", ev[1].Fast)
-	}
-	m.invalidateSLO("acme")
+	m.setObjectives("acme", &registry.SLOOverride{DetectP99MS: 60_000})
 	fold(m, "acme", "detect", 200, 10*time.Millisecond) // now under the 1m objective
-	if ev := m.evaluateSLO(time.Now().Unix()); ev[1].Fast.DetectSlow != 2 || ev[1].Fast.Detects != 3 {
-		t.Fatalf("post-invalidate: %+v", ev[1].Fast)
+	if ev := m.evaluateSLO(time.Now().Unix()); ev[1].Fast.DetectSlow != 1 || ev[1].Fast.Detects != 3 {
+		t.Fatalf("replaced objectives: %+v", ev[1].Fast)
 	}
 }
 
 func TestSLOCardinalityCap(t *testing.T) {
-	m := newMetrics("v", sloObjectives{errorRatio: 0.01}, nil)
+	m := newMetrics("v", sloObjectives{errorRatio: 0.01})
 	for i := 0; i < ownerCardinalityCap+10; i++ {
 		fold(m, fmt.Sprintf("owner-%03d", i), "detect", 200, 0)
 	}
@@ -170,7 +163,7 @@ func TestOwnerFoldAgreesAtCap(t *testing.T) {
 		return out
 	}
 	for trial := 0; trial < 200; trial++ {
-		m := newMetrics("v", sloObjectives{errorRatio: 0.01}, nil)
+		m := newMetrics("v", sloObjectives{errorRatio: 0.01})
 		for i := 0; i < ownerCardinalityCap-8; i++ {
 			fold(m, fmt.Sprintf("owner-%03d", i), "detect", 200, 0)
 		}
@@ -200,7 +193,7 @@ func TestOwnerFoldAgreesAtCap(t *testing.T) {
 // request of a few spans and for a multi-receipt sweep of many spans
 // over a few stages.
 func TestSLORecordNoAllocs(t *testing.T) {
-	m := newMetrics("v", sloObjectives{detectP99: time.Millisecond, errorRatio: 0.01}, nil)
+	m := newMetrics("v", sloObjectives{detectP99: time.Millisecond, errorRatio: 0.01})
 	short := &obs.Snapshot{Owner: "acme", Op: "detect", DocBytes: 4096, CacheHit: true, Spans: []obs.SpanInfo{
 		{Name: "cache", DurUS: 3}, {Name: "decode", DurUS: 150}, {Name: "vote", DurUS: 20}, {Name: "decode", DurUS: 90},
 	}}

@@ -52,6 +52,7 @@ import (
 	"runtime"
 	"runtime/debug"
 	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -139,13 +140,6 @@ type Options struct {
 	CaptureCPUProfile time.Duration
 	// WatchdogInterval is the rule evaluation period (0 = 10s).
 	WatchdogInterval time.Duration
-	// OwnerRefresh bounds how stale a compiled owner runtime may be
-	// before the next request re-reads the registry record. 0 checks the
-	// registry on every request (the single-node default — a local read
-	// is cheap); set it when the registry is remote, where a per-request
-	// GetOwner would put a network round trip on the hot path. The
-	// credential check always runs, against the cached record.
-	OwnerRefresh time.Duration
 	// ClusterKey, when set, mounts the registry fleet API under
 	// /internal/registry/ (Bearer-authenticated with this key) so peer
 	// nodes can share this node's registry. Required on the node that
@@ -238,11 +232,6 @@ type ownerRuntime struct {
 	fp      *fingerprint.System
 	schema  *schema.Schema
 	catalog semantics.Catalog
-
-	// checked is when (UnixNano) the registry record was last compared
-	// against this runtime; the Options.OwnerRefresh fast path reads it
-	// to skip the per-request GetOwner against a remote registry.
-	checked atomic.Int64
 }
 
 // New builds a Server over a registry.
@@ -262,14 +251,7 @@ func New(opts Options) (*Server, error) {
 		ring:     obs.NewTraceRing(opts.TraceRing),
 		runtimes: make(map[string]*ownerRuntime),
 	}
-	defaults := sloObjectives{detectP99: max(opts.SLODetectP99, 0), errorRatio: max(opts.SLOErrorRatio, 0)}
-	s.met = newMetrics(opts.Version, defaults, func(owner string) (sloObjectives, bool) {
-		o, err := s.reg.GetOwner(owner)
-		if err != nil {
-			return sloObjectives{}, false
-		}
-		return sloObjectivesFrom(defaults, o.SLO), true
-	})
+	s.met = newMetrics(opts.Version, sloObjectives{detectP99: max(opts.SLODetectP99, 0), errorRatio: max(opts.SLOErrorRatio, 0)})
 	if err := s.buildFleet(); err != nil {
 		return nil, err
 	}
@@ -720,30 +702,17 @@ func sameSLO(a, b *registry.SLOOverride) bool {
 }
 
 // runtimeFor resolves an owner id to its compiled runtime, building
-// and caching on first use. The request credential is checked against
-// the owner record BEFORE any runtime work, so unauthenticated peers
-// never trigger the comparatively expensive spec compile. Owner ids
-// themselves are not secrets (they ride in URLs and receipts), so an
-// unknown id stays a 404 rather than being folded into the 401.
+// and caching on first use. It reads the owner record once per request:
+// the registry read is the only staleness bound (a Remote registry
+// serves it from its --registry-cache-ttl cache). The request
+// credential is checked against the record BEFORE any runtime work, so
+// unauthenticated peers never trigger the comparatively expensive spec
+// compile. Owner ids themselves are not secrets (they ride in URLs and
+// receipts), so an unknown id stays a 404 rather than being folded into
+// the 401.
 func (s *Server) runtimeFor(r *http.Request, id string) (*ownerRuntime, error) {
 	if id == "" {
 		return nil, errf(http.StatusBadRequest, "owner query parameter is required")
-	}
-	// Staleness fast path: with OwnerRefresh set, a recently-checked
-	// runtime is trusted without re-reading the registry. The credential
-	// still has to match the cached record — the bound trades freshness
-	// of the record, never the authentication.
-	if s.opts.OwnerRefresh > 0 {
-		s.mu.Lock()
-		rt, ok := s.runtimes[id]
-		s.mu.Unlock()
-		if ok && time.Now().UnixNano()-rt.checked.Load() < int64(s.opts.OwnerRefresh) {
-			if err := s.authorize(r, rt.owner); err != nil {
-				return nil, err
-			}
-			obs.FromContext(r.Context()).SetOwner(id)
-			return rt, nil
-		}
 	}
 	o, err := s.reg.GetOwner(id)
 	if err != nil {
@@ -760,20 +729,18 @@ func (s *Server) runtimeFor(r *http.Request, id string) (*ownerRuntime, error) {
 	rt, ok := s.runtimes[id]
 	s.mu.Unlock()
 	if ok && sameOwner(rt.owner, o) {
-		rt.checked.Store(time.Now().UnixNano())
 		return rt, nil
 	}
+	// First sight, or the record changed under us (out-of-band registry
+	// replacement): compile it, and its SLO objectives go with it.
 	rt, err = s.buildRuntime(o)
 	if err != nil {
 		return nil, err
 	}
-	rt.checked.Store(time.Now().UnixNano())
 	s.mu.Lock()
 	s.runtimes[id] = rt
 	s.mu.Unlock()
-	// The record changed under us (out-of-band registry replacement):
-	// drop the cached SLO objectives along with the stale runtime.
-	s.met.invalidateSLO(id)
+	s.met.setObjectives(id, o.SLO)
 	return rt, nil
 }
 
@@ -886,9 +853,9 @@ func (s *Server) handlePutOwner(w http.ResponseWriter, r *http.Request) error {
 	if err := s.putOwner(r, o, rt); err != nil {
 		return err
 	}
-	// Re-registration is how operators tune a tenant's SLO override;
-	// make the new objectives take effect on the next request.
-	s.met.invalidateSLO(o.ID)
+	// Re-registration is how operators tune a tenant's SLO override; the
+	// new objectives apply from this request on.
+	s.met.setObjectives(o.ID, o.SLO)
 	n := 0
 	if recs, err := s.reg.ListReceipts(o.ID); err == nil {
 		n = len(recs)
@@ -967,23 +934,15 @@ func (s *Server) handleListReceipts(w http.ResponseWriter, r *http.Request) erro
 	return nil
 }
 
-// pathOwner resolves the owner named by the {id} path segment and
-// checks the request's credential against it. Receipts are the
-// safeguarded query sets and recipients the tracing candidates; even
-// their metadata listings are for the key holder only.
+// pathOwner resolves the owner named by the {id} path segment through
+// runtimeFor, which checks the request's credential against it.
+// Receipts are the safeguarded query sets and recipients the tracing
+// candidates; even their metadata listings are for the key holder only.
 func (s *Server) pathOwner(r *http.Request) (string, error) {
 	id := r.PathValue("id")
-	o, err := s.reg.GetOwner(id)
-	if errors.Is(err, registry.ErrNotFound) {
-		return "", errf(http.StatusNotFound, "unknown owner %q", id)
-	}
-	if err != nil {
+	if _, err := s.runtimeFor(r, id); err != nil {
 		return "", err
 	}
-	if err := s.authorize(r, o); err != nil {
-		return "", err
-	}
-	obs.FromContext(r.Context()).SetOwner(id)
 	return id, nil
 }
 
@@ -992,16 +951,28 @@ func (s *Server) pathOwner(r *http.Request) (string, error) {
 // receipt id is derived from the owner configuration and the body
 // (deriveReceiptID), so retrying the same embed is idempotent.
 func (s *Server) handleEmbed(w http.ResponseWriter, r *http.Request) error {
-	tr := obs.FromContext(r.Context())
-	tr.SetOp("embed")
-	ownerID := r.URL.Query().Get("owner")
-	rt, err := s.runtimeFor(r, ownerID)
+	obs.FromContext(r.Context()).SetOp("embed")
+	rt, err := s.runtimeFor(r, r.URL.Query().Get("owner"))
 	if err != nil {
 		return err
 	}
 	if r.URL.Query().Get("mode") == "stream" {
-		return s.handleEmbedStream(w, r, rt, ownerID)
+		return s.handleEmbedStream(w, r, rt)
 	}
+	return s.markBody(w, r, rt, "embed", "r", registry.Recipient{}, &s.met.embeds,
+		func(doc *xmltree.Node, ix *index.Index) (*core.EmbedResult, error) {
+			return core.EmbedIndexed(doc, rt.cfg, ix)
+		})
+}
+
+// markBody is the buffered copy path of /v1/embed and /v1/fingerprint:
+// admit the body, parse, index, mark it, record the copy and serialize
+// it. The routes differ only in the mark, the op name (for errors), the
+// receipt-id prefix, the recipient (zero for the owner's own mark) and
+// the counter done.
+func (s *Server) markBody(w http.ResponseWriter, r *http.Request, rt *ownerRuntime, op, prefix string,
+	rcpt registry.Recipient, done *counter, mark func(*xmltree.Node, *index.Index) (*core.EmbedResult, error)) error {
+	tr := obs.FromContext(r.Context())
 	body, err := s.admit(w, r)
 	if err != nil {
 		return err
@@ -1011,39 +982,62 @@ func (s *Server) handleEmbed(w http.ResponseWriter, r *http.Request) error {
 	if err != nil {
 		return err
 	}
-	receiptID := deriveReceiptID("r", rt.owner, "", body)
-
 	isp := tr.StartSpan("index")
 	ix := index.New(doc)
 	isp.End()
 	esp := tr.StartSpan("embed")
-	res, err := core.EmbedIndexed(doc, rt.cfg, ix)
+	res, err := mark(doc, ix)
 	esp.End()
 	if err != nil {
-		return errf(http.StatusUnprocessableEntity, "embed: %v", err)
+		return errf(http.StatusUnprocessableEntity, "%s: %v", op, err)
 	}
-	rsp := tr.StartSpan("registry")
-	err = s.storeReceipt(registry.Receipt{
-		ID: receiptID, Owner: ownerID, Doc: r.URL.Query().Get("doc"),
-		CreatedUnix:    time.Now().Unix(),
-		Records:        res.Records,
-		BandwidthUnits: res.Bandwidth.Units,
-		Carriers:       res.Carriers,
-		ValuesWritten:  res.Embedded,
-	})
-	rsp.End()
-	if err != nil {
+	if err := s.recordCopy(w, r, rt, prefix, rcpt, body, res); err != nil {
 		return err
 	}
-	s.met.embeds.Inc()
-	h := w.Header()
-	h.Set("Content-Type", "application/xml")
-	h.Set("X-Wmxml-Receipt", receiptID)
-	h.Set("X-Wmxml-Carriers", fmt.Sprint(res.Carriers))
-	h.Set("X-Wmxml-Bandwidth-Units", fmt.Sprint(res.Bandwidth.Units))
-	h.Set("X-Wmxml-Values-Written", fmt.Sprint(res.Embedded))
+	done.Inc()
+	w.Header().Set("Content-Type", "application/xml")
 	w.WriteHeader(http.StatusOK)
 	xmltree.Serialize(w, doc, xmltree.SerializeOptions{Indent: "  "})
+	return nil
+}
+
+// recordCopy records a marked copy the server hands out; every route
+// that hands one out calls it. It registers the recipient, when there is
+// one (a tracing candidate from this moment on), stores the receipt
+// binding the copy's query set Q, and sets the X-Wmxml-* headers — or,
+// on a streamed embed, which declares them in its Trailer header, the
+// trailers. The receipt id is deriveReceiptID(prefix, owner, recipient,
+// content). A copy with no carriers has no Q to safeguard: it gets no
+// receipt, no X-Wmxml-Receipt and X-Wmxml-Carriers: 0.
+func (s *Server) recordCopy(w http.ResponseWriter, r *http.Request, rt *ownerRuntime, prefix string,
+	rcpt registry.Recipient, content []byte, res *core.EmbedResult) error {
+	sp := obs.FromContext(r.Context()).StartSpan("registry")
+	defer sp.End()
+	h := w.Header()
+	if rcpt.ID != "" {
+		if err := s.reg.PutRecipient(rcpt); err != nil {
+			return errf(http.StatusInternalServerError, "store recipient: %v", err)
+		}
+		h.Set("X-Wmxml-Recipient", rcpt.ID)
+	}
+	if len(res.Records) > 0 {
+		id := deriveReceiptID(prefix, rt.owner, rcpt.ID, content)
+		err := s.storeReceipt(registry.Receipt{
+			ID: id, Owner: rt.owner.ID, Doc: r.URL.Query().Get("doc"), Recipient: rcpt.ID,
+			CreatedUnix:    time.Now().Unix(),
+			Records:        res.Records,
+			BandwidthUnits: res.Bandwidth.Units,
+			Carriers:       res.Carriers,
+			ValuesWritten:  res.Embedded,
+		})
+		if err != nil {
+			return err
+		}
+		h.Set("X-Wmxml-Receipt", id)
+	}
+	h.Set("X-Wmxml-Carriers", strconv.Itoa(res.Carriers))
+	h.Set("X-Wmxml-Values-Written", strconv.Itoa(res.Embedded))
+	h.Set("X-Wmxml-Bandwidth-Units", strconv.Itoa(res.Bandwidth.Units))
 	return nil
 }
 
@@ -1389,10 +1383,10 @@ func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) error {
 // handleFingerprint watermarks the XML body with a recipient-specific
 // code under the owner's key, registers the recipient, stores a
 // recipient-tagged receipt and returns the recipient's copy — the
-// distribution counterpart of /v1/embed.
+// distribution counterpart of /v1/embed, on the same body path.
+// Registration is idempotent (first CreatedUnix wins).
 func (s *Server) handleFingerprint(w http.ResponseWriter, r *http.Request) error {
-	tr := obs.FromContext(r.Context())
-	tr.SetOp("fingerprint")
+	obs.FromContext(r.Context()).SetOp("fingerprint")
 	ownerID := r.URL.Query().Get("owner")
 	rt, err := s.runtimeFor(r, ownerID)
 	if err != nil {
@@ -1402,52 +1396,10 @@ func (s *Server) handleFingerprint(w http.ResponseWriter, r *http.Request) error
 	if err != nil {
 		return err
 	}
-	body, err := s.admit(w, r)
-	if err != nil {
-		return err
-	}
-	defer s.release()
-	doc, err := s.parseDoc(body, tr)
-	if err != nil {
-		return err
-	}
-	receiptID := deriveReceiptID("f", rt.owner, rcpt.ID, body)
-
-	esp := tr.StartSpan("embed")
-	res, err := rt.fp.Embed(doc, rcpt.ID)
-	esp.End()
-	if err != nil {
-		return errf(http.StatusUnprocessableEntity, "fingerprint: %v", err)
-	}
-	// The recipient record makes the id a tracing candidate; the
-	// receipt binds this copy's query set to it. Registration is
-	// idempotent (first CreatedUnix wins).
-	rgsp := tr.StartSpan("registry")
-	if err := s.reg.PutRecipient(rcpt); err != nil {
-		return errf(http.StatusInternalServerError, "store recipient: %v", err)
-	}
-	err = s.storeReceipt(registry.Receipt{
-		ID: receiptID, Owner: ownerID, Doc: r.URL.Query().Get("doc"), Recipient: rcpt.ID,
-		CreatedUnix:    time.Now().Unix(),
-		Records:        res.Records,
-		BandwidthUnits: res.Bandwidth.Units,
-		Carriers:       res.Carriers,
-		ValuesWritten:  res.Embedded,
-	})
-	rgsp.End()
-	if err != nil {
-		return err
-	}
-	s.met.fingerprints.Inc()
-	h := w.Header()
-	h.Set("Content-Type", "application/xml")
-	h.Set("X-Wmxml-Receipt", receiptID)
-	h.Set("X-Wmxml-Recipient", rcpt.ID)
-	h.Set("X-Wmxml-Carriers", fmt.Sprint(res.Carriers))
-	h.Set("X-Wmxml-Values-Written", fmt.Sprint(res.Embedded))
-	w.WriteHeader(http.StatusOK)
-	xmltree.Serialize(w, doc, xmltree.SerializeOptions{Indent: "  "})
-	return nil
+	return s.markBody(w, r, rt, "fingerprint", "f", rcpt, &s.met.fingerprints,
+		func(doc *xmltree.Node, ix *index.Index) (*core.EmbedResult, error) {
+			return rt.fp.EmbedIndexed(doc, rcpt.ID, ix)
+		})
 }
 
 // recipientOf reads the ?recipient= (and ?note=) of a fingerprint or

@@ -30,8 +30,11 @@ package server
 // (negative once the window has burned more than a whole budget).
 //
 // Objectives default from the server flags and can be overridden per
-// owner by the registry record's "slo" field; overrides are resolved
-// lazily on first sight and invalidated on re-registration.
+// owner by the registry record's "slo" field. The override reaches the
+// owner's block with the owner's compiled runtime: whenever the server
+// builds a runtime from a registry record (first sight, a changed
+// record, a re-registration), it hands that record's objectives to the
+// block, so folding a request never reads the registry.
 
 import (
 	"strings"
@@ -113,58 +116,42 @@ func (w *sloWindow) sums(now int64) (events, errors, detects, detectSlow uint64)
 	return
 }
 
-// sloState is one owner block's (or the aggregate's) SLO state: the
-// resolved objectives and the two windows, guarded by mu.
+// sloState is one owner block's (or the aggregate's) SLO state: its
+// objectives and the two windows, guarded by mu.
 type sloState struct {
-	mu       sync.Mutex
-	obj      sloObjectives
-	resolved bool
-	fast     sloWindow
-	slow     sloWindow
+	mu   sync.Mutex
+	obj  sloObjectives
+	fast sloWindow
+	slow sloWindow
 }
 
-func newSLOState() *sloState {
+func newSLOState(obj sloObjectives) *sloState {
 	return &sloState{
+		obj:  obj,
 		fast: newSLOWindow(sloFastBuckets, sloFastBucketSecs),
 		slow: newSLOWindow(sloSlowBuckets, sloSlowBucketSecs),
 	}
 }
 
-// objectives resolves (and caches) the objectives of the block labelled
-// owner; the overflow block keeps the defaults. Caller holds s.mu.
-func (m *metrics) objectives(owner string, s *sloState) sloObjectives {
-	if s.resolved {
-		return s.obj
-	}
-	s.obj = m.sloDefaults
-	if m.sloResolve != nil && owner != ownerOverflow {
-		if o, ok := m.sloResolve(owner); ok {
-			s.obj = o
-		}
-	}
-	s.resolved = true
-	return s.obj
-}
-
-// invalidateSLO drops a tenant's cached objectives — called after
-// re-registration so a new "slo" override takes effect on the next
-// request without restarting the daemon.
-func (m *metrics) invalidateSLO(owner string) {
+// setObjectives hands the objectives of an owner record's SLO override
+// to the owner's block, creating the block if the owner has none yet.
+// An owner past the cardinality cap folds into the overflow block,
+// which keeps the defaults.
+func (m *metrics) setObjectives(owner string, override *registry.SLOOverride) {
 	m.mu.Lock()
-	o := m.owners[owner]
+	o, label := m.block(owner)
 	m.mu.Unlock()
-	if o == nil {
+	if label == ownerOverflow {
 		return
 	}
 	o.slo.mu.Lock()
-	o.slo.resolved = false
+	o.slo.obj = sloObjectivesFrom(m.sloDefaults, override)
 	o.slo.mu.Unlock()
 }
 
 // recordSLO folds one finished request into a block's windows.
-func (m *metrics) recordSLO(s *sloState, owner, op string, status int, d time.Duration, now int64) {
+func recordSLO(s *sloState, op string, status int, d time.Duration, now int64) {
 	s.mu.Lock()
-	obj := m.objectives(owner, s)
 	for _, w := range [2]*sloWindow{&s.fast, &s.slow} {
 		b := w.slot(now)
 		b.events++
@@ -173,7 +160,7 @@ func (m *metrics) recordSLO(s *sloState, owner, op string, status int, d time.Du
 		}
 		if op == "detect" && status < 400 {
 			b.detects++
-			if obj.detectP99 > 0 && d > obj.detectP99 {
+			if s.obj.detectP99 > 0 && d > s.obj.detectP99 {
 				b.detectSlow++
 			}
 		}
@@ -224,10 +211,10 @@ func evalWindow(w *sloWindow, obj sloObjectives, now int64) SLOWindowEval {
 	return out
 }
 
-func (m *metrics) evalSlot(owner string, s *sloState, now int64) SLOOwnerEval {
+func evalSlot(owner string, s *sloState, now int64) SLOOwnerEval {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	obj := m.objectives(owner, s)
+	obj := s.obj
 	out := SLOOwnerEval{
 		Owner:      owner,
 		ErrorRatio: obj.errorRatio,
@@ -255,9 +242,9 @@ func (m *metrics) evaluateSLO(now int64) []SLOOwnerEval {
 // both name the same owners.
 func (m *metrics) evalSLO(owners []keyed[string, *ownerStats], now int64) []SLOOwnerEval {
 	out := make([]SLOOwnerEval, 0, len(owners)+1)
-	out = append(out, m.evalSlot(sloTotalOwner, m.total, now))
+	out = append(out, evalSlot(sloTotalOwner, m.total, now))
 	for _, o := range owners {
-		out = append(out, m.evalSlot(o.k, o.v.slo, now))
+		out = append(out, evalSlot(o.k, o.v.slo, now))
 	}
 	return out
 }

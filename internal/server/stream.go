@@ -122,9 +122,9 @@ func (s *Server) streamErr(w http.ResponseWriter, r *http.Request, err error) *h
 
 // handleEmbedStream watermarks an arbitrarily large XML body chunk by
 // chunk, streaming the marked document back while the input is still
-// arriving. The receipt id is derived from the spooled body digest and
-// returned in the X-Wmxml-Receipt trailer.
-func (s *Server) handleEmbedStream(w http.ResponseWriter, r *http.Request, rt *ownerRuntime, ownerID string) error {
+// arriving. The receipt id is derived from the spooled body digest, and
+// recordCopy returns it and the other X-Wmxml-* fields as trailers.
+func (s *Server) handleEmbedStream(w http.ResponseWriter, r *http.Request, rt *ownerRuntime) error {
 	// Refuse up front when this owner's document type cannot actually
 	// chunk: the library would fall back to the in-memory parse, which
 	// must never happen on a MaxStreamBytes-sized body — that is the
@@ -134,7 +134,7 @@ func (s *Server) handleEmbedStream(w http.ResponseWriter, r *http.Request, rt *o
 		return errf(http.StatusUnprocessableEntity, "stream: %v", err)
 	}
 	if reason != "" {
-		return errf(http.StatusUnprocessableEntity, "owner %q cannot stream (%s); use the buffered endpoint", ownerID, reason)
+		return errf(http.StatusUnprocessableEntity, "owner %q cannot stream (%s); use the buffered endpoint", rt.owner.ID, reason)
 	}
 	if err := s.acquire(r); err != nil {
 		return err
@@ -150,7 +150,7 @@ func (s *Server) handleEmbedStream(w http.ResponseWriter, r *http.Request, rt *o
 	digest := sha256.New()
 	h := w.Header()
 	h.Set("Content-Type", "application/xml")
-	h.Set("Trailer", "X-Wmxml-Receipt, X-Wmxml-Carriers, X-Wmxml-Values-Written, X-Wmxml-Stream-Chunks, X-Wmxml-Stream-Error")
+	h.Set("Trailer", "X-Wmxml-Receipt, X-Wmxml-Carriers, X-Wmxml-Values-Written, X-Wmxml-Bandwidth-Units, X-Wmxml-Stream-Chunks, X-Wmxml-Stream-Error")
 	lw := &latchWriter{w: w}
 
 	res, err := stream.Embed(r.Context(), io.TeeReader(s.capBody(r), digest), lw, rt.cfg, s.streamOptions())
@@ -167,25 +167,13 @@ func (s *Server) handleEmbedStream(w http.ResponseWriter, r *http.Request, rt *o
 
 	// The spooled digest binds the receipt to the exact bytes received,
 	// as the buffered endpoint's id binds the body.
-	receiptID := deriveReceiptID("s", rt.owner, "", digest.Sum(nil))
-	err = s.storeReceipt(registry.Receipt{
-		ID: receiptID, Owner: ownerID, Doc: r.URL.Query().Get("doc"),
-		CreatedUnix:    time.Now().Unix(),
-		Records:        res.Records,
-		BandwidthUnits: res.Bandwidth.Units,
-		Carriers:       res.Carriers,
-		ValuesWritten:  res.Embedded,
-	})
-	if err != nil {
+	if err := s.recordCopy(w, r, rt, "s", registry.Recipient{}, digest.Sum(nil), res.EmbedResult); err != nil {
 		h.Set("X-Wmxml-Stream-Error", err.Error())
 		return nil
 	}
 	s.met.streamEmbeds.Inc()
 	s.met.streamChunks.Add(uint64(res.Stats.Chunks))
 	h.Set("X-Wmxml-Stream-Chunks", fmt.Sprint(res.Stats.Chunks))
-	h.Set("X-Wmxml-Receipt", receiptID)
-	h.Set("X-Wmxml-Carriers", fmt.Sprint(res.Carriers))
-	h.Set("X-Wmxml-Values-Written", fmt.Sprint(res.Embedded))
 	if !lw.wrote {
 		// Legal empty-output case does not exist (a parsed document has a
 		// root), but never leave the status unwritten.

@@ -11,6 +11,7 @@ import (
 	"io"
 	"iter"
 	"runtime"
+	"slices"
 	"sync"
 
 	"wmxml/internal/core"
@@ -111,10 +112,12 @@ func (p *Pipeline) EmbedBatch(ctx context.Context, docs []*Document) ([]BatchEmb
 	for i := range outs {
 		outs[i] = BatchEmbed{ID: fmt.Sprintf("#%d", i), Index: i, Err: ErrBatchSkipped}
 	}
-	err := p.fanOut(ctx, len(docs), func(i int) {
-		outs[i] = p.embedOne(ctx, i, outs[i].ID, docs[i])
-	})
-	return outs, err
+	for range fanStream(ctx, p.workers, slices.Values(docs), func(ctx context.Context, i int, doc *Document) struct{} {
+		outs[i] = p.embedOne(ctx, i, outs[i].ID, doc)
+		return struct{}{}
+	}) {
+	}
+	return outs, ctx.Err()
 }
 
 // DetectBatch runs detection on every input and returns one outcome per
@@ -128,12 +131,13 @@ func (p *Pipeline) DetectBatch(ctx context.Context, inputs []DetectInput) ([]Bat
 		}
 		outs[i] = BatchDetection{ID: id, Index: i, Err: ErrBatchSkipped}
 	}
-	err := p.fanOut(ctx, len(inputs), func(i int) {
-		in := inputs[i]
+	for range fanStream(ctx, p.workers, slices.Values(inputs), func(ctx context.Context, i int, in DetectInput) struct{} {
 		in.ID = outs[i].ID
 		outs[i] = p.detectOne(ctx, i, in)
-	})
-	return outs, err
+		return struct{}{}
+	}) {
+	}
+	return outs, ctx.Err()
 }
 
 // DetectBatchBlind runs blind detection (no stored query sets) over a
@@ -149,7 +153,8 @@ func (p *Pipeline) DetectBatchBlind(ctx context.Context, docs []*Document) ([]Ba
 // EmbedSeq embeds a streaming corpus: documents are drawn from src as
 // workers free up, and outcomes are yielded in completion order. The
 // stream stops early when ctx is cancelled or the consumer breaks out
-// of the range loop.
+// of the range loop. Once the range loop ends, no worker is embedding
+// any document from src: the documents are the caller's again.
 func (p *Pipeline) EmbedSeq(ctx context.Context, src iter.Seq2[string, *Document]) iter.Seq[BatchEmbed] {
 	type job struct {
 		id  string
@@ -272,58 +277,19 @@ func isolate(ctx context.Context, op, id string, work func() error) (err error) 
 	return work()
 }
 
-// fanOut distributes indices [0, n) over the pipeline's worker pool,
-// stopping the feed when ctx is cancelled. In-flight documents finish;
-// unfed indices keep whatever the caller pre-filled (ErrBatchSkipped).
-func (p *Pipeline) fanOut(ctx context.Context, n int, fn func(i int)) error {
-	workers := p.workers
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			if ctx.Err() != nil {
-				return ctx.Err()
-			}
-			fn(i)
-		}
-		return ctx.Err()
-	}
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				fn(i)
-			}
-		}()
-	}
-feed:
-	for i := 0; i < n; i++ {
-		select {
-		case idx <- i:
-		case <-ctx.Done():
-			break feed
-		}
-	}
-	close(idx)
-	wg.Wait()
-	return ctx.Err()
-}
-
-// fanStream is the worker loop behind EmbedSeq and DetectSeq. The
-// consumer's goroutine ranges src, stamps each input with its position
-// in src and hands it to a free worker, yielding finished outcomes
-// while it waits for one; once src ends it yields the rest. The
-// sequence ends when src and the workers are done, ctx is cancelled or
-// the consumer stops ranging; the workers then exit without waiting to
-// deliver.
+// fanStream is the one worker loop of the Pipeline, behind the Batch
+// methods and the Seq streams. The consumer's goroutine ranges src,
+// stamps each input with its position in src and hands it to a free
+// worker, yielding finished outcomes while it waits for one; once src
+// ends it yields the rest. The sequence ends when src and the workers
+// are done, ctx is cancelled or the consumer stops ranging. It returns
+// only after every worker has exited: a worker finishes the input it
+// holds and then delivers nothing, so no worker touches an input after
+// the range loop over the sequence ends. The Batch methods keep the
+// outcomes of inputs in flight at a cancel by having fn store them.
 func fanStream[J, O any](ctx context.Context, workers int, src iter.Seq[J], fn func(context.Context, int, J) O) iter.Seq[O] {
 	return func(yield func(O) bool) {
 		ctx, cancel := context.WithCancel(ctx)
-		defer cancel()
 		type numbered struct {
 			i int
 			j J
@@ -331,6 +297,9 @@ func fanStream[J, O any](ctx context.Context, workers int, src iter.Seq[J], fn f
 		in := make(chan numbered)
 		out := make(chan O)
 		var wg sync.WaitGroup
+		defer wg.Wait()
+		defer close(in)
+		defer cancel()
 		for w := 0; w < workers; w++ {
 			wg.Add(1)
 			go func() {
@@ -345,37 +314,30 @@ func fanStream[J, O any](ctx context.Context, workers int, src iter.Seq[J], fn f
 				}
 			}()
 		}
-		go func() {
-			wg.Wait()
-			close(out)
-		}()
-		feed := func() bool {
-			defer close(in)
-			i := 0
-			for j := range src {
-				for sent := false; !sent; {
-					select {
-					case in <- numbered{i, j}:
-						sent = true
-					case o, ok := <-out:
-						// out closes early only once ctx is done and
-						// every worker has quit.
-						if !ok || !yield(o) {
-							return false
-						}
-					case <-ctx.Done():
-						return false
+		sent, got := 0, 0
+		for j := range src {
+			for fed := false; !fed; {
+				select {
+				case in <- numbered{sent, j}:
+					fed = true
+				case o := <-out:
+					got++
+					if !yield(o) {
+						return
 					}
+				case <-ctx.Done():
+					return
 				}
-				i++
 			}
-			return true
+			sent++
 		}
-		if !feed() {
-			return
-		}
-		for o := range out {
-			if !yield(o) {
+		for ; got < sent; got++ {
+			select {
+			case o := <-out:
+				if !yield(o) {
+					return
+				}
+			case <-ctx.Done():
 				return
 			}
 		}

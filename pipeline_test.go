@@ -8,7 +8,10 @@ import (
 	"errors"
 	"fmt"
 	"iter"
+	"slices"
+	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func pipelineFixture(t *testing.T, docs int) ([]*Document, *System) {
@@ -162,6 +165,67 @@ func TestPipelineSeqStreaming(t *testing.T) {
 	}
 	if broke != 1 {
 		t.Fatalf("broke after %d outcomes", broke)
+	}
+}
+
+// TestFanStreamWaitsForWorkers: a consumer that stops ranging gets
+// control back only once no worker is inside fn. Input 0 finishes only
+// after input 1 has started, so the consumer takes outcome 0 and breaks
+// while input 1's fn is blocked; the range loop must not end before
+// that fn is released and has returned.
+func TestFanStreamWaitsForWorkers(t *testing.T) {
+	running, release := make(chan struct{}), make(chan struct{})
+	var finished atomic.Bool
+	fn := func(_ context.Context, i int, _ string) int {
+		if i == 0 {
+			<-running
+			return i
+		}
+		close(running)
+		<-release
+		finished.Store(true)
+		return i
+	}
+	ended := make(chan bool)
+	go func() {
+		for range fanStream(context.Background(), 2, slices.Values([]string{"a", "b"}), fn) {
+			break
+		}
+		ended <- finished.Load()
+	}()
+	select {
+	case <-ended:
+		t.Fatal("the range loop ended while a worker was still in fn")
+	case <-time.After(100 * time.Millisecond):
+	}
+	close(release)
+	if !<-ended {
+		t.Fatal("the range loop ended before the worker's fn returned")
+	}
+}
+
+// TestEmbedSeqBreakReleasesDocuments: once the consumer breaks out of
+// EmbedSeq, the caller owns its documents again, so serializing every
+// source document right after the break must not race with a worker
+// still embedding one (go test -race reports it if a worker outlives
+// the loop).
+func TestEmbedSeqBreakReleasesDocuments(t *testing.T) {
+	docs, sys := pipelineFixture(t, 8)
+	pl := NewPipeline(sys, PipelineOptions{Workers: 4})
+	src := func(yield func(string, *Document) bool) {
+		for i, d := range docs {
+			if !yield(fmt.Sprintf("doc-%d", i), d) {
+				return
+			}
+		}
+	}
+	for range pl.EmbedSeq(context.Background(), src) {
+		break
+	}
+	for i, d := range docs {
+		if SerializeXMLString(d) == "" {
+			t.Fatalf("doc %d serialized empty", i)
+		}
 	}
 }
 

@@ -153,12 +153,6 @@ type ServerOptions struct {
 	// before closing listeners on shutdown — the window a load balancer
 	// needs to observe the flip and stop routing here (0 = none).
 	DrainDelay time.Duration
-	// OwnerRefresh bounds how stale a compiled owner runtime may be
-	// before the next request re-reads its registry record. 0 re-reads
-	// on every request (right for a local registry); set it on fleet
-	// nodes using a remote registry, where the per-request read is a
-	// network round trip. Credentials are always checked.
-	OwnerRefresh time.Duration
 	// ClusterKey, when set, mounts the node-to-node registry API under
 	// /internal/registry/ (Bearer-authenticated with this key). Set it
 	// on the node holding a fleet's authoritative registry; peers
@@ -206,7 +200,6 @@ func newServer(opts ServerOptions) (*server.Server, error) {
 		CaptureCooldown:      opts.CaptureCooldown,
 		CaptureCPUProfile:    opts.CaptureCPUProfile,
 		WatchdogInterval:     opts.WatchdogInterval,
-		OwnerRefresh:         opts.OwnerRefresh,
 		ClusterKey:           opts.ClusterKey,
 		FleetNodes:           opts.FleetNodes,
 		FleetSelf:            opts.FleetSelf,
