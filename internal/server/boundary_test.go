@@ -8,7 +8,9 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"regexp"
 	"strings"
@@ -322,5 +324,62 @@ func TestZeroCarrierCopies(t *testing.T) {
 	}
 	if _, prom, _ := do(t, "GET", ts.URL+"/metrics", nil); strings.Contains(string(prom), `code="500"`) {
 		t.Error("a zero-carrier copy counted as a 500")
+	}
+}
+
+// TestAbandonedUploadIsClientError: a client that declares a body, sends
+// part of it and closes the socket gets a 499, not a 500. The request is
+// counted under its route with code 499, and the owner's error budget is
+// untouched: the server did not fail.
+func TestAbandonedUploadIsClientError(t *testing.T) {
+	_, ts := newTestServer(t, Options{})
+	registerOwner(t, ts.URL, "acme")
+	routes := []string{"/v1/detect", "/v1/embed"}
+	for _, route := range routes {
+		conn, err := net.Dial("tcp", ts.Listener.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(conn, "POST %s?owner=acme HTTP/1.1\r\nHost: wmxml\r\nAuthorization: Bearer key-acme\r\n"+
+			"Content-Type: application/xml\r\nContent-Length: 100000\r\n\r\n<db><book>ab", route)
+		conn.Close()
+	}
+	var scrape string
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(10 * time.Millisecond) {
+		_, body, _ := do(t, "GET", ts.URL+"/metrics", nil)
+		scrape = string(body)
+		counted := 0
+		for _, route := range routes {
+			if strings.Contains(scrape, fmt.Sprintf("wmxmld_requests_total{route=%q,code=", route)) {
+				counted++
+			}
+		}
+		if counted == len(routes) {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("abandoned uploads not counted within 10s:\n%s", scrape)
+		}
+	}
+	for _, route := range routes {
+		if !strings.Contains(scrape, fmt.Sprintf("wmxmld_requests_total{route=%q,code=\"499\"} 1\n", route)) {
+			t.Errorf("%s: abandoned upload not counted as one 499", route)
+		}
+		if strings.Contains(scrape, fmt.Sprintf("wmxmld_requests_total{route=%q,code=\"500\"}", route)) {
+			t.Errorf("%s: abandoned upload counted as a 500", route)
+		}
+	}
+	var burns int
+	for _, line := range strings.Split(scrape, "\n") {
+		if !strings.HasPrefix(line, "wmxmld_slo_burn_rate{") || !strings.Contains(line, `slo="error_ratio"`) {
+			continue
+		}
+		burns++
+		if !strings.HasSuffix(line, "} 0") {
+			t.Errorf("abandoned uploads burn the error budget: %s", line)
+		}
+	}
+	if burns == 0 {
+		t.Fatalf("no error_ratio burn rate on /metrics:\n%s", scrape)
 	}
 }

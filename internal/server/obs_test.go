@@ -7,10 +7,13 @@ package server
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -304,8 +307,11 @@ func (b *syncBuffer) String() string {
 // TestAccessLogAndSpanAccounting is the acceptance loopback: with
 // tracing on, a cold /v1/detect leaves a trace in the ring whose spans
 // include parse, index, decode and vote, and whose summed stage time
-// accounts for at least 80% of the measured request duration. It also
-// asserts one structured access-log line per request.
+// accounts for at least 80% of the measured request duration. A warm
+// detect of the same document, served in-process so that no wait on the
+// socket pads body_read, must be covered as well: there the body's
+// sha256 is the largest stretch, and it belongs to the cache stage. It
+// also asserts one structured access-log line per request.
 func TestAccessLogAndSpanAccounting(t *testing.T) {
 	logBuf := &syncBuffer{}
 	s, ts := newTestServer(t, Options{
@@ -325,16 +331,29 @@ func TestAccessLogAndSpanAccounting(t *testing.T) {
 	}
 	reqID := hdr.Get("X-Request-Id")
 
-	var snap *obs.Snapshot
-	for _, c := range s.TraceRing().Recent() {
-		if c.RequestID == reqID {
-			snap = c
-			break
+	traced := func(id string) *obs.Snapshot {
+		t.Helper()
+		for _, c := range s.TraceRing().Recent() {
+			if c.RequestID == id {
+				return c
+			}
 		}
+		t.Fatalf("detect trace %s not in the ring", id)
+		return nil
 	}
-	if snap == nil {
-		t.Fatalf("detect trace %s not in the ring", reqID)
+	coverage := func(snap *obs.Snapshot) float64 {
+		t.Helper()
+		var sumUS float64
+		for _, sp := range snap.Spans {
+			sumUS += sp.DurUS
+		}
+		if snap.DurationUS <= 0 {
+			t.Fatalf("snapshot duration %v", snap.DurationUS)
+		}
+		return sumUS / snap.DurationUS
 	}
+	covered := func(ratio float64) bool { return ratio >= 0.80 && ratio <= 1.01 }
+	snap := traced(reqID)
 	stages := map[string]time.Duration{}
 	for _, st := range snap.StageDurations(nil) {
 		stages[st.Name] = st.D
@@ -344,21 +363,57 @@ func TestAccessLogAndSpanAccounting(t *testing.T) {
 			t.Fatalf("cold detect trace missing stage %q: %v", want, stages)
 		}
 	}
-	var sumUS float64
-	for _, sp := range snap.Spans {
-		sumUS += sp.DurUS
+	if ratio := coverage(snap); !covered(ratio) {
+		t.Fatalf("cold detect: stage spans cover %.0f%% of the %.0fµs request, want within 20%%.\nspans: %+v",
+			ratio*100, snap.DurationUS, snap.Spans)
+	} else {
+		t.Logf("cold detect: stage spans cover %.1f%% of the %.0fµs request", ratio*100, snap.DurationUS)
 	}
-	if snap.DurationUS <= 0 {
-		t.Fatalf("snapshot duration %v", snap.DurationUS)
-	}
-	ratio := sumUS / snap.DurationUS
-	if ratio < 0.80 || ratio > 1.01 {
-		t.Fatalf("stage spans cover %.0f%% of the request (spans %.0fµs, request %.0fµs) — want within 20%%.\nspans: %+v",
-			ratio*100, sumUS, snap.DurationUS, snap.Spans)
-	}
-	t.Logf("stage spans cover %.1f%% of the %.0fµs request", ratio*100, snap.DurationUS)
 	if snap.Op != "detect" || snap.Owner != "acme" || snap.Verdict != "detected" {
 		t.Fatalf("snapshot labels: %+v", snap)
+	}
+
+	// Warm detects of the same document, served in-process, for a tenant
+	// at the default γ as perfbench's detect-warm tenants are: its decode
+	// is as short as the benchmark's, so it cannot hide a stretch no
+	// stage covers. A warm detect is short, so one stall of the test
+	// process (the OS scheduler, a collection) can swamp it either way,
+	// while an uncovered stretch shows in every request: the median of
+	// five must be covered. Collecting first keeps the cold requests'
+	// garbage off their clocks.
+	owner := []byte(`{"id":"warm","key":"key-warm","mark":"(C) warm","dataset":"pubs"}`)
+	if code, body, _ := do(t, "POST", ts.URL+"/v1/owners", owner); code != http.StatusOK {
+		t.Fatalf("register owner: %d %s", code, body)
+	}
+	code, marked, _ = doAs(t, "key-warm", "POST", ts.URL+"/v1/embed?owner=warm&doc=big.xml", orig)
+	if code != http.StatusOK {
+		t.Fatalf("embed: %d", code)
+	}
+	detect := func() *obs.Snapshot {
+		t.Helper()
+		rec := httptest.NewRecorder()
+		req := httptest.NewRequest("POST", "/v1/detect?owner=warm", bytes.NewReader(marked))
+		req.Header.Set("Authorization", "Bearer key-warm")
+		s.Handler().ServeHTTP(rec, req)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("in-process detect: %d %s", rec.Code, rec.Body)
+		}
+		return traced(rec.Header().Get("X-Request-Id"))
+	}
+	detect() // fills the doc cache
+	runtime.GC()
+	warm := make([]*obs.Snapshot, 5)
+	for i := range warm {
+		if warm[i] = detect(); !warm[i].CacheHit || warm[i].Verdict != "detected" {
+			t.Fatalf("in-process detect of the same document is not a detected cache hit: %+v", warm[i])
+		}
+	}
+	slices.SortFunc(warm, func(a, b *obs.Snapshot) int { return cmp.Compare(coverage(a), coverage(b)) })
+	if med := warm[len(warm)/2]; !covered(coverage(med)) {
+		t.Fatalf("warm detect: stage spans cover %.0f%% of the median %.0fµs request, want within 20%%.\nspans: %+v",
+			coverage(med)*100, med.DurationUS, med.Spans)
+	} else {
+		t.Logf("warm detect: stage spans cover %.1f%% of the median %.0fµs request", coverage(med)*100, med.DurationUS)
 	}
 
 	// One access-log line per finished request, JSON, carrying the id.

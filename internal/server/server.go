@@ -394,13 +394,16 @@ func (s *Server) routes() {
 type handler func(w http.ResponseWriter, r *http.Request) error
 
 // statusWriter captures the response code, whether the response has
-// started, and the body byte count for instrumentation. Its fields need
-// no synchronization: only the handler goroutine writes the response.
+// started, and the body byte count for instrumentation, and holds the
+// pooled buffer readBody read the request body into until instrument()
+// returns it. Its fields need no synchronization: only the handler
+// goroutine writes the response.
 type statusWriter struct {
 	http.ResponseWriter
 	code  int
 	wrote bool
 	bytes int64
+	body  *bytes.Buffer
 }
 
 func (w *statusWriter) WriteHeader(code int) {
@@ -435,6 +438,10 @@ func (w *statusWriter) Unwrap() http.ResponseWriter { return w.ResponseWriter }
 // the status line is spoken for: the request is recorded under the
 // error's status and the connection is cut with http.ErrAbortHandler, so
 // the client sees a truncated response, never a clean wrong one.
+//
+// It is also where a request's pooled body buffer goes back to the pool,
+// last, once serve has returned (normally or from a recovered panic) and
+// the request is answered and recorded: nothing holds the body any more.
 func (s *Server) instrument(route string, h handler) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		tr := obs.StartRequest(r.Header.Get("traceparent"), route)
@@ -475,6 +482,7 @@ func (s *Server) instrument(route string, h handler) http.HandlerFunc {
 			"verdict", snap.Verdict,
 			"cache_hit", snap.CacheHit,
 		)
+		putBody(sw.body)
 		if err != nil {
 			panic(http.ErrAbortHandler)
 		}
@@ -603,25 +611,74 @@ func limitBody(w http.ResponseWriter, r *http.Request, n int64) io.ReadCloser {
 	}
 }
 
-// readBody drains the (size-capped) request body. The read is a stage
-// of its own: it waits on the client, and left unspanned it is the
+// maxPooledBody is the largest body buffer kept for reuse, and the most
+// readBody reserves ahead of the bytes a client has sent. A larger
+// buffer, from a rare upload near MaxBodyBytes, is left to the GC rather
+// than pinned in the pool between collections.
+const maxPooledBody = 4 << 20
+
+// bodyPool holds the buffers readBody reads request bodies into.
+var bodyPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// onBodyReturn, when set, runs on the whole of each body buffer as it
+// goes back to the pool. The package's tests set it to overwrite the
+// buffer, so any reference kept past the request reads garbage.
+var onBodyReturn func([]byte)
+
+// putBody returns a body buffer taken by readBody to bodyPool; nil is a
+// no-op.
+func putBody(buf *bytes.Buffer) {
+	if buf == nil {
+		return
+	}
+	if onBodyReturn != nil {
+		b := buf.Bytes()
+		onBodyReturn(b[:cap(b)])
+	}
+	if buf.Cap() > maxPooledBody {
+		return
+	}
+	buf.Reset()
+	bodyPool.Put(buf)
+}
+
+// readBody drains the (size-capped) request body into a pooled buffer
+// sized from Content-Length; the bytes returned are valid until the
+// handler returns, when instrument() takes the buffer back. Nothing may
+// keep them: the tree copies every name and value, and the doc cache
+// and receipt ids keep only the body's hash and length. The read is a
+// stage of its own: it waits on the client, and left unspanned it is the
 // largest stretch of a request no stage accounts for.
+//
+// A body over the cap is a 413 (and closes the connection); any other
+// read error means the client stopped sending, a 499 that is not the
+// server's failure.
 func (s *Server) readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
 	sp := obs.FromContext(r.Context()).StartSpan("body_read")
-	body, err := io.ReadAll(limitBody(w, r, s.opts.MaxBodyBytes))
+	buf := bodyPool.Get().(*bytes.Buffer)
+	if sw, ok := w.(*statusWriter); ok {
+		sw.body = buf
+	}
+	// The extra MinRead keeps ReadFrom from growing the buffer again just
+	// to see EOF after the last declared byte.
+	if n := min(r.ContentLength, s.opts.MaxBodyBytes, maxPooledBody); n > 0 {
+		buf.Grow(int(n) + bytes.MinRead)
+	}
+	_, err := buf.ReadFrom(limitBody(w, r, s.opts.MaxBodyBytes))
 	sp.End()
 	if err != nil {
 		var mbe *http.MaxBytesError
 		if errors.As(err, &mbe) {
 			s.met.tooLarge.Inc()
+			return nil, err
 		}
-		return nil, err
+		return nil, errf(499, "client went away: read request body: %v", err)
 	}
-	if len(body) == 0 {
+	if buf.Len() == 0 {
 		return nil, errf(http.StatusBadRequest, "empty request body")
 	}
-	obs.FromContext(r.Context()).SetDocBytes(int64(len(body)))
-	return body, nil
+	obs.FromContext(r.Context()).SetDocBytes(int64(buf.Len()))
+	return buf.Bytes(), nil
 }
 
 // admit reads the request body, then takes a worker slot for the work
@@ -1101,10 +1158,10 @@ type detectResponse struct {
 }
 
 // suspectDoc resolves the request body to a parsed document and index,
-// through the content-hash cache. The lookup, the parse and the index
-// build each get a stage span on the request trace, so a cold detect
-// shows where its time went (and the cache span's note says
-// hit/miss/coalesced).
+// through the content-hash cache. The lookup (with the body's sha256
+// that keys it), the parse and the index build each get a stage span on
+// the request trace, so a cold detect shows where its time went (and the
+// cache span's note says hit/miss/coalesced).
 //
 // Cold lookups are singleflighted on the body hash: under N concurrent
 // detects of the same uncached body, exactly one request parses and
@@ -1114,8 +1171,8 @@ type detectResponse struct {
 // needed to be. With the cache disabled (CacheEntries < 0) there is
 // nothing to populate, so every request does its own work, as before.
 func (s *Server) suspectDoc(body []byte, tr *obs.Trace) (cachedDoc, bool, error) {
-	sum := sha256.Sum256(body)
 	csp := tr.StartSpan("cache")
+	sum := sha256.Sum256(body)
 	cd, ok := s.cache.Get(sum)
 	if ok {
 		csp.EndNote("hit")
