@@ -32,8 +32,9 @@ import (
 //	GET  /owners/{id}/plans/{digest}  GetPlan
 //
 // When clusterKey is non-empty every request must carry it as a Bearer
-// token (fleet-internal auth — distinct from the per-owner keys, which
-// stay end-to-end between clients and whichever node serves them).
+// token, read by BearerToken (fleet-internal auth — distinct from the
+// per-owner keys, which stay end-to-end between clients and whichever
+// node serves them). A missing token is a 401, a wrong one a 403.
 //
 // Owner-scoped GETs carry an ETag versioned per owner: any write under
 // an owner bumps its version, and a GET with a matching If-None-Match
@@ -58,15 +59,15 @@ func NewHTTPHandler(store Store, clusterKey string) http.Handler {
 
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /owners", h.auth(h.listOwners))
-	mux.HandleFunc("PUT /owners/{id}", h.auth(h.putOwner))
+	mux.HandleFunc("PUT /owners/{id}", h.auth(writeRecord(h, func(o Owner) string { return o.ID }, store.PutOwner)))
 	mux.HandleFunc("GET /owners/{id}", h.auth(h.getOwner))
-	mux.HandleFunc("POST /owners/{id}/receipts", h.auth(h.addReceipt))
+	mux.HandleFunc("POST /owners/{id}/receipts", h.auth(writeRecord(h, func(r Receipt) string { return r.Owner }, store.AddReceipt)))
 	mux.HandleFunc("GET /owners/{id}/receipts", h.auth(h.listReceipts))
 	mux.HandleFunc("GET /owners/{id}/receipts/{rid}", h.auth(h.getReceipt))
-	mux.HandleFunc("POST /owners/{id}/recipients", h.auth(h.putRecipient))
+	mux.HandleFunc("POST /owners/{id}/recipients", h.auth(writeRecord(h, func(rc Recipient) string { return rc.Owner }, store.PutRecipient)))
 	mux.HandleFunc("GET /owners/{id}/recipients", h.auth(h.listRecipients))
 	mux.HandleFunc("GET /owners/{id}/recipients/{rid}", h.auth(h.getRecipient))
-	mux.HandleFunc("POST /owners/{id}/plans", h.auth(h.putPlan))
+	mux.HandleFunc("POST /owners/{id}/plans", h.auth(writeRecord(h, func(p PlanRecord) string { return p.Owner }, store.PutPlan)))
 	mux.HandleFunc("GET /owners/{id}/plans", h.auth(h.listPlans))
 	mux.HandleFunc("GET /owners/{id}/plans/{digest}", h.auth(h.getPlan))
 	return mux
@@ -86,11 +87,22 @@ type apiHandler struct {
 // mistake from buffering unbounded input, not to police tenants.
 const maxAPIBody = 128 << 20
 
+// BearerToken returns the credential in r's Authorization header
+// ("Bearer <token>"), or "" when there is none. The scheme is
+// case-insensitive per RFC 9110, and some proxies normalize its casing.
+func BearerToken(r *http.Request) string {
+	scheme, rest, ok := strings.Cut(r.Header.Get("Authorization"), " ")
+	if !ok || !strings.EqualFold(scheme, "Bearer") {
+		return ""
+	}
+	return strings.TrimSpace(rest)
+}
+
 func (h *apiHandler) auth(next http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		if h.keyDigest != nil {
-			token, ok := strings.CutPrefix(r.Header.Get("Authorization"), "Bearer ")
-			if !ok {
+			token := BearerToken(r)
+			if token == "" {
 				apiError(w, http.StatusUnauthorized, errors.New("registry api: missing bearer token"))
 				return
 			}
@@ -161,12 +173,28 @@ func (h *apiHandler) serveTagged(w http.ResponseWriter, r *http.Request, owner s
 	writeJSON(w, v)
 }
 
-func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxAPIBody)).Decode(v); err != nil {
-		apiError(w, http.StatusBadRequest, fmt.Errorf("registry api: decode body: %w", err))
-		return false
+// writeRecord is the one write route: it decodes a T from the body,
+// checks that the record names the path's owner, stores it, and bumps
+// that owner's ETag.
+func writeRecord[T any](h *apiHandler, owner func(T) string, store func(T) error) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		var rec T
+		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxAPIBody)).Decode(&rec); err != nil {
+			apiError(w, http.StatusBadRequest, fmt.Errorf("registry api: decode body: %w", err))
+			return
+		}
+		id := r.PathValue("id")
+		if got := owner(rec); got != id {
+			apiError(w, http.StatusBadRequest, fmt.Errorf("registry api: body owner %q does not match path owner %q", got, id))
+			return
+		}
+		if err := store(rec); err != nil {
+			storeError(w, err)
+			return
+		}
+		h.bump(id)
+		w.WriteHeader(http.StatusNoContent)
 	}
-	return true
 }
 
 func (h *apiHandler) listOwners(w http.ResponseWriter, r *http.Request) {
@@ -178,43 +206,9 @@ func (h *apiHandler) listOwners(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, owners)
 }
 
-func (h *apiHandler) putOwner(w http.ResponseWriter, r *http.Request) {
-	var o Owner
-	if !decodeBody(w, r, &o) {
-		return
-	}
-	if id := r.PathValue("id"); o.ID != id {
-		apiError(w, http.StatusBadRequest, fmt.Errorf("registry api: body owner id %q does not match path id %q", o.ID, id))
-		return
-	}
-	if err := h.store.PutOwner(o); err != nil {
-		storeError(w, err)
-		return
-	}
-	h.bump(o.ID)
-	w.WriteHeader(http.StatusNoContent)
-}
-
 func (h *apiHandler) getOwner(w http.ResponseWriter, r *http.Request) {
 	owner := r.PathValue("id")
 	h.serveTagged(w, r, owner, func() (any, error) { return h.store.GetOwner(owner) })
-}
-
-func (h *apiHandler) addReceipt(w http.ResponseWriter, r *http.Request) {
-	var rec Receipt
-	if !decodeBody(w, r, &rec) {
-		return
-	}
-	if owner := r.PathValue("id"); rec.Owner != owner {
-		apiError(w, http.StatusBadRequest, fmt.Errorf("registry api: body owner %q does not match path owner %q", rec.Owner, owner))
-		return
-	}
-	if err := h.store.AddReceipt(rec); err != nil {
-		storeError(w, err)
-		return
-	}
-	h.bump(rec.Owner)
-	w.WriteHeader(http.StatusNoContent)
 }
 
 func (h *apiHandler) listReceipts(w http.ResponseWriter, r *http.Request) {
@@ -227,23 +221,6 @@ func (h *apiHandler) getReceipt(w http.ResponseWriter, r *http.Request) {
 	h.serveTagged(w, r, owner, func() (any, error) { return h.store.GetReceipt(owner, r.PathValue("rid")) })
 }
 
-func (h *apiHandler) putRecipient(w http.ResponseWriter, r *http.Request) {
-	var rc Recipient
-	if !decodeBody(w, r, &rc) {
-		return
-	}
-	if owner := r.PathValue("id"); rc.Owner != owner {
-		apiError(w, http.StatusBadRequest, fmt.Errorf("registry api: body owner %q does not match path owner %q", rc.Owner, owner))
-		return
-	}
-	if err := h.store.PutRecipient(rc); err != nil {
-		storeError(w, err)
-		return
-	}
-	h.bump(rc.Owner)
-	w.WriteHeader(http.StatusNoContent)
-}
-
 func (h *apiHandler) listRecipients(w http.ResponseWriter, r *http.Request) {
 	owner := r.PathValue("id")
 	h.serveTagged(w, r, owner, func() (any, error) { return h.store.ListRecipients(owner) })
@@ -252,23 +229,6 @@ func (h *apiHandler) listRecipients(w http.ResponseWriter, r *http.Request) {
 func (h *apiHandler) getRecipient(w http.ResponseWriter, r *http.Request) {
 	owner := r.PathValue("id")
 	h.serveTagged(w, r, owner, func() (any, error) { return h.store.GetRecipient(owner, r.PathValue("rid")) })
-}
-
-func (h *apiHandler) putPlan(w http.ResponseWriter, r *http.Request) {
-	var p PlanRecord
-	if !decodeBody(w, r, &p) {
-		return
-	}
-	if owner := r.PathValue("id"); p.Owner != owner {
-		apiError(w, http.StatusBadRequest, fmt.Errorf("registry api: body owner %q does not match path owner %q", p.Owner, owner))
-		return
-	}
-	if err := h.store.PutPlan(p); err != nil {
-		storeError(w, err)
-		return
-	}
-	h.bump(p.Owner)
-	w.WriteHeader(http.StatusNoContent)
 }
 
 func (h *apiHandler) listPlans(w http.ResponseWriter, r *http.Request) {

@@ -121,9 +121,6 @@ func TestBackendConformance(t *testing.T) {
 			if _, err := st.GetOwner("nobody"); !errors.Is(err, ErrNotFound) {
 				t.Errorf("GetOwner(missing) = %v, want ErrNotFound", err)
 			}
-			if err := st.PutOwner(Owner{ID: "a/b", Key: "k", Mark: "m", Dataset: "pubs"}); err == nil {
-				t.Error("PutOwner with '/' in id accepted")
-			}
 			if err := st.PutOwner(testOwner("acme")); err != nil {
 				t.Fatal(err)
 			}
@@ -147,19 +144,10 @@ func TestBackendConformance(t *testing.T) {
 			}
 
 			// --- receipts ---
-			if err := st.AddReceipt(testReceipt("nobody", "r1")); !errors.Is(err, ErrNotFound) {
-				t.Errorf("AddReceipt(unknown owner) = %v, want ErrNotFound", err)
-			}
-			if err := st.AddReceipt(Receipt{ID: "r1", Owner: "acme"}); err == nil {
-				t.Error("AddReceipt without records accepted")
-			}
 			for _, id := range []string{"r1", "r2", "r3"} {
 				if err := st.AddReceipt(testReceipt("acme", id)); err != nil {
 					t.Fatal(err)
 				}
-			}
-			if err := st.AddReceipt(testReceipt("acme", "r2")); !errors.Is(err, ErrDuplicate) {
-				t.Errorf("duplicate receipt = %v, want ErrDuplicate", err)
 			}
 			if _, err := st.GetReceipt("acme", "r9"); !errors.Is(err, ErrNotFound) {
 				t.Errorf("GetReceipt(missing) = %v, want ErrNotFound", err)
@@ -180,12 +168,6 @@ func TestBackendConformance(t *testing.T) {
 			}
 
 			// --- recipients ---
-			if err := st.PutRecipient(Recipient{ID: "mirror", Owner: "nobody"}); !errors.Is(err, ErrNotFound) {
-				t.Errorf("PutRecipient(unknown owner) = %v, want ErrNotFound", err)
-			}
-			if err := st.PutRecipient(Recipient{ID: "a b", Owner: "acme"}); err == nil {
-				t.Error("PutRecipient with space in id accepted")
-			}
 			if err := st.PutRecipient(Recipient{ID: "mirror", Owner: "acme", Note: "EU", CreatedUnix: 100}); err != nil {
 				t.Fatal(err)
 			}
@@ -205,14 +187,6 @@ func TestBackendConformance(t *testing.T) {
 			}
 
 			// --- plans ---
-			if err := st.PutPlan(testPlan("nobody", "d1")); !errors.Is(err, ErrNotFound) {
-				t.Errorf("PutPlan(unknown owner) = %v, want ErrNotFound", err)
-			}
-			bad := testPlan("acme", "d1")
-			bad.Digest = strings.Repeat("0", 64)
-			if err := st.PutPlan(bad); err == nil {
-				t.Error("PutPlan with mismatched digest accepted")
-			}
 			p1 := testPlan("acme", "d1")
 			p1.CreatedUnix = 100
 			p2 := testPlan("acme", "d2")
@@ -242,6 +216,51 @@ func TestBackendConformance(t *testing.T) {
 			}
 			if _, err := st.ListPlans("nobody"); !errors.Is(err, ErrNotFound) {
 				t.Errorf("ListPlans(missing owner) = %v, want ErrNotFound", err)
+			}
+
+			// --- rejected writes: each fails and leaves the state as it
+			// was, and a store with a log checks before it appends, so
+			// none adds a byte to it (the reopen below replays the log) ---
+			logSize := func() int64 {
+				logged, ok := st.(interface{ LogSize() (int64, error) })
+				if !ok {
+					return 0
+				}
+				n, err := logged.LogSize()
+				if err != nil {
+					t.Fatal(err)
+				}
+				return n
+			}
+			size := logSize()
+			bad := testPlan("acme", "d1")
+			bad.Digest = strings.Repeat("0", 64)
+			for _, rej := range []struct {
+				name  string
+				write func() error
+				want  error // nil: any error
+			}{
+				{"PutOwner('/' in id)", func() error { return st.PutOwner(Owner{ID: "a/b", Key: "k", Mark: "m", Dataset: "pubs"}) }, nil},
+				{"AddReceipt(no records)", func() error { return st.AddReceipt(Receipt{ID: "r4", Owner: "acme"}) }, nil},
+				{"PutRecipient(space in id)", func() error { return st.PutRecipient(Recipient{ID: "a b", Owner: "acme"}) }, nil},
+				{"PutPlan(mismatched digest)", func() error { return st.PutPlan(bad) }, nil},
+				{"AddReceipt(unknown owner)", func() error { return st.AddReceipt(testReceipt("nobody", "r1")) }, ErrNotFound},
+				{"PutRecipient(unknown owner)", func() error { return st.PutRecipient(Recipient{ID: "mirror", Owner: "nobody"}) }, ErrNotFound},
+				{"PutPlan(unknown owner)", func() error { return st.PutPlan(testPlan("nobody", "d1")) }, ErrNotFound},
+				{"AddReceipt(duplicate id)", func() error { return st.AddReceipt(testReceipt("acme", "r2")) }, ErrDuplicate},
+			} {
+				if err := rej.write(); err == nil {
+					t.Errorf("%s accepted", rej.name)
+				} else if rej.want != nil && !errors.Is(err, rej.want) {
+					t.Errorf("%s = %v, want %v", rej.name, err, rej.want)
+				}
+				if n := logSize(); n != size {
+					t.Errorf("rejected %s grew the log from %d to %d bytes", rej.name, size, n)
+				}
+			}
+			assertConformanceState(t, st)
+			if recs, err := st.ListReceipts("acme"); err != nil || len(recs) != 3 {
+				t.Fatalf("receipts after rejected writes = %+v, %v (want r1..r3)", recs, err)
 			}
 
 			// --- Compact, where supported: state must be unchanged ---

@@ -10,23 +10,22 @@ import (
 	"sync"
 )
 
-// File is the durable Store: an append-only JSONL log replayed into a
-// Memory store on open.
+// File is the durable Store: a Memory replayed from an append-only
+// JSONL log on open, with the log then attached to Memory's write path.
 //
 // Every mutation appends one self-describing line and (by default)
-// fsyncs before acknowledging, so an acknowledged write survives a
-// crash. A torn final line — the signature of a crash mid-append — is
-// detected on open and truncated away; a corrupt line followed by valid
-// ones is real damage and fails the open. Compact rewrites the log to
-// its live state (one line per owner, one per receipt) through a
-// temp-file + rename, so a crash during compaction leaves the old log
-// intact.
+// fsyncs it before it is applied and acknowledged, so an acknowledged
+// write survives a crash and a rejected one leaves no line. A torn
+// final line — the signature of a crash mid-append — is detected on
+// open and truncated away; a corrupt line followed by valid ones is
+// real damage and fails the open. Compact rewrites the log to its live
+// state (one line per owner, one per receipt) through a temp-file +
+// rename, so a crash during compaction leaves the old log intact.
 type File struct {
-	mem *Memory
+	*Memory
 
-	mu   sync.Mutex // serializes appends and the compaction swap
 	path string
-	f    *os.File
+	f    *os.File // the log; written, measured and swapped under Memory.wmu
 	sync bool
 
 	compactMu sync.Mutex // serializes whole compactions against each other
@@ -84,11 +83,12 @@ func OpenFile(path string, opts FileOptions) (*File, error) {
 	if err != nil {
 		return nil, err
 	}
-	fs := &File{mem: NewMemory(), path: path, f: f, sync: !opts.NoSync}
+	fs := &File{Memory: NewMemory(), path: path, f: f, sync: !opts.NoSync}
 	if err := fs.replay(); err != nil {
 		f.Close()
 		return nil, err
 	}
+	fs.log = fs.append
 	if opts.CompactOnOpen {
 		if err := fs.Compact(); err != nil {
 			f.Close()
@@ -174,45 +174,18 @@ func (fs *File) replay() error {
 	return nil
 }
 
-// apply folds one log line into the memory state.
+// apply folds one log line into the state through Memory's write
+// path. Replay runs before the log is attached, so nothing is appended.
 func (fs *File) apply(line []byte) error {
 	var rec logLine
 	if err := json.Unmarshal(line, &rec); err != nil {
 		return err
 	}
-	switch rec.T {
-	case "owner":
-		if rec.Owner == nil {
-			return fmt.Errorf("owner line without owner")
-		}
-		return fs.mem.PutOwner(*rec.Owner)
-	case "receipt":
-		if rec.Receipt == nil {
-			return fmt.Errorf("receipt line without receipt")
-		}
-		return fs.mem.AddReceipt(*rec.Receipt)
-	case "recipient":
-		if rec.V > RecipientRecordVersion {
-			return fmt.Errorf("recipient record version %d is newer than this build supports (%d)", rec.V, RecipientRecordVersion)
-		}
-		if rec.Recipient == nil {
-			return fmt.Errorf("recipient line without recipient")
-		}
-		return fs.mem.PutRecipient(*rec.Recipient)
-	case "plan":
-		if rec.V > PlanRecordVersion {
-			return fmt.Errorf("plan record version %d is newer than this build supports (%d)", rec.V, PlanRecordVersion)
-		}
-		if rec.Plan == nil {
-			return fmt.Errorf("plan line without plan")
-		}
-		return fs.mem.PutPlan(*rec.Plan)
-	default:
-		return fmt.Errorf("unknown log record type %q", rec.T)
-	}
+	return fs.write(rec)
 }
 
-// append writes one line and makes it durable.
+// append writes one line and makes it durable. It is the Memory's log
+// once replay is done, so it runs under Memory.wmu.
 func (fs *File) append(rec logLine) error {
 	data, err := json.Marshal(rec)
 	if err != nil {
@@ -230,157 +203,40 @@ func (fs *File) append(rec logLine) error {
 	return nil
 }
 
-// PutOwner registers or replaces an owner, durably.
-func (fs *File) PutOwner(o Owner) error {
-	if err := o.Validate(); err != nil {
-		return err
-	}
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	if err := fs.append(logLine{T: "owner", Owner: &o}); err != nil {
-		return err
-	}
-	return fs.mem.PutOwner(o)
-}
-
-// AddReceipt appends a receipt, durably.
-func (fs *File) AddReceipt(r Receipt) error {
-	if err := validateReceipt(r); err != nil {
-		return err
-	}
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	// Validate against state first so a rejected receipt leaves no log
-	// garbage.
-	fs.mem.mu.Lock()
-	_, ownerOK := fs.mem.owners[r.Owner]
-	_, dup := fs.mem.byID[r.Owner][r.ID]
-	fs.mem.mu.Unlock()
-	if !ownerOK {
-		return ErrNotFound
-	}
-	if dup {
-		return ErrDuplicate
-	}
-	if err := fs.append(logLine{T: "receipt", Receipt: &r}); err != nil {
-		return err
-	}
-	return fs.mem.AddReceipt(r)
-}
-
-// PutRecipient registers a recipient, durably.
-func (fs *File) PutRecipient(rc Recipient) error {
-	if err := rc.Validate(); err != nil {
-		return err
-	}
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	// Validate against state first so a rejected recipient leaves no
-	// log garbage.
-	fs.mem.mu.Lock()
-	_, ownerOK := fs.mem.owners[rc.Owner]
-	fs.mem.mu.Unlock()
-	if !ownerOK {
-		return ErrNotFound
-	}
-	if err := fs.append(logLine{T: "recipient", V: RecipientRecordVersion, Recipient: &rc}); err != nil {
-		return err
-	}
-	return fs.mem.PutRecipient(rc)
-}
-
-// PutPlan stores a delivery plan, durably.
-func (fs *File) PutPlan(p PlanRecord) error {
-	if err := p.Validate(); err != nil {
-		return err
-	}
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	// Validate against state first so a rejected plan leaves no log
-	// garbage.
-	fs.mem.mu.Lock()
-	_, ownerOK := fs.mem.owners[p.Owner]
-	fs.mem.mu.Unlock()
-	if !ownerOK {
-		return ErrNotFound
-	}
-	if err := fs.append(logLine{T: "plan", V: PlanRecordVersion, Plan: &p}); err != nil {
-		return err
-	}
-	return fs.mem.PutPlan(p)
-}
-
-// GetPlan returns the plan for (owner, digest) or ErrNotFound.
-func (fs *File) GetPlan(owner, digest string) (PlanRecord, error) {
-	return fs.mem.GetPlan(owner, digest)
-}
-
-// ListPlans returns an owner's plans in first-store order.
-func (fs *File) ListPlans(owner string) ([]PlanRecord, error) {
-	return fs.mem.ListPlans(owner)
-}
-
-// GetRecipient returns one recipient or ErrNotFound.
-func (fs *File) GetRecipient(owner, id string) (Recipient, error) {
-	return fs.mem.GetRecipient(owner, id)
-}
-
-// ListRecipients returns an owner's recipients in first-registration
-// order.
-func (fs *File) ListRecipients(owner string) ([]Recipient, error) {
-	return fs.mem.ListRecipients(owner)
-}
-
-// GetOwner returns the owner or ErrNotFound.
-func (fs *File) GetOwner(id string) (Owner, error) { return fs.mem.GetOwner(id) }
-
-// ListOwners returns every owner, id-sorted.
-func (fs *File) ListOwners() ([]Owner, error) { return fs.mem.ListOwners() }
-
-// GetReceipt returns one receipt or ErrNotFound.
-func (fs *File) GetReceipt(owner, id string) (Receipt, error) {
-	return fs.mem.GetReceipt(owner, id)
-}
-
-// ListReceipts returns an owner's receipts in insertion order.
-func (fs *File) ListReceipts(owner string) ([]Receipt, error) {
-	return fs.mem.ListReceipts(owner)
-}
-
 // Compact rewrites the log to its live state: one line per owner
 // (latest registration wins) followed by each owner's recipients,
 // delivery plans and receipts in insertion order. The rewrite goes
 // through a temp file in the same directory and an atomic rename, so a
 // crash at any point leaves a complete log.
 //
-// Compaction does not stall the store. The append lock is held only
-// twice, briefly: once to pin a consistent snapshot boundary (copy the
-// memory state, record the log size it corresponds to), and once at the
-// end to splice in whatever was appended during the rewrite and swap
-// the files. The snapshot itself — the expensive part, proportional to
-// the live state — streams to the temp file with no lock held, so
-// concurrent Gets, Lists and appends proceed at full speed while a
-// large registry compacts.
+// Compaction does not stall the store. The writer lock (Memory.wmu) is
+// held only twice, briefly: once to pin a consistent snapshot boundary
+// (copy the memory state, record the log size it corresponds to), and
+// once at the end to splice in whatever was appended during the
+// rewrite and swap the files. The snapshot itself — the expensive
+// part, proportional to the live state — streams to the temp file with
+// no lock held, so concurrent Gets, Lists and appends proceed at full
+// speed while a large registry compacts.
 func (fs *File) Compact() error {
 	// One compaction at a time: two interleaved rewrites would each
 	// rename a fresh log into place and orphan the other's appends.
 	fs.compactMu.Lock()
 	defer fs.compactMu.Unlock()
 
-	// Phase 1 (brief lock): pin the snapshot boundary. Appends hold
-	// fs.mu across the log write and the memory apply, so under the
-	// lock the memory state is exactly the replay of the log's first
-	// `base` bytes.
-	fs.mu.Lock()
+	// Phase 1 (brief lock): pin the snapshot boundary. Writes hold wmu
+	// across the log append and the memory apply, so under it the
+	// memory state is exactly the replay of the log's first `base`
+	// bytes.
+	fs.wmu.Lock()
 	st, err := fs.f.Stat()
 	if err != nil {
-		fs.mu.Unlock()
+		fs.wmu.Unlock()
 		return fmt.Errorf("registry: compact: %w", err)
 	}
 	base := st.Size()
-	snap := fs.mem.snapshot()
+	snap := fs.snapshot()
 	src := fs.f
-	fs.mu.Unlock()
+	fs.wmu.Unlock()
 
 	// Phase 2 (no lock): stream the snapshot to a temp file.
 	dir := filepath.Dir(fs.path)
@@ -437,12 +293,12 @@ func (fs *File) Compact() error {
 
 	// Phase 3 (brief lock): splice in the lines appended since the
 	// snapshot boundary, make the file durable, and swap it in. The
-	// delta is whole lines by construction — appends hold fs.mu for the
-	// full write, and we hold it here — and replays cleanly on top of
+	// delta is whole lines by construction — writes hold wmu for the
+	// full append, and we hold it here — and replays cleanly on top of
 	// the snapshot because the snapshot is the state at exactly `base`.
 	// ReadAt leaves the O_APPEND handle's write position alone.
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
+	fs.wmu.Lock()
+	defer fs.wmu.Unlock()
 	st, err = fs.f.Stat()
 	if err != nil {
 		return fail(err)
@@ -479,8 +335,8 @@ func (fs *File) Compact() error {
 // LogSize reports the current byte size of the log file (for
 // compaction policies and tests).
 func (fs *File) LogSize() (int64, error) {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
+	fs.wmu.Lock()
+	defer fs.wmu.Unlock()
 	st, err := fs.f.Stat()
 	if err != nil {
 		return 0, err
@@ -490,8 +346,8 @@ func (fs *File) LogSize() (int64, error) {
 
 // Close flushes and closes the log.
 func (fs *File) Close() error {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
+	fs.wmu.Lock()
+	defer fs.wmu.Unlock()
 	return fs.f.Close()
 }
 

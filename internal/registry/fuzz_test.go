@@ -70,7 +70,7 @@ func FuzzReplay(f *testing.F) {
 
 		// Reference: apply every newline-terminated line in order
 		// through the same record semantics.
-		ref := &File{mem: NewMemory()}
+		ref := &File{Memory: NewMemory()}
 		var lines []string
 		for _, l := range strings.SplitAfter(string(data), "\n") {
 			if strings.HasSuffix(l, "\n") {
@@ -85,7 +85,7 @@ func FuzzReplay(f *testing.F) {
 				t.Fatalf("open succeeded but line %d/%d is invalid: %v", i+1, len(lines), aerr)
 			}
 		}
-		assertSameState(t, st.mem, ref.mem)
+		assertSameState(t, st.Memory, ref.Memory)
 
 		// Whatever survived, the store must still accept new records.
 		if err := st.PutOwner(testOwner("fuzz-owner")); err != nil {

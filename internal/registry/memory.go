@@ -1,14 +1,23 @@
 package registry
 
 import (
+	"fmt"
 	"sort"
 	"sync"
 )
 
-// Memory is the in-process Store: a map under a mutex. It backs tests
-// and ephemeral deployments, and is the state the File store replays
-// its log into.
+// Memory is the in-process Store: maps under a lock. It backs tests
+// and ephemeral deployments, and File is a Memory with its durable log
+// attached.
 type Memory struct {
+	// wmu serializes writers: every mutation runs write under it, and
+	// File holds it while it measures or swaps its log. Readers never
+	// take it.
+	wmu sync.Mutex
+	// log appends one record durably before write applies it; nil for
+	// a bare Memory. File attaches its append once replay is done.
+	log func(logLine) error
+
 	mu         sync.RWMutex
 	owners     map[string]Owner
 	receipts   map[string][]Receipt             // owner -> insertion order
@@ -32,16 +41,152 @@ func NewMemory() *Memory {
 	}
 }
 
-// PutOwner registers or replaces an owner.
-func (m *Memory) PutOwner(o Owner) error {
-	if err := o.Validate(); err != nil {
+// write is the one path every mutation takes, a File's replay included:
+//
+//  1. validate the record;
+//  2. check it against the state under the read lock: its owner
+//     exists, and a receipt id is new;
+//  3. append it to the log, if one is attached;
+//  4. apply it under the write lock.
+//
+// wmu holds the steps together, so the state cannot move between the
+// check and the apply, and a rejected write never reaches the log.
+// Readers take only mu, so none of them waits on an append's fsync.
+func (m *Memory) write(l logLine) error {
+	if err := l.validate(); err != nil {
 		return err
 	}
+	m.wmu.Lock()
+	defer m.wmu.Unlock()
+	m.mu.RLock()
+	err := m.check(l)
+	m.mu.RUnlock()
+	if err != nil {
+		return err
+	}
+	if m.log != nil {
+		if err := m.log(l); err != nil {
+			return err
+		}
+	}
 	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.owners[o.ID] = o
+	m.apply(l)
+	m.mu.Unlock()
 	return nil
 }
+
+// validate checks that l carries the record its tag names, in a
+// version this build reads, and that the record is well formed.
+func (l logLine) validate() error {
+	switch l.T {
+	case "owner":
+		if l.Owner == nil {
+			return fmt.Errorf("owner line without owner")
+		}
+		return l.Owner.Validate()
+	case "receipt":
+		if l.Receipt == nil {
+			return fmt.Errorf("receipt line without receipt")
+		}
+		return validateReceipt(*l.Receipt)
+	case "recipient":
+		if l.V > RecipientRecordVersion {
+			return fmt.Errorf("recipient record version %d is newer than this build supports (%d)", l.V, RecipientRecordVersion)
+		}
+		if l.Recipient == nil {
+			return fmt.Errorf("recipient line without recipient")
+		}
+		return l.Recipient.Validate()
+	case "plan":
+		if l.V > PlanRecordVersion {
+			return fmt.Errorf("plan record version %d is newer than this build supports (%d)", l.V, PlanRecordVersion)
+		}
+		if l.Plan == nil {
+			return fmt.Errorf("plan line without plan")
+		}
+		return l.Plan.Validate()
+	default:
+		return fmt.Errorf("unknown log record type %q", l.T)
+	}
+}
+
+// check tests a valid record against the state: every record but an
+// owner needs its owner registered, and a receipt id must be new.
+// Callers hold mu for reading.
+func (m *Memory) check(l logLine) error {
+	var owner string
+	switch l.T {
+	case "owner":
+		return nil
+	case "receipt":
+		owner = l.Receipt.Owner
+	case "recipient":
+		owner = l.Recipient.Owner
+	case "plan":
+		owner = l.Plan.Owner
+	}
+	if _, ok := m.owners[owner]; !ok {
+		return ErrNotFound
+	}
+	if l.T == "receipt" {
+		if _, dup := m.byID[owner][l.Receipt.ID]; dup {
+			return ErrDuplicate
+		}
+	}
+	return nil
+}
+
+// apply folds a checked record into the state. A re-put recipient or
+// plan keeps its first time and place in its owner's order. Callers
+// hold mu for writing.
+func (m *Memory) apply(l logLine) {
+	switch l.T {
+	case "owner":
+		m.owners[l.Owner.ID] = *l.Owner
+	case "receipt":
+		r := *l.Receipt
+		ids := m.byID[r.Owner]
+		if ids == nil {
+			ids = make(map[string]Receipt)
+			m.byID[r.Owner] = ids
+		}
+		ids[r.ID] = r
+		m.receipts[r.Owner] = append(m.receipts[r.Owner], r)
+	case "recipient":
+		rc := *l.Recipient
+		ids := m.recipients[rc.Owner]
+		if ids == nil {
+			ids = make(map[string]Recipient)
+			m.recipients[rc.Owner] = ids
+		}
+		if old, ok := ids[rc.ID]; ok {
+			if rc.CreatedUnix == 0 || (old.CreatedUnix != 0 && old.CreatedUnix < rc.CreatedUnix) {
+				rc.CreatedUnix = old.CreatedUnix
+			}
+		} else {
+			m.recOrder[rc.Owner] = append(m.recOrder[rc.Owner], rc.ID)
+		}
+		ids[rc.ID] = rc
+	case "plan":
+		p := *l.Plan
+		digests := m.plans[p.Owner]
+		if digests == nil {
+			digests = make(map[string]PlanRecord)
+			m.plans[p.Owner] = digests
+		}
+		if old, ok := digests[p.Digest]; ok {
+			if p.CreatedUnix == 0 || (old.CreatedUnix != 0 && old.CreatedUnix < p.CreatedUnix) {
+				p.CreatedUnix = old.CreatedUnix
+			}
+		} else {
+			m.planOrder[p.Owner] = append(m.planOrder[p.Owner], p.Digest)
+		}
+		digests[p.Digest] = p
+	}
+}
+
+// PutOwner registers or replaces an owner.
+func (m *Memory) PutOwner(o Owner) error { return m.write(logLine{T: "owner", Owner: &o}) }
 
 // GetOwner returns the owner or ErrNotFound.
 func (m *Memory) GetOwner(id string) (Owner, error) {
@@ -67,33 +212,7 @@ func (m *Memory) ListOwners() ([]Owner, error) {
 }
 
 // AddReceipt appends a receipt for an existing owner.
-func (m *Memory) AddReceipt(r Receipt) error {
-	if err := validateReceipt(r); err != nil {
-		return err
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.addReceiptLocked(r)
-}
-
-// addReceiptLocked is the insertion shared with the File store's
-// replay. Callers hold mu.
-func (m *Memory) addReceiptLocked(r Receipt) error {
-	if _, ok := m.owners[r.Owner]; !ok {
-		return ErrNotFound
-	}
-	ids := m.byID[r.Owner]
-	if ids == nil {
-		ids = make(map[string]Receipt)
-		m.byID[r.Owner] = ids
-	}
-	if _, ok := ids[r.ID]; ok {
-		return ErrDuplicate
-	}
-	ids[r.ID] = r
-	m.receipts[r.Owner] = append(m.receipts[r.Owner], r)
-	return nil
-}
+func (m *Memory) AddReceipt(r Receipt) error { return m.write(logLine{T: "receipt", Receipt: &r}) }
 
 // GetReceipt returns one receipt or ErrNotFound.
 func (m *Memory) GetReceipt(owner, id string) (Receipt, error) {
@@ -122,34 +241,7 @@ func (m *Memory) ListReceipts(owner string) ([]Receipt, error) {
 // Re-putting an existing id updates the note but keeps the original
 // registration time and ordering (fingerprint retries are idempotent).
 func (m *Memory) PutRecipient(rc Recipient) error {
-	if err := rc.Validate(); err != nil {
-		return err
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.putRecipientLocked(rc)
-}
-
-// putRecipientLocked is the insertion shared with the File store's
-// replay. Callers hold mu.
-func (m *Memory) putRecipientLocked(rc Recipient) error {
-	if _, ok := m.owners[rc.Owner]; !ok {
-		return ErrNotFound
-	}
-	ids := m.recipients[rc.Owner]
-	if ids == nil {
-		ids = make(map[string]Recipient)
-		m.recipients[rc.Owner] = ids
-	}
-	if old, ok := ids[rc.ID]; ok {
-		if rc.CreatedUnix == 0 || (old.CreatedUnix != 0 && old.CreatedUnix < rc.CreatedUnix) {
-			rc.CreatedUnix = old.CreatedUnix
-		}
-	} else {
-		m.recOrder[rc.Owner] = append(m.recOrder[rc.Owner], rc.ID)
-	}
-	ids[rc.ID] = rc
-	return nil
+	return m.write(logLine{T: "recipient", V: RecipientRecordVersion, Recipient: &rc})
 }
 
 // GetRecipient returns one recipient or ErrNotFound.
@@ -182,34 +274,7 @@ func (m *Memory) ListRecipients(owner string) ([]Recipient, error) {
 // digest replaces the plan but keeps the original store time and
 // ordering (recompiles of the same document are idempotent).
 func (m *Memory) PutPlan(p PlanRecord) error {
-	if err := p.Validate(); err != nil {
-		return err
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.putPlanLocked(p)
-}
-
-// putPlanLocked is the insertion shared with the File store's replay.
-// Callers hold mu.
-func (m *Memory) putPlanLocked(p PlanRecord) error {
-	if _, ok := m.owners[p.Owner]; !ok {
-		return ErrNotFound
-	}
-	digests := m.plans[p.Owner]
-	if digests == nil {
-		digests = make(map[string]PlanRecord)
-		m.plans[p.Owner] = digests
-	}
-	if old, ok := digests[p.Digest]; ok {
-		if p.CreatedUnix == 0 || (old.CreatedUnix != 0 && old.CreatedUnix < p.CreatedUnix) {
-			p.CreatedUnix = old.CreatedUnix
-		}
-	} else {
-		m.planOrder[p.Owner] = append(m.planOrder[p.Owner], p.Digest)
-	}
-	digests[p.Digest] = p
-	return nil
+	return m.write(logLine{T: "plan", V: PlanRecordVersion, Plan: &p})
 }
 
 // GetPlan returns the plan for (owner, digest) or ErrNotFound.

@@ -214,7 +214,7 @@ func resetPlanLog(t *testing.T, path string, p PlanRecord) {
 	mem := NewMemory()
 	mem.PutOwner(testOwner("acme"))
 	mem.PutPlan(p)
-	st.mem = mem
+	st.Memory = mem
 	if err := st.Compact(); err != nil {
 		t.Fatal(err)
 	}

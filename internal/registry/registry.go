@@ -9,12 +9,13 @@
 // safeguarded query set plus capacity figures, so later detections
 // resolve their queries server-side instead of shipping q.json around.
 //
-// Four implementations share the Store interface: Memory (tests,
-// ephemeral deployments), File (one JSONL log with crash-safe appends
-// and non-stalling compaction), Sharded (owners hashed over N File
-// logs in one directory) and Remote (another node's store over HTTP).
-// File is the only on-disk format: Sharded reuses it per shard, so
-// there is one replay and crash-recovery path.
+// Four types satisfy the Store interface. Memory serves tests and
+// ephemeral deployments; File is a Memory replayed from a JSONL log,
+// which every later write appends to, fsync'd, before it is applied;
+// Sharded hashes owners over N File logs in one directory; Remote is
+// another node's store over HTTP. File is the only on-disk format:
+// Sharded reuses it per shard, so there is one write path and one
+// replay and crash-recovery path.
 package registry
 
 import (

@@ -328,7 +328,7 @@ func resetTo(t *testing.T, path, owner, receipt string) {
 	mem := NewMemory()
 	mem.PutOwner(testOwner(owner))
 	mem.AddReceipt(testReceipt(owner, receipt))
-	st.mem = mem
+	st.Memory = mem
 	if err := st.Compact(); err != nil {
 		t.Fatal(err)
 	}

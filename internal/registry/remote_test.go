@@ -56,6 +56,36 @@ func TestRemoteAuth(t *testing.T) {
 	}
 }
 
+// TestAPIAuthorizationHeader: the registry API reads Authorization as
+// the service does (registry.BearerToken: any casing of the scheme, the
+// token trimmed), with 401 for a missing token and 403 for a wrong one.
+func TestAPIAuthorizationHeader(t *testing.T) {
+	h := NewHTTPHandler(NewMemory(), "ck")
+	for _, tc := range []struct {
+		header string
+		want   int
+	}{
+		{"Bearer ck", http.StatusOK},
+		{"bearer ck", http.StatusOK},
+		{"BEARER ck", http.StatusOK},
+		{"Bearer  ck", http.StatusOK},
+		{"", http.StatusUnauthorized},
+		{"Bearer", http.StatusUnauthorized},
+		{"Basic ck", http.StatusUnauthorized},
+		{"Bearer wrong", http.StatusForbidden},
+	} {
+		req := httptest.NewRequest("GET", "/owners", nil)
+		if tc.header != "" {
+			req.Header.Set("Authorization", tc.header)
+		}
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		if rec.Code != tc.want {
+			t.Errorf("Authorization %q: status %d, want %d (%s)", tc.header, rec.Code, tc.want, rec.Body.Bytes())
+		}
+	}
+}
+
 // TestRemoteTTLCache: within the TTL, repeated reads are served from
 // the local cache with zero wire traffic; past it, reads revalidate
 // with If-None-Match and unchanged data comes back as a bodyless 304.

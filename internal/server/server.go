@@ -53,7 +53,6 @@ import (
 	"runtime/debug"
 	"slices"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -579,8 +578,14 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	enc.Encode(v)
 }
 
-// acquire takes a worker slot, waiting up to QueueTimeout.
+// acquire takes a worker slot, waiting up to QueueTimeout. A free slot
+// is taken without building the timer.
 func (s *Server) acquire(r *http.Request) error {
+	select {
+	case s.slots <- struct{}{}:
+		return nil
+	default:
+	}
 	t := time.NewTimer(s.opts.QueueTimeout)
 	defer t.Stop()
 	select {
@@ -708,17 +713,6 @@ func (s *Server) parseDoc(body []byte, tr *obs.Trace) (*xmltree.Node, error) {
 	return doc, nil
 }
 
-// bearerKey extracts the presented owner key from the Authorization
-// header ("Bearer <key>"; the scheme is case-insensitive per RFC 9110,
-// and some proxies normalize its casing).
-func bearerKey(r *http.Request) string {
-	scheme, rest, ok := strings.Cut(r.Header.Get("Authorization"), " ")
-	if !ok || !strings.EqualFold(scheme, "Bearer") {
-		return ""
-	}
-	return strings.TrimSpace(rest)
-}
-
 // authorize checks that the request proves knowledge of the owner's
 // secret key — the key doubles as the API credential, because anyone
 // holding it already holds everything the watermark's security rests
@@ -728,7 +722,7 @@ func (s *Server) authorize(r *http.Request, o registry.Owner) error {
 	if s.opts.AllowUnauthenticated {
 		return nil
 	}
-	got := bearerKey(r)
+	got := registry.BearerToken(r)
 	if got == "" {
 		return errf(http.StatusUnauthorized, "missing credentials: send Authorization: Bearer <owner key>")
 	}
@@ -1239,18 +1233,19 @@ func (s *Server) handleDetect(w http.ResponseWriter, r *http.Request) error {
 	start := time.Now()
 	tr := obs.FromContext(r.Context())
 	tr.SetOp("detect")
-	ownerID := r.URL.Query().Get("owner")
+	q := r.URL.Query()
+	ownerID, mode := q.Get("owner"), q.Get("mode")
 	rt, err := s.runtimeFor(r, ownerID)
 	if err != nil {
 		return err
 	}
-	switch r.URL.Query().Get("mode") {
+	switch mode {
 	case "stream":
-		return s.handleDetectStream(w, r, rt, ownerID, false)
+		return s.handleDetectStream(w, r, rt, ownerID, q.Get("receipt"), false)
 	case "stream-blind":
-		return s.handleDetectStream(w, r, rt, ownerID, true)
+		return s.handleDetectStream(w, r, rt, ownerID, "", true)
 	}
-	blind := r.URL.Query().Get("mode") == "blind"
+	blind := mode == "blind"
 	body, err := s.admit(w, r)
 	if err != nil {
 		return err
@@ -1274,7 +1269,7 @@ func (s *Server) handleDetect(w http.ResponseWriter, r *http.Request) error {
 		}
 	} else {
 		rsp := tr.StartSpan("registry")
-		recs, err := s.detectReceipts(r, ownerID, "blind")
+		recs, err := s.detectReceipts(ownerID, q.Get("receipt"), "blind")
 		rsp.End()
 		if err != nil {
 			return err
@@ -1340,10 +1335,10 @@ func (s *Server) verdict(resp *detectResponse, res *core.DetectResult, start tim
 }
 
 // detectReceipts resolves the receipts a detection tries: the one named
-// by ?receipt=, or every receipt the owner holds, oldest first. An owner
-// without receipts is a 409 that points at blindMode.
-func (s *Server) detectReceipts(r *http.Request, ownerID, blindMode string) ([]registry.Receipt, error) {
-	if want := r.URL.Query().Get("receipt"); want != "" {
+// by want (?receipt=), or every receipt the owner holds, oldest first.
+// An owner without receipts is a 409 that points at blindMode.
+func (s *Server) detectReceipts(ownerID, want, blindMode string) ([]registry.Receipt, error) {
+	if want != "" {
 		rec, err := s.reg.GetReceipt(ownerID, want)
 		if err != nil {
 			return nil, errf(http.StatusNotFound, "owner %q has no receipt %q", ownerID, want)

@@ -192,9 +192,9 @@ type streamDetectResponse struct {
 
 // handleDetectStream detects over an arbitrarily large suspect body in
 // record chunks: blind (mode=stream-blind) or against one stored
-// receipt (?receipt=ID; defaults to the newest). The parsed-document
-// cache is bypassed — nothing is materialized to cache.
-func (s *Server) handleDetectStream(w http.ResponseWriter, r *http.Request, rt *ownerRuntime, ownerID string, blind bool) error {
+// receipt (want, from ?receipt=; defaults to the newest). The
+// parsed-document cache is bypassed — nothing is materialized to cache.
+func (s *Server) handleDetectStream(w http.ResponseWriter, r *http.Request, rt *ownerRuntime, ownerID, want string, blind bool) error {
 	start := time.Now()
 	if err := s.acquire(r); err != nil {
 		return err
@@ -206,7 +206,7 @@ func (s *Server) handleDetectStream(w http.ResponseWriter, r *http.Request, rt *
 	var records []core.QueryRecord
 	if !blind {
 		resp.Mode = "stream"
-		recs, err := s.detectReceipts(r, ownerID, "stream-blind")
+		recs, err := s.detectReceipts(ownerID, want, "stream-blind")
 		if err != nil {
 			return err
 		}
