@@ -77,3 +77,13 @@ func (l *Logger) Warn(msg string, args ...any) { l.log(slog.LevelWarn, msg, args
 
 // Error logs at error level.
 func (l *Logger) Error(msg string, args ...any) { l.log(slog.LevelError, msg, args...) }
+
+// InfoAttrs logs at info level with typed attributes. Unlike Info's
+// key/value pairs they are not boxed, so a per-request line allocates
+// nothing when the logger is nil.
+func (l *Logger) InfoAttrs(msg string, attrs ...slog.Attr) {
+	if l == nil {
+		return
+	}
+	l.s.LogAttrs(context.Background(), slog.LevelInfo, msg, attrs...)
+}

@@ -8,8 +8,8 @@ package server
 //
 //   - the suspect-document cache (docCache, below): parsing a large XML
 //     body and building its DocumentIndex dominates the cost of an
-//     indexed detection, so parses are keyed on the SHA-256 of the raw
-//     request body;
+//     indexed detection, so parses are keyed on the raw request body
+//     itself, which makes a hit exact by construction;
 //   - the decode-plan cache (decodeplans.go): compiled receipt query
 //     sets, keyed (owner, receipt, kind);
 //   - the delivery-plan cache (deliver.go): bound splice plans, keyed
@@ -31,7 +31,6 @@ package server
 
 import (
 	"container/list"
-	"crypto/sha256"
 	"sync"
 
 	"wmxml/internal/index"
@@ -71,8 +70,13 @@ func newLRU[K comparable, V any](maxEntries int, maxWeight int64) *lru[K, V] {
 func (c *lru[K, V]) Get(key K) (V, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	el, ok := c.entries[key]
-	if !ok {
+	return c.touch(c.entries[key])
+}
+
+// touch returns the value of el, a looked-up entry or nil, refreshing
+// its recency. The caller holds mu.
+func (c *lru[K, V]) touch(el *list.Element) (V, bool) {
+	if el == nil {
 		var zero V
 		return zero, false
 	}
@@ -128,20 +132,26 @@ type cachedDoc struct {
 	ix  *index.Index
 }
 
-// docCache is the content-hash-keyed LRU of parsed documents, weighted
-// by source body length, plus a singleflight over its misses: the one
-// cache whose fills are expensive enough to coalesce. The index's lazy
+// docCache is the LRU of parsed documents keyed by their body, weighted
+// by body length, plus a singleflight over its misses: the one cache
+// whose fills are expensive enough to coalesce. The index's lazy
 // key-value tables lock internally, so sharing a cached index across
 // concurrent readers is sound.
+//
+// A key is a copy of the body, made once per miss: a hit indexes the
+// map with string(body), which Go neither copies nor keeps, and the map
+// compares the keys byte for byte. No key refers to a request's pooled
+// buffer, and two bodies share an entry only if they are equal. The
+// cost is the body's bytes, which the weight already counts.
 type docCache struct {
-	*lru[[sha256.Size]byte, cachedDoc]
+	*lru[string, cachedDoc]
 
 	// Singleflight over cache fills: concurrent cold requests for the
-	// same body hash share one parse+index instead of each doing the
-	// full work (the miss stampede). Guarded by its own mutex so a
-	// flight's bookkeeping never contends with cache hits.
+	// same body share one parse+index instead of each doing the full
+	// work (the miss stampede). Guarded by its own mutex so a flight's
+	// bookkeeping never contends with cache hits.
 	flightMu sync.Mutex
-	flights  map[[sha256.Size]byte]*flightCall
+	flights  map[string]*flightCall
 }
 
 // flightCall is one in-progress fill. The leader populates cd/err and
@@ -155,16 +165,24 @@ type flightCall struct {
 
 func newDocCache(maxEntries int, maxBytes int64) *docCache {
 	return &docCache{
-		lru:     newLRU[[sha256.Size]byte, cachedDoc](maxEntries, maxBytes),
-		flights: make(map[[sha256.Size]byte]*flightCall),
+		lru:     newLRU[string, cachedDoc](maxEntries, maxBytes),
+		flights: make(map[string]*flightCall),
 	}
 }
 
-// join enters the singleflight for a body hash. The first caller per
-// key becomes the leader (leader == true) and must eventually call
-// complete; everyone else gets the same *flightCall and should wait on
-// its WaitGroup, then read cd/err.
-func (c *docCache) join(key [sha256.Size]byte) (f *flightCall, leader bool) {
+// get returns the document cached for body, refreshing its recency,
+// without copying body.
+func (c *docCache) get(body []byte) (cachedDoc, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.touch(c.entries[string(body)])
+}
+
+// join enters the singleflight for a body, key being the body's own
+// copy. The first caller per key becomes the leader (leader == true)
+// and must eventually call complete; everyone else gets the same
+// *flightCall and should wait on its WaitGroup, then read cd/err.
+func (c *docCache) join(key string) (f *flightCall, leader bool) {
 	c.flightMu.Lock()
 	defer c.flightMu.Unlock()
 	if f, ok := c.flights[key]; ok {
@@ -179,7 +197,7 @@ func (c *docCache) join(key [sha256.Size]byte) (f *flightCall, leader bool) {
 // complete publishes the leader's result (or error) to all waiters and
 // retires the flight. New requests for the same key after this point
 // either hit the now-populated cache or start a fresh flight.
-func (c *docCache) complete(key [sha256.Size]byte, f *flightCall, cd cachedDoc, err error) {
+func (c *docCache) complete(key string, f *flightCall, cd cachedDoc, err error) {
 	f.cd = cd
 	f.err = err
 	c.flightMu.Lock()

@@ -1,15 +1,18 @@
 package server
 
 import (
-	"crypto/sha256"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"net/http/httptest"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
 
 	"wmxml/internal/registry"
+	"wmxml/internal/xmltree"
 )
 
 // TestLRU covers the one cache type behind the document, decode-plan
@@ -174,7 +177,7 @@ func TestDetectMissSingleflight(t *testing.T) {
 		t.Fatalf("embed: %d %s", code, marked)
 	}
 
-	sum := sha256.Sum256(marked)
+	sum := string(marked)
 	call, leader := s.cache.join(sum)
 	if !leader {
 		t.Fatal("the test did not get the flight")
@@ -235,7 +238,7 @@ func TestDetectMissSingleflight(t *testing.T) {
 // must hand the error to every waiter — not a zero-value document.
 func TestSingleflightErrorPropagates(t *testing.T) {
 	c := newDocCache(4, 0)
-	key := sha256.Sum256([]byte("bad body"))
+	key := "bad body"
 	call, leader := c.join(key)
 	if !leader {
 		t.Fatal("first join was not the leader")
@@ -253,6 +256,94 @@ func TestSingleflightErrorPropagates(t *testing.T) {
 	// The flight is gone; the next join starts fresh.
 	if _, leader := c.join(key); !leader {
 		t.Fatal("join after complete did not start a new flight")
+	}
+}
+
+// TestDocCacheKeyIsTheBody: the document cache is keyed by the body's
+// bytes, so a hit is exact and no key refers to a request's pooled
+// buffer. Two bodies of one length that differ in one digit of a record
+// value each miss once and then hit their own entry, whose tree is
+// their own parse. Every request here is served in-process, so its
+// buffer has been returned, and overwritten with 0xA5 by this package's
+// onBodyReturn hook, before the next one starts: a fresh copy of a body
+// still hits, and a body of 0xA5 bytes of the same length, which is
+// what a key aliasing a returned buffer would read, never does.
+func TestDocCacheKeyIsTheBody(t *testing.T) {
+	s, ts := newTestServer(t, Options{})
+	registerOwner(t, ts.URL, "acme")
+	code, marked, _ := doAs(t, "key-acme", "POST", ts.URL+"/v1/embed?owner=acme", pubsXML(t, 150, 7))
+	if code != http.StatusOK {
+		t.Fatalf("embed: %d %s", code, marked)
+	}
+	other := bytes.Clone(marked)
+	i := bytes.Index(other[len(other)/2:], []byte("<year>")) + len(other)/2 + len("<year>") + 3
+	if other[i] == '0' {
+		other[i] = '1'
+	} else {
+		other[i] = '0'
+	}
+	poison := bytes.Repeat([]byte{0xA5}, len(marked))
+
+	h := s.Handler()
+	// detect serves a fresh copy of body and reports its status, its
+	// verdict less the fields that differ between a miss and a hit, and
+	// whether the cache was hit (from the counters, not the verdict).
+	detect := func(body []byte) (int, map[string]any, bool) {
+		t.Helper()
+		req := httptest.NewRequest("POST", "/v1/detect?owner=acme", bytes.NewReader(bytes.Clone(body)))
+		req.Header.Set("Authorization", "Bearer key-acme")
+		w := httptest.NewRecorder()
+		hits, misses, _, _ := s.CacheStats()
+		h.ServeHTTP(w, req)
+		hits2, misses2, _, _ := s.CacheStats()
+		if hits2-hits+misses2-misses != 1 {
+			t.Fatalf("one detect moved cache hits by %d and misses by %d", hits2-hits, misses2-misses)
+		}
+		var verdict map[string]any
+		if w.Code == http.StatusOK {
+			if err := json.Unmarshal(w.Body.Bytes(), &verdict); err != nil {
+				t.Fatal(err)
+			}
+			delete(verdict, "cache_hit")
+			delete(verdict, "elapsed_ms")
+		}
+		return w.Code, verdict, hits2 > hits
+	}
+	bodies := [][]byte{marked, other}
+	cold := make([]map[string]any, len(bodies))
+	for round, wantHit := range []bool{false, true, true} {
+		for i, body := range bodies {
+			code, verdict, hit := detect(body)
+			if code != http.StatusOK || hit != wantHit {
+				t.Fatalf("round %d, body %d: status %d, cache hit %v, want 200 and %v", round, i, code, hit, wantHit)
+			}
+			if round == 0 {
+				cold[i] = verdict
+			} else if !reflect.DeepEqual(verdict, cold[i]) {
+				t.Errorf("round %d, body %d: verdict %v, its own cold verdict %v", round, i, verdict, cold[i])
+			}
+		}
+	}
+	if n, w := s.cache.Len(), s.cache.Weight(); n != 2 || w != int64(2*len(marked)) {
+		t.Errorf("cache holds %d entries of %d bytes, want 2 of %d", n, w, 2*len(marked))
+	}
+	for _, body := range bodies {
+		cd, ok := s.cache.get(body)
+		if !ok {
+			t.Fatal("a served body has no entry")
+		}
+		want, err := xmltree.ParseBytes(body, xmltree.ParseOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if xmltree.SerializeIndentString(cd.doc) != xmltree.SerializeIndentString(want) {
+			t.Error("an entry's tree is not its own body's parse")
+		}
+	}
+	for range 2 {
+		if code, _, hit := detect(poison); code != http.StatusBadRequest || hit {
+			t.Fatalf("a body of 0xA5 bytes: status %d, cache hit %v, want 400 and a miss", code, hit)
+		}
 	}
 }
 

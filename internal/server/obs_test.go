@@ -309,9 +309,9 @@ func (b *syncBuffer) String() string {
 // include parse, index, decode and vote, and whose summed stage time
 // accounts for at least 80% of the measured request duration. A warm
 // detect of the same document, served in-process so that no wait on the
-// socket pads body_read, must be covered as well: there the body's
-// sha256 is the largest stretch, and it belongs to the cache stage. It
-// also asserts one structured access-log line per request.
+// socket pads body_read, must be covered as well: there the cache
+// lookup, which compares the body with its key, belongs to the cache
+// stage. It also asserts one structured access-log line per request.
 func TestAccessLogAndSpanAccounting(t *testing.T) {
 	logBuf := &syncBuffer{}
 	s, ts := newTestServer(t, Options{

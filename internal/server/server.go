@@ -30,8 +30,8 @@
 //     response byte has gone out, a cut connection once output has
 //     started. A panic in tree or plug-in code is recovered there as a
 //     500 for that request, never a daemon crash.
-//   - Repeated detections of the same suspect body hit a
-//     content-hash-keyed LRU of parsed Document + DocumentIndex pairs,
+//   - Repeated detections of the same suspect body hit an LRU of
+//     parsed Document + DocumentIndex pairs keyed by the body itself,
 //     skipping the reparse and index build that dominate indexed
 //     detection.
 //   - GET /metrics exposes counters and latency histograms in
@@ -47,6 +47,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
 	"net/http/httputil"
 	"runtime"
@@ -468,18 +469,18 @@ func (s *Server) instrument(route string, h handler) http.HandlerFunc {
 		if s.opts.TraceRing >= 0 {
 			s.ring.Add(snap)
 		}
-		s.log.Info("request",
-			"request_id", snap.RequestID,
-			"route", route,
-			"status", code,
-			"dur_ms", float64(d.Microseconds())/1000,
-			"owner", snap.Owner,
-			"op", snap.Op,
-			"doc_bytes", snap.DocBytes,
-			"bytes_out", sw.bytes,
-			"user_agent", r.UserAgent(),
-			"verdict", snap.Verdict,
-			"cache_hit", snap.CacheHit,
+		s.log.InfoAttrs("request",
+			slog.String("request_id", snap.RequestID),
+			slog.String("route", route),
+			slog.Int("status", code),
+			slog.Float64("dur_ms", float64(d.Microseconds())/1000),
+			slog.String("owner", snap.Owner),
+			slog.String("op", snap.Op),
+			slog.Int64("doc_bytes", snap.DocBytes),
+			slog.Int64("bytes_out", sw.bytes),
+			slog.String("user_agent", r.UserAgent()),
+			slog.String("verdict", snap.Verdict),
+			slog.Bool("cache_hit", snap.CacheHit),
 		)
 		putBody(sw.body)
 		if err != nil {
@@ -650,10 +651,11 @@ func putBody(buf *bytes.Buffer) {
 // readBody drains the (size-capped) request body into a pooled buffer
 // sized from Content-Length; the bytes returned are valid until the
 // handler returns, when instrument() takes the buffer back. Nothing may
-// keep them: the tree copies every name and value, and the doc cache
-// and receipt ids keep only the body's hash and length. The read is a
-// stage of its own: it waits on the client, and left unspanned it is the
-// largest stretch of a request no stage accounts for.
+// keep them: the tree copies every name and value, the doc cache keys
+// an entry by its own copy of the body, and a receipt id keeps only a
+// hash of it. The read is a stage of its own: it waits on the client,
+// and left unspanned it is the largest stretch of a request no stage
+// accounts for.
 //
 // A body over the cap is a 413 (and closes the connection); any other
 // read error means the client stopped sending, a 499 that is not the
@@ -1152,12 +1154,13 @@ type detectResponse struct {
 }
 
 // suspectDoc resolves the request body to a parsed document and index,
-// through the content-hash cache. The lookup (with the body's sha256
-// that keys it), the parse and the index build each get a stage span on
-// the request trace, so a cold detect shows where its time went (and the
-// cache span's note says hit/miss/coalesced).
+// through the document cache, which the body itself keys. The lookup,
+// the parse and the index build each get a stage span on the request
+// trace, so a cold detect shows where its time went (and the cache
+// span's note says hit/miss/coalesced). A hit copies nothing; a miss
+// copies the body once, into the key its flight and entry keep.
 //
-// Cold lookups are singleflighted on the body hash: under N concurrent
+// Cold lookups are singleflighted on the body: under N concurrent
 // detects of the same uncached body, exactly one request parses and
 // indexes while the other N-1 wait on its flight and share the result.
 // Before the flight, each of the N paid the full parse+index cost — the
@@ -1166,8 +1169,7 @@ type detectResponse struct {
 // nothing to populate, so every request does its own work, as before.
 func (s *Server) suspectDoc(body []byte, tr *obs.Trace) (cachedDoc, bool, error) {
 	csp := tr.StartSpan("cache")
-	sum := sha256.Sum256(body)
-	cd, ok := s.cache.Get(sum)
+	cd, ok := s.cache.get(body)
 	if ok {
 		csp.EndNote("hit")
 		tr.SetCacheHit(true)
@@ -1177,10 +1179,11 @@ func (s *Server) suspectDoc(body []byte, tr *obs.Trace) (cachedDoc, bool, error)
 	if s.opts.CacheEntries == 0 {
 		csp.EndNote("miss")
 		s.met.cacheMiss.Inc()
-		cd, err := s.fillDoc(sum, body, tr)
+		cd, err := s.fillDoc("", body, tr) // nothing is cached, so no key is kept
 		return cd, false, err
 	}
-	call, leader := s.cache.join(sum)
+	key := string(body)
+	call, leader := s.cache.join(key)
 	if !leader {
 		csp.EndNote("coalesced")
 		s.met.cacheCoalesced.Inc()
@@ -1193,8 +1196,8 @@ func (s *Server) suspectDoc(body []byte, tr *obs.Trace) (cachedDoc, bool, error)
 	}
 	// Leader double-check: between our miss and winning the flight, a
 	// previous leader may have completed and populated the cache.
-	if cd, ok := s.cache.Get(sum); ok {
-		s.cache.complete(sum, call, cd, nil)
+	if cd, ok := s.cache.get(body); ok {
+		s.cache.complete(key, call, cd, nil)
 		csp.EndNote("hit")
 		tr.SetCacheHit(true)
 		s.met.cacheHits.Inc()
@@ -1205,14 +1208,15 @@ func (s *Server) suspectDoc(body []byte, tr *obs.Trace) (cachedDoc, bool, error)
 	// Completing in a defer retires the flight even when the fill
 	// panics, so its waiters fail instead of blocking for good.
 	cd, err := cachedDoc{}, errors.New("document parse did not complete")
-	defer func() { s.cache.complete(sum, call, cd, err) }()
-	cd, err = s.fillDoc(sum, body, tr)
+	defer func() { s.cache.complete(key, call, cd, err) }()
+	cd, err = s.fillDoc(key, body, tr)
 	return cd, false, err
 }
 
 // fillDoc does the actual work of a cache miss: parse and index the
-// body, then populate the cache.
-func (s *Server) fillDoc(sum [sha256.Size]byte, body []byte, tr *obs.Trace) (cachedDoc, error) {
+// body, then cache the result under key, the body's own copy, weighted
+// by the bytes that copy holds.
+func (s *Server) fillDoc(key string, body []byte, tr *obs.Trace) (cachedDoc, error) {
 	doc, err := s.parseDoc(body, tr)
 	if err != nil {
 		return cachedDoc{}, err
@@ -1220,7 +1224,7 @@ func (s *Server) fillDoc(sum [sha256.Size]byte, body []byte, tr *obs.Trace) (cac
 	isp := tr.StartSpan("index")
 	cd := cachedDoc{doc: doc, ix: index.New(doc)}
 	isp.End()
-	evicted := s.cache.Put(sum, cd, int64(len(body)))
+	evicted := s.cache.Put(key, cd, int64(len(body)))
 	s.met.cacheEvict.Add(uint64(evicted))
 	return cd, nil
 }

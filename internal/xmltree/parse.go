@@ -51,6 +51,13 @@ type tokenBuilder struct {
 	// one, 0 when nodes are allocated one at a time (see node).
 	slab     []Node
 	nextSlab int
+	// pending is the cursor's last child, a text node, once a second
+	// fragment has joined it (a CDATA section or a dropped comment
+	// splits text into fragments); frags holds its text so far. Merging
+	// each fragment into Value would copy the whole text per fragment,
+	// so flush builds Value once, when the node can no longer grow.
+	pending *Node
+	frags   []byte
 }
 
 // Node slabs start small and double up to maxSlab, so a short document
@@ -92,8 +99,17 @@ func (b *tokenBuilder) node() *Node {
 	return n
 }
 
+// flush sets the pending text node's value from its fragments.
+func (b *tokenBuilder) flush() {
+	if b.pending != nil {
+		b.pending.Value = string(b.frags)
+		b.pending = nil
+	}
+}
+
 // attach appends a fresh node to the cursor's children.
 func (b *tokenBuilder) attach(n *Node) {
+	b.flush()
 	n.Parent = b.cur
 	b.cur.Children = append(b.cur.Children, n)
 }
@@ -123,6 +139,7 @@ func (b *tokenBuilder) enter(el *Node) error {
 
 // end closes the element under the cursor.
 func (b *tokenBuilder) end() {
+	b.flush()
 	b.depth--
 	b.cur = b.cur.Parent
 }
@@ -143,7 +160,11 @@ func (b *tokenBuilder) text(data []byte) error {
 		return fmt.Errorf("xmltree: parse: character data outside document element")
 	}
 	if k := len(b.cur.Children); k > 0 && b.cur.Children[k-1].Kind == TextNode {
-		b.cur.Children[k-1].Value += string(data)
+		if b.pending == nil {
+			b.pending = b.cur.Children[k-1]
+			b.frags = append(b.frags[:0], b.pending.Value...)
+		}
+		b.frags = append(b.frags, data...)
 		return nil
 	}
 	t := b.node()
@@ -231,6 +252,7 @@ func (b *tokenBuilder) token(tok xml.Token) error {
 
 // finish validates end-of-input state and returns the document.
 func (b *tokenBuilder) finish() (*Node, error) {
+	b.flush()
 	if b.cur != b.doc {
 		return nil, fmt.Errorf("xmltree: parse: unexpected EOF inside element %q", b.cur.Name)
 	}

@@ -1,6 +1,7 @@
 package xmltree
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -99,6 +100,42 @@ func TestParseMergesAdjacentText(t *testing.T) {
 	}
 	if got := doc.Root().Text(); got != "onetwothree" {
 		t.Errorf("text = %q", got)
+	}
+}
+
+// TestFragmentedTextLinear: text split into n fragments, by CDATA
+// sections or by comments the parser drops, merges into one text node
+// in work linear in n. It compares the bytes ParseBytes allocates at n
+// and 4n fragments: linear work gives a ratio near 4, merging each
+// fragment into the text so far gives one near 16. Entity references
+// never split text and are the linear control.
+func TestFragmentedTextLinear(t *testing.T) {
+	const n = 5000
+	for _, tc := range []struct{ frag, text string }{
+		{"a<![CDATA[b]]>", "ab"},
+		{"a<!---->", "a"},
+		{"a&amp;", "a&"},
+	} {
+		allocated := func(k int) uint64 {
+			src := []byte("<r>" + strings.Repeat(tc.frag, k) + "</r>")
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			doc, err := ParseBytes(src, ParseOptions{})
+			runtime.ReadMemStats(&after)
+			if err != nil {
+				t.Fatalf("%s x %d: %v", tc.frag, k, err)
+			}
+			if kids := doc.Root().Children; len(kids) != 1 || kids[0].Value != strings.Repeat(tc.text, k) {
+				t.Fatalf("%s x %d: want one text node of %d bytes, got %d children", tc.frag, k, k*len(tc.text), len(kids))
+			}
+			return after.TotalAlloc - before.TotalAlloc
+		}
+		small, large := allocated(n), allocated(4*n)
+		ratio := float64(large) / float64(small)
+		t.Logf("%s: %d bytes at %d fragments, %d at %d: ratio %.1f", tc.frag, small, n, large, 4*n, ratio)
+		if ratio >= 8 {
+			t.Errorf("%s: parsing 4x the fragments allocates %.1fx the bytes, want under 8x", tc.frag, ratio)
+		}
 	}
 }
 
