@@ -32,7 +32,6 @@ import (
 	"wmxml/internal/index"
 	"wmxml/internal/schema"
 	"wmxml/internal/semantics"
-	"wmxml/internal/wa"
 	"wmxml/internal/wmark"
 	"wmxml/internal/xmltree"
 	"wmxml/internal/xpath"
@@ -115,8 +114,15 @@ func (c Config) validate() error {
 	return nil
 }
 
-func (c Config) selector() (*wmark.Selector, error) {
-	return wmark.NewSelector(c.Key, c.Gamma, len(c.Mark), c.Xi)
+// keyed is the prologue of embedding and decoding alike: it returns
+// the defaulted configuration, validated, and its keyed selector.
+func (c Config) keyed() (Config, *wmark.Selector, error) {
+	c = c.withDefaults()
+	if err := c.validate(); err != nil {
+		return c, nil, err
+	}
+	sel, err := wmark.NewSelector(c.Key, c.Gamma, len(c.Mark), c.Xi)
+	return c, sel, err
 }
 
 // QueryRecord is one entry of the safeguarded query set Q: the identity
@@ -332,23 +338,14 @@ type DecodeResult struct {
 // queries (optionally rewritten through rw) against the suspect document,
 // extract one bit per retrieved value, majority-vote and score against
 // cfg.Mark. rw may be nil when the suspect document kept the original
-// schema.
+// schema. It compiles a plan for one use; callers decoding the same
+// receipt repeatedly should keep the plan.
 func DetectWithQueries(doc *xmltree.Node, cfg Config, records []QueryRecord, rw Rewriter) (*DetectResult, error) {
-	return DetectWithQueriesIndexed(doc, cfg, records, rw, nil)
-}
-
-// DetectWithQueriesIndexed is DetectWithQueries reusing a
-// caller-provided document index (built over doc and current — call
-// Invalidate/Rebuild after mutating the document). A nil ix builds one
-// internally (unless cfg.DisableIndex is set). The index is what makes
-// detection near-linear: each identity query resolves through a
-// key-value lookup instead of a root-down tree scan.
-func DetectWithQueriesIndexed(doc *xmltree.Node, cfg Config, records []QueryRecord, rw Rewriter, ix *index.Index) (*DetectResult, error) {
-	dec, err := DecodeWithQueriesIndexed(doc, cfg, records, rw, ix)
+	p, err := CompileDecodePlan(cfg, records, rw)
 	if err != nil {
 		return nil, err
 	}
-	return ScoreDecode(dec, cfg), nil
+	return p.Detect(doc, nil), nil
 }
 
 // ScoreDecode turns a decoded vote table into a detection verdict
@@ -366,211 +363,13 @@ func ScoreDecode(dec *DecodeResult, cfg Config) *DetectResult {
 	return res
 }
 
-// CompiledRecord is one safeguarded query record compiled for decoding:
-// the parsed query (rewritten if a Rewriter was supplied), the
-// extraction plug-in and the keyed bit assignment. Compiling once and
-// executing many times is what lets the streaming decoder run the same
-// record against every chunk without recompiling.
-type CompiledRecord struct {
-	// Record is the source record.
-	Record QueryRecord
-
-	alg           wa.Algorithm
-	q             *xpath.Query
-	bitIndex      int
-	params        wa.Params
-	rewriteFailed bool
-}
-
-// Runnable reports whether the record participates in decoding: its
-// type has an extraction plug-in and its query survived rewriting.
-func (cr *CompiledRecord) Runnable() bool { return cr.alg != nil && !cr.rewriteFailed }
-
-// RewriteFailed reports whether the rewriter could not translate the
-// record's query (the record votes one miss and counts as a rewrite
-// error).
-func (cr *CompiledRecord) RewriteFailed() bool { return cr.rewriteFailed }
-
-// Query returns the compiled (possibly rewritten) query, nil when the
-// record is not runnable.
-func (cr *CompiledRecord) Query() *xpath.Query { return cr.q }
-
-// DecodeInto executes the record's query against doc through sc (see
-// xpath.Scratch for the aliasing contract: the selected items are
-// consumed before sc's next use) and folds one vote (or extraction miss)
-// per selected item into v. It returns the number of selected items; the
-// zero-selection miss bookkeeping is the caller's, because only the
-// caller knows whether "nothing here" is final (whole document) or
-// partial (one chunk of many).
-func (cr *CompiledRecord) DecodeInto(doc *xmltree.Node, dix xpath.DocIndex, v *wmark.Votes, sc *xpath.Scratch) int {
-	items := cr.q.SelectIndexedScratch(doc, dix, sc)
-	for _, item := range items {
-		bit, ok := cr.alg.Extract(item.Value(), cr.params)
-		if !ok {
-			v.AddMiss()
-			continue
-		}
-		v.Add(cr.bitIndex, bit)
-	}
-	return len(items)
-}
-
-// CompileRecords compiles a query set for decoding under cfg. Rewriting
-// (when rw is non-nil) happens here, once per record. The first
-// unparseable type or query, in record order, is returned as the error;
-// rewrite failures are not errors — they mark the record RewriteFailed,
-// mirroring detection's tolerance for partially translatable query
-// sets.
-func CompileRecords(cfg Config, records []QueryRecord, rw Rewriter) ([]CompiledRecord, error) {
-	cfg = cfg.withDefaults()
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
-	sel, err := cfg.selector()
-	if err != nil {
-		return nil, err
-	}
-	out := make([]CompiledRecord, len(records))
-	for i, rec := range records {
-		out[i].Record = rec
-		dt, err := schema.ParseDataType(rec.Type)
-		if err != nil {
-			return nil, fmt.Errorf("core: record %q: %w", rec.ID, err)
-		}
-		alg := wa.ForType(dt)
-		if alg == nil {
-			continue
-		}
-		q, err := xpath.Compile(rec.Query)
-		if err != nil {
-			return nil, fmt.Errorf("core: record query %q: %w", rec.Query, err)
-		}
-		if rw != nil {
-			rq, err := rw.RewriteQuery(q)
-			if err != nil {
-				out[i].rewriteFailed = true
-				continue
-			}
-			q = rq
-		}
-		out[i].alg = alg
-		out[i].q = q
-		out[i].bitIndex = sel.BitIndex(rec.ID)
-		out[i].params = wa.Params{BitPosition: sel.PositionIn(rec.ID, cfg.XiByTarget[rec.Target])}
-	}
-	return out, nil
-}
-
-// DecodeWithQueriesIndexed runs the query-execution and bit-extraction
-// phase of detection and returns the raw vote table: cfg.Mark supplies
-// only the bit length and the keyed bit-index mapping, its values are
-// not compared. A nil ix builds an index internally (unless
-// cfg.DisableIndex is set).
-func DecodeWithQueriesIndexed(doc *xmltree.Node, cfg Config, records []QueryRecord, rw Rewriter, ix *index.Index) (*DecodeResult, error) {
-	// Compile-and-throw-away form of the plan API. Callers decoding the
-	// same receipt repeatedly should compile the plan once and keep it.
-	plan, err := CompileDecodePlan(cfg, records, rw)
-	if err != nil {
-		return nil, err
-	}
-	return plan.Decode(doc, ix), nil
-}
-
 // DetectBlind re-derives the carriers from the suspect document itself
-// (no stored Q): it enumerates bandwidth units exactly as the encoder
-// did and reads bits from the units the key selects. It requires the
-// suspect document to still follow the original schema; value alteration
-// only adds vote noise.
+// (no stored Q) through a blind plan compiled for one use; see
+// CompileBlindPlan.
 func DetectBlind(doc *xmltree.Node, cfg Config) (*DetectResult, error) {
-	return DetectBlindIndexed(doc, cfg, nil)
-}
-
-// DetectBlindIndexed is DetectBlind reusing a caller-provided document
-// index (built over doc and current). A nil ix builds one internally
-// (unless cfg.DisableIndex is set).
-func DetectBlindIndexed(doc *xmltree.Node, cfg Config, ix *index.Index) (*DetectResult, error) {
-	dec, err := DecodeBlindIndexed(doc, cfg, ix)
+	p, err := CompileBlindPlan(cfg)
 	if err != nil {
 		return nil, err
 	}
-	return ScoreDecode(dec, cfg), nil
-}
-
-// BlindDecoder is the unit-level half of blind detection: given an
-// enumerated bandwidth unit, it applies the keyed carrier selection and
-// reads the unit's items into a vote table. DecodeBlindIndexed drives
-// it over a whole document's units; the streaming layer drives the very
-// same code over each chunk's units, which is what keeps the two
-// bit-for-bit identical.
-type BlindDecoder struct {
-	cfg Config
-	sel *wmark.Selector
-}
-
-// NewBlindDecoder validates cfg and builds the decoder.
-func NewBlindDecoder(cfg Config) (*BlindDecoder, error) {
-	cfg = cfg.withDefaults()
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
-	sel, err := cfg.selector()
-	if err != nil {
-		return nil, err
-	}
-	return &BlindDecoder{cfg: cfg, sel: sel}, nil
-}
-
-// Config returns the decoder's defaulted configuration.
-func (d *BlindDecoder) Config() Config { return d.cfg }
-
-// DecodeUnit reads one unit: if the key selects it and its type has an
-// extraction plug-in, every item votes (or misses) into v. ran reports
-// whether the unit participated (it counts as one executed query);
-// extracted reports whether at least one item yielded a bit (a
-// participating unit with none is a query miss — but for a unit split
-// across chunks only the caller can total that across its parts).
-func (d *BlindDecoder) DecodeUnit(u identity.Unit, v *wmark.Votes) (ran, extracted bool) {
-	s, ok := carrier(u, d.sel, d.cfg.XiByTarget)
-	if !ok || s.Alg == nil {
-		return false, false
-	}
-	for _, item := range u.Items {
-		bit, ok := s.Alg.Extract(item.Value(), s.Params)
-		if !ok {
-			v.AddMiss()
-			continue
-		}
-		v.Add(s.BitIndex, bit)
-		extracted = true
-	}
-	return true, extracted
-}
-
-// DecodeBlindIndexed is the blind counterpart of
-// DecodeWithQueriesIndexed: it re-derives the carriers from the suspect
-// document itself and returns the raw vote table unscored.
-func DecodeBlindIndexed(doc *xmltree.Node, cfg Config, ix *index.Index) (*DecodeResult, error) {
-	dec, err := NewBlindDecoder(cfg)
-	if err != nil {
-		return nil, err
-	}
-	cfg = dec.cfg
-	dix := docIndex(doc, cfg, ix)
-	builder := identity.NewBuilder(cfg.Schema, cfg.Catalog, cfg.Identity)
-	units, _, err := builder.UnitsIndexed(doc, dix)
-	if err != nil {
-		return nil, err
-	}
-	res := &DecodeResult{Votes: wmark.NewVotes(len(cfg.Mark))}
-	for _, u := range units {
-		ran, extracted := dec.DecodeUnit(u, res.Votes)
-		if !ran {
-			continue
-		}
-		res.QueriesRun++
-		if !extracted {
-			res.QueryMisses++
-		}
-	}
-	return res, nil
+	return p.Detect(doc, nil), nil
 }

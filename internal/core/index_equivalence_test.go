@@ -143,10 +143,11 @@ func TestSharedIndexAcrossEmbedAndDetect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dr, err := DetectWithQueriesIndexed(doc, cfg, er.Records, nil, ix)
+	plan, err := CompileDecodePlan(cfg, er.Records, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	dr := plan.Detect(doc, ix)
 	if !dr.Detected || dr.MatchFraction != 1.0 || dr.QueryMisses != 0 {
 		t.Fatalf("shared-index detection: %+v", dr)
 	}

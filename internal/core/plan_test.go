@@ -65,10 +65,11 @@ func planFixture(t *testing.T, books int) planFixtureOut {
 	}
 	refCfg := cfg
 	refCfg.DisableIndex = true
-	baseline, err := DecodeWithQueriesIndexed(doc, refCfg, er.Records, nil, nil)
+	refPlan, err := CompileDecodePlan(refCfg, er.Records, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	baseline := refPlan.Decode(doc, nil)
 	plan, err := CompileDecodePlan(cfg, er.Records, nil)
 	if err != nil {
 		t.Fatal(err)

@@ -39,11 +39,7 @@ type EmbedSite struct {
 // are never consulted. A nil ix builds an index internally (unless
 // cfg.DisableIndex is set).
 func EnumerateEmbedSites(doc *xmltree.Node, cfg Config, ix *index.Index) ([]EmbedSite, identity.Report, error) {
-	cfg = cfg.withDefaults()
-	if err := cfg.validate(); err != nil {
-		return nil, identity.Report{}, err
-	}
-	sel, err := cfg.selector()
+	cfg, sel, err := cfg.keyed()
 	if err != nil {
 		return nil, identity.Report{}, err
 	}
@@ -71,7 +67,7 @@ func EnumerateEmbedSites(doc *xmltree.Node, cfg Config, ix *index.Index) ([]Embe
 // carrier applies the keyed selection to u and, for a selected unit,
 // derives the mark bit it carries, its low-order position and the
 // plug-in for its type. Insertion (EnumerateEmbedSites, which embedding
-// and delivery plans share) and blind decoding (BlindDecoder.DecodeUnit)
+// and delivery plans share) and blind decoding (a blind DecodePlan)
 // both derive carriers here, so they cannot disagree about one.
 func carrier(u identity.Unit, sel *wmark.Selector, xiByTarget map[string]int) (EmbedSite, bool) {
 	if !sel.Selected(u.ID) {

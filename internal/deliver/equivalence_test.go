@@ -15,6 +15,7 @@ import (
 	"strings"
 	"testing"
 
+	"wmxml/internal/core"
 	"wmxml/internal/datagen"
 	"wmxml/internal/fingerprint"
 	"wmxml/internal/xmltree"
@@ -226,8 +227,12 @@ func TestTraceEquivalence(t *testing.T) {
 		optsS := fingerprint.TraceOptions{}
 		optsF := fingerprint.TraceOptions{}
 		if mode == "queries" {
-			optsS.Records = rec.Records
-			optsF.Records = res.Records
+			if optsS.Plan, err = core.CompileDecodePlan(fp.PlanConfig(), rec.Records, nil); err != nil {
+				t.Fatal(err)
+			}
+			if optsF.Plan, err = core.CompileDecodePlan(fp.PlanConfig(), res.Records, nil); err != nil {
+				t.Fatal(err)
+			}
 		}
 		trS, err := fp.Trace(splicedDoc, candidates, optsS)
 		if err != nil {

@@ -46,7 +46,11 @@ func BenchmarkTraceSweep20(b *testing.B) {
 	s, doc, ix, records, candidates := benchFixture(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := s.Trace(doc, candidates, TraceOptions{Records: records, Index: ix})
+		plan, err := core.CompileDecodePlan(s.PlanConfig(), records, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		res, err := s.Trace(doc, candidates, TraceOptions{Plan: plan, Index: ix})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -68,10 +72,11 @@ func BenchmarkPerRecipientDetectSweep20(b *testing.B) {
 		hits := 0
 		for _, cand := range candidates {
 			cfg := s.configFor(s.Payload(cand))
-			res, err := core.DetectWithQueriesIndexed(doc, cfg, records, nil, ix)
+			plan, err := core.CompileDecodePlan(cfg, records, nil)
 			if err != nil {
 				b.Fatal(err)
 			}
+			res := plan.Detect(doc, ix)
 			if res.Detected {
 				hits++
 			}

@@ -23,7 +23,7 @@
 //     marking assumption), and tracing can decode any mix against one
 //     carrier layout.
 //   - Tracing: the suspect document is decoded ONCE into a per-bit
-//     vote table (core.Decode*), the replicated positions are folded
+//     vote table (core.DecodePlan), the replicated positions are folded
 //     onto the base code, and each candidate recipient is scored by
 //     how well the recovered bits correlate with their codeword. The
 //     null hypothesis (innocent recipient) is a fair coin per voted
@@ -261,23 +261,17 @@ type TraceResult struct {
 
 // TraceOptions selects how the suspect document is decoded.
 type TraceOptions struct {
-	// Records is a safeguarded query set from any fingerprint embedding
-	// of this document type; nil decodes blind (the suspect must still
-	// follow the original schema — true for value-level collusion).
-	Records []core.QueryRecord
-	// Rewriter translates queries for a re-organized suspect (with
-	// Records only).
-	Rewriter core.Rewriter
+	// Plan is a decode plan compiled under PlanConfig, from a
+	// safeguarded query set of any fingerprint embedding of this
+	// document type (rewritten for a re-organized suspect if need be);
+	// its mark length must equal PayloadBits. nil decodes blind: the
+	// suspect must still follow the original schema, which holds for
+	// value-level collusion.
+	Plan *core.DecodePlan
 	// Index is an optional caller-built index over the suspect; nil
 	// builds one internally. The wmxmld doc cache passes one here so
 	// repeated traces of the same suspect skip reparse + index build.
 	Index *index.Index
-	// Plan is an optional decode plan precompiled from Records under
-	// PlanConfig (same geometry as this system). When set, Records and
-	// Rewriter are ignored and the decode skips query compilation — the
-	// warm path for repeated traces of one owner's receipts. The plan's
-	// mark length must equal PayloadBits.
-	Plan *core.DecodePlan
 	// Trace receives "decode" and "correlate" stage spans when the call
 	// runs under an instrumented request; nil records nothing.
 	Trace *obs.Trace
@@ -290,26 +284,18 @@ func (s *System) Trace(doc *xmltree.Node, candidates []string, opts TraceOptions
 	if len(candidates) == 0 {
 		return nil, fmt.Errorf("fingerprint: no candidate recipients to trace against")
 	}
-	var dec *core.DecodeResult
-	var err error
-	dsp := opts.Trace.StartSpan("decode")
-	switch {
-	case opts.Plan != nil:
-		if got := opts.Plan.MarkLen(); got != s.PayloadBits() {
-			return nil, fmt.Errorf("fingerprint: trace plan decodes %d bits, system payload is %d", got, s.PayloadBits())
+	p := opts.Plan
+	if p == nil {
+		var err error
+		if p, err = core.CompileBlindPlan(s.PlanConfig()); err != nil {
+			return nil, err
 		}
-		dec = opts.Plan.Decode(doc, opts.Index)
-	case opts.Records != nil:
-		cfg := s.configFor(make(wmark.Bits, s.PayloadBits()))
-		dec, err = core.DecodeWithQueriesIndexed(doc, cfg, opts.Records, opts.Rewriter, opts.Index)
-	default:
-		cfg := s.configFor(make(wmark.Bits, s.PayloadBits()))
-		dec, err = core.DecodeBlindIndexed(doc, cfg, opts.Index)
+	} else if got := len(p.Config().Mark); got != s.PayloadBits() {
+		return nil, fmt.Errorf("fingerprint: trace plan decodes %d bits, system payload is %d", got, s.PayloadBits())
 	}
+	dsp := opts.Trace.StartSpan("decode")
+	dec := p.Decode(doc, opts.Index)
 	dsp.End()
-	if err != nil {
-		return nil, err
-	}
 	csp := opts.Trace.StartSpan("correlate")
 	res := s.scoreVotes(dec, candidates)
 	csp.End()

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"wmxml/internal/core"
 	"wmxml/internal/datagen"
 	"wmxml/internal/index"
 )
@@ -79,9 +80,13 @@ func TestSingleLeakerTrace(t *testing.T) {
 		t.Fatal("no carriers selected")
 	}
 
+	plan, err := core.CompileDecodePlan(s.PlanConfig(), rec.Records, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for name, opts := range map[string]TraceOptions{
 		"blind":   {},
-		"records": {Records: rec.Records},
+		"records": {Plan: plan},
 	} {
 		res, err := s.Trace(copyDoc, recipients, opts)
 		if err != nil {
@@ -127,7 +132,11 @@ func TestTraceSweepSharesOneDecode(t *testing.T) {
 		t.Fatal(err)
 	}
 	ix := index.New(copyDoc)
-	one, err := s.Trace(copyDoc, []string{"leaker"}, TraceOptions{Records: rec.Records, Index: ix})
+	plan, err := core.CompileDecodePlan(s.PlanConfig(), rec.Records, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	one, err := s.Trace(copyDoc, []string{"leaker"}, TraceOptions{Plan: plan, Index: ix})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +144,7 @@ func TestTraceSweepSharesOneDecode(t *testing.T) {
 	for i := 0; i < 19; i++ {
 		many = append(many, fmt.Sprintf("innocent-%d", i))
 	}
-	wide, err := s.Trace(copyDoc, many, TraceOptions{Records: rec.Records, Index: ix})
+	wide, err := s.Trace(copyDoc, many, TraceOptions{Plan: plan, Index: ix})
 	if err != nil {
 		t.Fatal(err)
 	}

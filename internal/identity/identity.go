@@ -318,6 +318,8 @@ func (b *Builder) Units(doc *xmltree.Node) ([]Unit, Report, error) {
 // UnitsIndexed is Units with a shared document index accelerating scope
 // enumeration (one rooted-path lookup per target instead of one tree
 // walk). ix may be nil; the enumerated units are identical either way.
+// Its errors depend only on the builder's configuration (targets,
+// scopes, key, field and group paths), never on doc.
 func (b *Builder) UnitsIndexed(doc *xmltree.Node, ix xpath.DocIndex) ([]Unit, Report, error) {
 	rep := Report{Skipped: make(map[string]int)}
 	targets, err := b.ResolveTargets()
@@ -484,16 +486,16 @@ func (b *Builder) positionalUnits(units []Unit, doc *xmltree.Node, tgt Target, i
 	if err != nil {
 		return nil, err
 	}
-	sh, shapeErr := newShape(tgt.Scope, nil, fieldQ)
+	sh, err := newShape(tgt.Scope, nil, fieldQ)
+	if err != nil {
+		return nil, err
+	}
 	units = slices.Grow(units, len(insts))
 	for idx, inst := range insts {
 		item, ok := fieldQ.SelectFirst(inst)
 		if !ok {
 			rep.Skipped["missing field "+tgt.Field]++
 			continue
-		}
-		if shapeErr != nil {
-			return nil, shapeErr
 		}
 		units = append(units, Unit{
 			ID:      canonicalID("pos", tgt.Scope, tgt.Field, strconv.Itoa(idx+1)),

@@ -222,10 +222,10 @@ func (s *Schema) Validate(doc *xmltree.Node) []Violation {
 	var out []Violation
 	root := doc.Root()
 	if root == nil {
-		return []Violation{{Path: "/", Reason: "document has no root element"}}
+		return []Violation{{Node: doc, Reason: "document has no root element"}}
 	}
 	if root.Name != s.Root {
-		out = append(out, Violation{Path: root.Path(),
+		out = append(out, Violation{Node: root,
 			Reason: fmt.Sprintf("root element is %q, schema expects %q", root.Name, s.Root)})
 		return out
 	}
@@ -236,24 +236,24 @@ func (s *Schema) Validate(doc *xmltree.Node) []Violation {
 func (s *Schema) validateElement(n *xmltree.Node, out *[]Violation) {
 	decl := s.Elements[n.Name]
 	if decl == nil {
-		*out = append(*out, Violation{Path: n.Path(), Reason: fmt.Sprintf("undeclared element %q", n.Name)})
+		*out = append(*out, Violation{Node: n, Reason: fmt.Sprintf("undeclared element %q", n.Name)})
 		return
 	}
 	// Attributes.
 	for _, a := range n.Attrs {
 		ad, ok := decl.Attr(a.Name)
 		if !ok {
-			*out = append(*out, Violation{Path: n.Path(), Reason: fmt.Sprintf("undeclared attribute %q", a.Name)})
+			*out = append(*out, Violation{Node: n, Reason: fmt.Sprintf("undeclared attribute %q", a.Name)})
 			continue
 		}
 		if !ad.Type.ValidValue(a.Value) {
-			*out = append(*out, Violation{Path: n.Path(),
+			*out = append(*out, Violation{Node: n,
 				Reason: fmt.Sprintf("attribute %q value %q is not a valid %s", a.Name, clip(a.Value), ad.Type)})
 		}
 	}
 	for _, ad := range decl.Attrs {
 		if ad.Required && !n.HasAttr(ad.Name) {
-			*out = append(*out, Violation{Path: n.Path(), Reason: fmt.Sprintf("missing required attribute %q", ad.Name)})
+			*out = append(*out, Violation{Node: n, Reason: fmt.Sprintf("missing required attribute %q", ad.Name)})
 		}
 	}
 	// Children.
@@ -261,7 +261,7 @@ func (s *Schema) validateElement(n *xmltree.Node, out *[]Violation) {
 	for _, c := range n.ChildElements() {
 		counts[c.Name]++
 		if _, ok := decl.Child(c.Name); !ok {
-			*out = append(*out, Violation{Path: c.Path(),
+			*out = append(*out, Violation{Node: c,
 				Reason: fmt.Sprintf("element %q not allowed under %q", c.Name, n.Name)})
 			continue
 		}
@@ -270,31 +270,33 @@ func (s *Schema) validateElement(n *xmltree.Node, out *[]Violation) {
 	for _, cd := range decl.Children {
 		got := counts[cd.Name]
 		if got < cd.MinOccurs {
-			*out = append(*out, Violation{Path: n.Path(),
+			*out = append(*out, Violation{Node: n,
 				Reason: fmt.Sprintf("element %q requires at least %d %q children, found %d", n.Name, cd.MinOccurs, cd.Name, got)})
 		}
 		if cd.MaxOccurs != Unbounded && got > cd.MaxOccurs {
-			*out = append(*out, Violation{Path: n.Path(),
+			*out = append(*out, Violation{Node: n,
 				Reason: fmt.Sprintf("element %q allows at most %d %q children, found %d", n.Name, cd.MaxOccurs, cd.Name, got)})
 		}
 	}
 	// Leaf value type.
 	if decl.IsLeaf() && decl.Type != TypeNone && decl.Type != TypeString {
 		if v := n.Text(); v != "" && !decl.Type.ValidValue(v) {
-			*out = append(*out, Violation{Path: n.Path(),
+			*out = append(*out, Violation{Node: n,
 				Reason: fmt.Sprintf("value %q is not a valid %s", clip(v), decl.Type)})
 		}
 	}
 }
 
-// Violation is one schema validation failure.
+// Violation is one schema validation failure at Node. Its path is
+// built only when the violation is rendered: Node.Path scans the
+// siblings, so one per violation would be quadratic on a wide parent.
 type Violation struct {
-	Path   string
+	Node   *xmltree.Node
 	Reason string
 }
 
-// Error renders the violation as an error string.
-func (v Violation) String() string { return v.Path + ": " + v.Reason }
+// String renders the violation as "path: reason".
+func (v Violation) String() string { return v.Node.Path() + ": " + v.Reason }
 
 func clip(s string) string {
 	if len(s) > 40 {

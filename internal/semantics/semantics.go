@@ -118,18 +118,24 @@ func VerifyKey(doc *xmltree.Node, key Key) (KeyReport, error) {
 		return rep, fmt.Errorf("semantics: key path %q: %w", key.KeyPath, err)
 	}
 	rep.Instances = len(insts)
-	byVal := make(map[string][]string)
+	// Node.Path scans the siblings, so a path is built only for the
+	// instances a duplicate group reports: one per instance would be
+	// quadratic on a wide parent.
+	byVal := make(map[string][]*xmltree.Node)
 	for _, inst := range insts {
 		v, ok := relValue(inst, rel)
 		if !ok || strings.TrimSpace(v) == "" {
 			rep.Missing++
 			continue
 		}
-		byVal[v] = append(byVal[v], inst.Path())
+		byVal[v] = append(byVal[v], inst)
 	}
-	for v, paths := range byVal {
-		if len(paths) > 1 {
-			rep.Duplicates[v] = paths
+	for v, dups := range byVal {
+		if len(dups) < 2 {
+			continue
+		}
+		for _, inst := range dups {
+			rep.Duplicates[v] = append(rep.Duplicates[v], inst.Path())
 		}
 	}
 	return rep, nil

@@ -1265,12 +1265,11 @@ func (s *Server) handleDetect(w http.ResponseWriter, r *http.Request) error {
 	if blind {
 		resp.Mode = "blind"
 		resp.ReceiptsTried = 1
-		dsp := tr.StartSpan("decode")
-		best, err = core.DetectBlindIndexed(cd.doc, rt.cfg, cd.ix)
-		dsp.End()
+		pl, err := core.CompileBlindPlan(rt.cfg)
 		if err != nil {
 			return errf(http.StatusUnprocessableEntity, "detect: %v", err)
 		}
+		best = pl.DetectTraced(cd.doc, cd.ix, tr)
 	} else {
 		rsp := tr.StartSpan("registry")
 		recs, err := s.detectReceipts(ownerID, q.Get("receipt"), "blind")

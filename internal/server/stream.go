@@ -203,23 +203,34 @@ func (s *Server) handleDetectStream(w http.ResponseWriter, r *http.Request, rt *
 
 	resp := streamDetectResponse{detectResponse: detectResponse{Owner: ownerID, Mode: "stream-blind"}}
 
-	var records []core.QueryRecord
-	if !blind {
+	// One pass over the body decodes it once, so the plan is compiled
+	// here rather than taken from (or added to) the decode-plan cache.
+	var (
+		plan *core.DecodePlan
+		err  error
+	)
+	if blind {
+		plan, err = core.CompileBlindPlan(rt.cfg)
+	} else {
 		resp.Mode = "stream"
-		recs, err := s.detectReceipts(ownerID, want, "stream-blind")
-		if err != nil {
-			return err
+		recs, rerr := s.detectReceipts(ownerID, want, "stream-blind")
+		if rerr != nil {
+			return rerr
 		}
 		// One pass over the body allows one query set; the newest
 		// embedding is the likeliest source. Clients disputing older
 		// receipts pass ?receipt=ID explicitly.
 		newest := recs[len(recs)-1]
-		records, resp.Receipt, resp.ReceiptsTried = newest.Records, newest.ID, 1
+		resp.Receipt, resp.ReceiptsTried = newest.ID, 1
+		plan, err = core.CompileDecodePlan(rt.cfg, newest.Records, nil)
+	}
+	if err != nil {
+		return errf(http.StatusUnprocessableEntity, "stream: %v", err)
 	}
 
 	// Same guard as streamed embed: never take the in-memory fallback
 	// on a stream-sized body.
-	reason, err := stream.DetectFallbackReason(rt.cfg, records, nil)
+	reason, err := stream.DetectFallbackReason(plan)
 	if err != nil {
 		return errf(http.StatusUnprocessableEntity, "stream: %v", err)
 	}
@@ -228,16 +239,7 @@ func (s *Server) handleDetectStream(w http.ResponseWriter, r *http.Request, rt *
 	}
 
 	digest := sha256.New()
-	body := io.TeeReader(s.capBody(r), digest)
-	var (
-		res   *core.DetectResult
-		stats stream.Stats
-	)
-	if blind {
-		res, stats, err = stream.DetectBlind(r.Context(), body, rt.cfg, s.streamOptions())
-	} else {
-		res, stats, err = stream.Detect(r.Context(), body, rt.cfg, records, nil, s.streamOptions())
-	}
+	res, stats, err := stream.DetectPlan(r.Context(), io.TeeReader(s.capBody(r), digest), plan, s.streamOptions())
 	if err != nil {
 		return s.streamErr(w, r, err)
 	}

@@ -121,7 +121,7 @@ func TestDecodeCancelMidStream(t *testing.T) {
 	pr := &pausingReader{data: src, pauseAt: half, resume: make(chan struct{}), pause: make(chan struct{})}
 	done := make(chan error, 1)
 	go func() {
-		_, err := DecodeBlind(ctx, pr, cfg, Options{ChunkSize: 10, Workers: 4})
+		_, _, err := DetectBlind(ctx, pr, cfg, Options{ChunkSize: 10, Workers: 4})
 		done <- err
 	}()
 	<-pr.paused()
@@ -210,7 +210,7 @@ func TestDecodeReaderFailureMidDocument(t *testing.T) {
 			return err
 		}},
 		{"decode-blind", func(r io.Reader) error {
-			_, err := DecodeBlind(context.Background(), r, cfg, opts)
+			_, _, err := DetectBlind(context.Background(), r, cfg, opts)
 			return err
 		}},
 	}

@@ -107,10 +107,11 @@ func TestConformanceFastPathEquivalence(t *testing.T) {
 			}
 			baseCfg := cfg
 			baseCfg.DisableIndex = true
-			baseline, err := core.DecodeWithQueriesIndexed(refMarked, baseCfg, refRes.Records, nil, nil)
+			basePlan, err := core.CompileDecodePlan(baseCfg, refRes.Records, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
+			baseline := basePlan.Decode(refMarked, nil)
 			plan, err := core.CompileDecodePlan(cfg, fastRes.Records, nil)
 			if err != nil {
 				t.Fatal(err)

@@ -37,31 +37,6 @@ func EmbedFallbackReason(cfg core.Config) (string, error) {
 	return p.fallback, nil
 }
 
-// DetectFallbackReason is EmbedFallbackReason for streamed detection
-// with the given query set (nil records = blind).
-func DetectFallbackReason(cfg core.Config, records []core.QueryRecord, rw core.Rewriter) (string, error) {
-	p, err := buildPlan(cfg)
-	if err != nil {
-		return "", err
-	}
-	if p.fallback != "" {
-		return p.fallback, nil
-	}
-	if records == nil {
-		return "", nil
-	}
-	compiled, err := core.CompileRecords(cfg, records, rw)
-	if err != nil {
-		return "", err
-	}
-	for i := range compiled {
-		if compiled[i].Runnable() && !chunkLocal(compiled[i].Query()) {
-			return "query set is not chunk-local (positional or upward-looking query)", nil
-		}
-	}
-	return "", nil
-}
-
 // Embed reads an XML document from r, embeds the watermark under cfg,
 // and writes the marked document to w — byte-identical to parsing the
 // whole document, running core.Embed and serializing with the same

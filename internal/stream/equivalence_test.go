@@ -110,11 +110,12 @@ func checkEquivalence(t *testing.T, src []byte, cfg core.Config, opts Options) {
 	if err != nil {
 		t.Fatalf("reparse marked: %v", err)
 	}
-	wantDec, err := core.DecodeWithQueriesIndexed(markedDoc, cfg, wantRes.Records, nil, nil)
+	plan, err := core.CompileDecodePlan(cfg, wantRes.Records, nil)
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
-	gotDec, err := Decode(context.Background(), bytes.NewReader(wantOut), cfg, wantRes.Records, nil, opts)
+	wantDec := plan.Decode(markedDoc, nil)
+	gotDec, err := Decode(context.Background(), bytes.NewReader(wantOut), plan, opts)
 	if err != nil {
 		t.Fatalf("stream decode: %v", err)
 	}
@@ -131,11 +132,12 @@ func checkEquivalence(t *testing.T, src []byte, cfg core.Config, opts Options) {
 			wantDec.QueriesRun, wantDec.QueryMisses, wantDec.RewriteErrors)
 	}
 
-	wantBlind, err := core.DecodeBlindIndexed(markedDoc, cfg, nil)
+	blind, err := core.CompileBlindPlan(cfg)
 	if err != nil {
 		t.Fatalf("blind decode: %v", err)
 	}
-	gotBlind, err := DecodeBlind(context.Background(), bytes.NewReader(wantOut), cfg, opts)
+	wantBlind := blind.Decode(markedDoc, nil)
+	gotBlind, err := Decode(context.Background(), bytes.NewReader(wantOut), blind, opts)
 	if err != nil {
 		t.Fatalf("stream blind decode: %v", err)
 	}
@@ -247,7 +249,11 @@ func TestStreamFallbacks(t *testing.T) {
 		// A hand-written positional record must force the queries-mode
 		// fallback: /db/book[2]/year selects a different book per chunk.
 		recs := []core.QueryRecord{{ID: "pos\x1fdb/book\x1fyear\x1f2", Query: "/db/book[2]/year", Type: "integer", Target: "db/book/year"}}
-		dec, err := Decode(context.Background(), bytes.NewReader(src), cfg, recs, nil, Options{ChunkSize: 8})
+		plan, err := core.CompileDecodePlan(cfg, recs, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dec, err := Decode(context.Background(), bytes.NewReader(src), plan, Options{ChunkSize: 8})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -259,10 +265,7 @@ func TestStreamFallbacks(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := core.DecodeWithQueriesIndexed(doc, cfg, recs, nil, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
+		want := plan.Decode(doc, nil)
 		if !votesEqual(dec.Votes, want.Votes) {
 			t.Fatal("fallback votes differ")
 		}

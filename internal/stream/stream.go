@@ -161,7 +161,7 @@ type chunk struct {
 
 	// worker outputs
 	embed *core.EmbedResult
-	dec   *chunkDecode
+	tally *core.Tally
 	err   error
 }
 

@@ -90,7 +90,7 @@ type ServerOptions struct {
 	StreamChunkSize int
 	// MaxDepth caps XML nesting on parse (0 = the xmltree default).
 	MaxDepth int
-	// CacheEntries sizes the suspect-document LRU keyed by body hash
+	// CacheEntries sizes the suspect-document LRU keyed by the body
 	// (0 = 128; negative disables).
 	CacheEntries int
 	// CacheBytes caps the suspect-document LRU's total weight in

@@ -304,22 +304,14 @@ func toDetection(r *core.DetectResult) *Detection {
 // the expected mark. rw may be nil when the suspect kept the original
 // schema; pass NewRewriter(mapping) after a re-organization.
 func (s *System) Detect(doc *Document, records []QueryRecord, rw Rewriter) (*Detection, error) {
-	res, err := core.DetectWithQueries(doc, s.cfg, records, rw)
-	if err != nil {
-		return nil, err
-	}
-	return toDetection(res), nil
+	return s.DetectIndexed(doc, records, rw, nil)
 }
 
 // DetectBlind re-derives the carriers from the suspect document itself
 // (no stored Q); it requires the document to still follow the original
 // schema.
 func (s *System) DetectBlind(doc *Document) (*Detection, error) {
-	res, err := core.DetectBlind(doc, s.cfg)
-	if err != nil {
-		return nil, err
-	}
-	return toDetection(res), nil
+	return s.DetectBlindIndexed(doc, nil)
 }
 
 // NewDocumentIndex builds a query-acceleration index over a document in
@@ -333,21 +325,21 @@ func NewDocumentIndex(doc *Document) *DocumentIndex { return index.New(doc) }
 // DetectIndexed is Detect reusing a caller-built document index over
 // doc.
 func (s *System) DetectIndexed(doc *Document, records []QueryRecord, rw Rewriter, ix *DocumentIndex) (*Detection, error) {
-	res, err := core.DetectWithQueriesIndexed(doc, s.cfg, records, rw, ix)
+	p, err := core.CompileDecodePlan(s.cfg, records, rw)
 	if err != nil {
 		return nil, err
 	}
-	return toDetection(res), nil
+	return toDetection(p.Detect(doc, ix)), nil
 }
 
 // DetectBlindIndexed is DetectBlind reusing a caller-built document
 // index over doc.
 func (s *System) DetectBlindIndexed(doc *Document, ix *DocumentIndex) (*Detection, error) {
-	res, err := core.DetectBlindIndexed(doc, s.cfg, ix)
+	p, err := core.CompileBlindPlan(s.cfg)
 	if err != nil {
 		return nil, err
 	}
-	return toDetection(res), nil
+	return toDetection(p.Detect(doc, ix)), nil
 }
 
 // DetectionPlan is the compile-once / detect-many form of Detect: the
@@ -634,13 +626,20 @@ func (f *Fingerprinter) Fingerprint(doc *Document, recipient string) (*EmbedRece
 // re-derives the carriers blind (original schema required). Sweeping N
 // candidates costs one decode plus N bit comparisons.
 func (f *Fingerprinter) Trace(doc *Document, candidates []string, records []QueryRecord, rw Rewriter) (*TraceResult, error) {
-	return f.fp.Trace(doc, candidates, fingerprint.TraceOptions{Records: records, Rewriter: rw})
+	return f.TraceIndexed(doc, candidates, records, rw, nil)
 }
 
 // TraceIndexed is Trace reusing a caller-built document index over doc
 // — build one index per suspect and share it across repeated traces.
 func (f *Fingerprinter) TraceIndexed(doc *Document, candidates []string, records []QueryRecord, rw Rewriter, ix *DocumentIndex) (*TraceResult, error) {
-	return f.fp.Trace(doc, candidates, fingerprint.TraceOptions{Records: records, Rewriter: rw, Index: ix})
+	opts := fingerprint.TraceOptions{Index: ix}
+	if records != nil {
+		var err error
+		if opts.Plan, err = core.CompileDecodePlan(f.fp.PlanConfig(), records, rw); err != nil {
+			return nil, err
+		}
+	}
+	return f.fp.Trace(doc, candidates, opts)
 }
 
 // NewCollusionAttack composes the attacked document with the given
